@@ -58,11 +58,7 @@ from .training import train_provider
 from .types import (
     AssociationBatch,
     Candidate,
-    HypothesisTrajectory,
-    PairIndex,
     batch_windows,
-    flatten_pair,
-    unflatten_pair,
 )
 
 __version__ = "0.1.0"

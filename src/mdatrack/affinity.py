@@ -23,22 +23,15 @@ pairwise tensor back to parameter gradients.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
+from itertools import repeat
 from pathlib import Path
 
 import numpy as np
 
 from . import kvtext
 from .errors import ContractError, InputValidationError
-from .types import (
-    AssociationBatch,
-    Candidate,
-    HypothesisTrajectory,
-    box_diagonal,
-    flatten_pair,
-    require_center,
-    to_storage_index,
-)
+from .types import AssociationBatch, FrameArrays
 
 
 @dataclass(frozen=True)
@@ -121,7 +114,7 @@ class AffinityParamGradient:
 class ProviderTape:
     """Per-hypothesis sufficient statistics for the parameter gradient."""
 
-    entries: list[tuple[int, ...]]        # 0-based tensor coordinates into C
+    entries: np.ndarray                   # (H, K+1) hypotheses, 0-based
     appearance_edges: np.ndarray          # (H, K) similarity per pair
     squared_distances: np.ndarray         # (H, K) per consecutive pair
     size_sum: np.ndarray                  # (H,)
@@ -137,7 +130,6 @@ class AffinityTensorBundle:
     values: np.ndarray                    # (K+1)-order tensor of c >= 0
     pairwise: np.ndarray                  # K-order tensor over flat pair indices
     valid_mask: np.ndarray                # bool, membership in the hypothesis set
-    hypotheses: list[HypothesisTrajectory]
     tape: ProviderTape
     params: AffinityProviderParams
 
@@ -160,236 +152,212 @@ def load_params(path: str | Path) -> AffinityProviderParams:
 # Connection gate and hypothesis generation
 # ---------------------------------------------------------------------------
 
-def _gate_passes(a: Candidate, b: Candidate, distance_factor: float,
-                 size_bounds: tuple[float, float]) -> bool:
-    dx = require_center(a)[0] - require_center(b)[0]
-    dy = require_center(a)[1] - require_center(b)[1]
-    threshold = distance_factor * max(box_diagonal(a.box), box_diagonal(b.box))
-    if math.hypot(dx, dy) > threshold:
-        return False
-    low, high = size_bounds
-    wa, ha = a.box[2], a.box[3]
-    wb, hb = b.box[2], b.box[3]
-    return low <= wb / wa <= high and low <= hb / ha <= high
+def _pair_mask(prev: FrameArrays, nxt: FrameArrays,
+               gate: ConnectionGateConfig) -> np.ndarray:
+    """(I_prev, I_next) connection mask between two consecutive frames.
 
+    Virtual rows and columns connect unconditionally.  Each real row left
+    without a partner, then each real column still without one, retries at
+    successively relaxed distance factors and keeps every partner found at
+    the first level that finds any.  The relaxed masks are built only when
+    some line is left without a partner.
+    """
+    offset = prev.centers[:, None, :] - nxt.centers[None, :, :]
+    dist = np.hypot(offset[..., 0], offset[..., 1])
+    reach = np.maximum(prev.diagonals[:, None], nxt.diagonals[None, :])
+    low, high = gate.size_ratio_bounds
+    ratio = nxt.boxes[None, :, 2:] / prev.boxes[:, None, 2:]   # width, height
+    size_ok = ((low <= ratio) & (ratio <= high)).all(axis=2)
+    # a NaN distance (unresolved virtual) never passes
+    mask = size_ok & (dist <= gate.base_distance_factor * reach)
+    mask |= prev.is_virtual[:, None] | nxt.is_virtual[None, :]
 
-def _pair_edges(prev_cands, next_cands, gate: ConnectionGateConfig) -> set[tuple[int, int]]:
-    """0-based edge set between two consecutive frames, with per-candidate
-    relaxation for candidates that found no partner."""
-    edges: set[tuple[int, int]] = set()
-    for i, a in enumerate(prev_cands):
-        for j, b in enumerate(next_cands):
-            if a.is_virtual or b.is_virtual:
-                edges.add((i, j))
-            elif _gate_passes(a, b, gate.base_distance_factor, gate.size_ratio_bounds):
-                edges.add((i, j))
-
-    def relax(index, is_prev):
-        for r in range(1, gate.max_relaxations + 1):
-            factor = gate.base_distance_factor * gate.relaxation_factor ** r
-            added = False
-            if is_prev:
-                a = prev_cands[index]
-                for j, b in enumerate(next_cands):
-                    if _gate_passes(a, b, factor, gate.size_ratio_bounds):
-                        edges.add((index, j))
-                        added = True
-            else:
-                b = next_cands[index]
-                for i, a in enumerate(prev_cands):
-                    if _gate_passes(a, b, factor, gate.size_ratio_bounds):
-                        edges.add((i, index))
-                        added = True
-            if added:
-                return
-
-    for i, a in enumerate(prev_cands):
-        if not a.is_virtual and not any(e[0] == i for e in edges):
-            relax(i, True)
-    for j, b in enumerate(next_cands):
-        if not b.is_virtual and not any(e[1] == j for e in edges):
-            relax(j, False)
-    return edges
+    rows = ~mask.any(axis=1) & ~prev.is_virtual
+    if not rows.any() and mask.any(axis=0).all():
+        return mask
+    levels = [size_ok & (dist <= gate.base_distance_factor
+                         * gate.relaxation_factor ** r * reach)
+              for r in range(1, gate.max_relaxations + 1)]
+    for level in levels:
+        hit = rows & level.any(axis=1)
+        mask[hit] |= level[hit]
+        rows &= ~hit
+    cols = ~mask.any(axis=0) & ~nxt.is_virtual
+    for level in levels:
+        hit = cols & level.any(axis=0)
+        mask[:, hit] |= level[:, hit]
+        cols &= ~hit
+    return mask
 
 
 def generate_hypotheses(batch: AssociationBatch,
-                        gate: ConnectionGateConfig) -> list[HypothesisTrajectory]:
+                        gate: ConnectionGateConfig) -> np.ndarray:
     """All candidate tuples whose consecutive pairs pass the connection gate.
 
-    Returned trajectories carry 1-based indices and a zero affinity; scoring
-    happens in :func:`compute_affinity`.  A candidate with no connection even
-    after relaxation simply appears in no hypothesis.
+    Returns an (H, K+1) integer array of 0-based candidate indices, one
+    column per frame, rows in lexicographic order; scoring happens in
+    :func:`compute_affinity`.  A candidate with no connection even after
+    relaxation simply appears in no hypothesis.
     """
-    K = batch.K
-    adjacency: list[dict[int, list[int]]] = []
-    for k in range(1, K + 1):
-        edges = _pair_edges(batch.candidates[k - 1], batch.candidates[k], gate)
-        adj: dict[int, list[int]] = {}
-        for i, j in sorted(edges):
-            adj.setdefault(i, []).append(j)
-        adjacency.append(adj)
-
-    hypotheses: list[HypothesisTrajectory] = []
-
-    def extend(prefix: list[int]):
-        depth = len(prefix)
-        if depth == K + 1:
-            hypotheses.append(HypothesisTrajectory(
-                tuple(i + 1 for i in prefix), 0.0))
-            return
-        for j in adjacency[depth - 1].get(prefix[-1], []):
-            prefix.append(j)
-            extend(prefix)
-            prefix.pop()
-
-    for i0 in range(len(batch.candidates[0])):
-        extend([i0])
-    return hypotheses
+    arrays = batch.arrays
+    valid = _pair_mask(arrays[0], arrays[1], gate)
+    for k in range(2, batch.K + 1):
+        # extend every partial tuple by the partners of its last member
+        valid = valid[..., None] & _pair_mask(arrays[k - 1], arrays[k], gate)
+    return np.argwhere(valid)                   # row-major: lexicographic
 
 
 # ---------------------------------------------------------------------------
 # Affinity provider
 # ---------------------------------------------------------------------------
 
-def appearance_similarity(a: np.ndarray, b: np.ndarray) -> float:
-    """Clipped squared cosine of the descriptors, in [0, 1].
+def _row_dot(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Inner products along the last axis of broadcast arrays, bit-equal to
+    1-D np.dot of each pair of rows (an einsum or sum rounds differently)."""
+    return (a[..., None, :] @ b[..., :, None])[..., 0, 0]
+
+
+def descriptor_similarity(a: np.ndarray, norm_a: np.ndarray,
+                          b: np.ndarray, norm_b: np.ndarray) -> np.ndarray:
+    """Clipped squared cosine of broadcast descriptor rows ``a``, ``b``
+    (shape (..., D), norms (...)), in [0, 1].
 
     Squaring suppresses the ~0 cosine between unrelated descriptors while
     keeping same-target pairs near 1, which is what makes the term worth
     its learnable weight.  Zero descriptors (file-based candidates) get a
     neutral 0.5.
     """
-    na = float(np.linalg.norm(a))
-    nb = float(np.linalg.norm(b))
-    if na < 1e-12 or nb < 1e-12:
-        return 0.5
-    cos = float(np.dot(a, b)) / (na * nb)
-    return max(0.0, cos) ** 2
-
-
-def _size_similarity(box_a, box_b) -> float:
-    wa, ha = box_a[2], box_a[3]
-    wb, hb = box_b[2], box_b[3]
-    return (min(wa, wb) / max(wa, wb)) * (min(ha, hb) / max(ha, hb))
+    neutral = (norm_a < 1e-12) | (norm_b < 1e-12)
+    cos = _row_dot(a, b) / np.where(neutral, 1.0, norm_a * norm_b)
+    return np.where(neutral, 0.5, np.maximum(cos, 0.0) ** 2)
 
 
 def compute_affinity(batch: AssociationBatch,
-                     hypotheses: list[HypothesisTrajectory],
+                     hypotheses: np.ndarray,
                      params: AffinityProviderParams,
                      virtual_scale: float = 1.0,
-                     resolved_virtuals: dict[tuple[int, int], Candidate] | None = None
+                     resolved_virtuals: dict[int, np.ndarray] | None = None
                      ) -> AffinityTensorBundle:
     """Score every hypothesis and assemble the affinity tensors.
 
-    ``resolved_virtuals`` maps (anchor index 1-based, frame position) to the
-    per-anchor resolved virtual candidate for an adjacent frame; it is
-    required whenever a hypothesis contains an adjacent-frame virtual.
-    Hypotheses passing through the anchor-frame virtual slot score exactly
-    zero (that slot has no geometry of its own).  Each virtual member of a
-    hypothesis scales its affinity by ``virtual_scale``.
+    ``hypotheses`` is the (H, K+1) index array of :func:`generate_hypotheses`.
+    ``resolved_virtuals`` maps a frame position to the (I_anchor, 2)
+    centers its virtual resolves to, one row per anchor slot; it is
+    required whenever a hypothesis contains an adjacent-frame virtual, which
+    then takes the center of its anchor's row and the anchor's box size and
+    descriptor.  Hypotheses passing through the anchor-frame virtual slot
+    score exactly zero (that slot has no geometry of its own).  Each virtual
+    member of a hypothesis scales its affinity by ``virtual_scale``.
     """
-    if not hypotheses:
-        raise ContractError("hypothesis set is empty")
-    for frame_cands in batch.candidates:
-        for cand in frame_cands:
-            if not np.all(np.isfinite(cand.appearance)):
-                raise InputValidationError(
-                    f"non-finite descriptor on frame {cand.frame_index}")
-
     K = batch.K
-    sizes = batch.sizes
+    hyps = np.asarray(hypotheses, dtype=np.intp)
+    if len(hyps) == 0:
+        raise ContractError("hypothesis set is empty")
+    if hyps.ndim != 2 or hyps.shape[1] != K + 1:
+        raise ContractError(
+            f"hypotheses must be an (H, {K + 1}) index array, got {hyps.shape}")
+    arrays = batch.arrays
+    for frame, fa in zip(batch.frames, arrays):
+        if not np.all(np.isfinite(fa.descriptors)):
+            raise InputValidationError(f"non-finite descriptor on frame {frame}")
+
     anchor_pos = batch.anchor_position
-    values = np.zeros(sizes)
-    valid_mask = np.zeros(sizes, dtype=bool)
+    anchors = arrays[anchor_pos]
+    # anchor-frame virtual slot: structural, zero affinity and zero tape row
+    scored = np.flatnonzero(~anchors.is_virtual[hyps[:, anchor_pos]])
+    rows = hyps[scored]
+    owner = rows[:, anchor_pos]
 
-    entries: list[tuple[int, ...]] = []
-    app_rows: list[list[float]] = []
-    sq_dists: list[list[float]] = []
-    size_sums: list[float] = []
-    accels: list[float] = []
-    smooths: list[float] = []
-    vscales: list[float] = []
-    scored: list[HypothesisTrajectory] = []
+    virtual_count = np.zeros(len(rows), dtype=np.intp)
+    centers, box_sizes, descriptors, norms = [], [], [], []
+    for pos, fa in enumerate(arrays):
+        idx = rows[:, pos]
+        virtual = fa.is_virtual[idx]
+        virtual_count += virtual
+        center, size = fa.centers[idx], fa.boxes[idx, 2:]
+        descriptor, norm = fa.descriptors[idx], fa.norms[idx]
+        if pos != anchor_pos and virtual.any():
+            table = (resolved_virtuals or {}).get(pos)
+            who = owner[virtual]
+            if (table is None or len(table) != len(anchors.is_virtual)
+                    or np.isnan(table[who]).any()):
+                raise ContractError(
+                    f"no resolved virtual at frame position {pos} for anchor "
+                    f"slots {sorted(set(who.tolist()))}")
+            center[virtual] = table[who]
+            size[virtual] = anchors.boxes[who, 2:]
+            descriptor[virtual] = anchors.descriptors[who]
+            norm[virtual] = anchors.norms[who]
+        centers.append(center)
+        box_sizes.append(size)
+        descriptors.append(descriptor)
+        norms.append(norm)
 
+    n = len(rows)
+    app_edges = np.empty((n, K))
+    sq_dists = np.empty((n, K))
+    size_sims = np.empty((n, K))
+    for e in range(K):
+        app_edges[:, e] = descriptor_similarity(
+            descriptors[e], norms[e], descriptors[e + 1], norms[e + 1])
+        step = centers[e + 1] - centers[e]
+        sq_dists[:, e] = step[:, 0] ** 2 + step[:, 1] ** 2
+        (wa, ha), (wb, hb) = box_sizes[e].T, box_sizes[e + 1].T
+        size_sims[:, e] = ((np.minimum(wa, wb) / np.maximum(wa, wb))
+                           * (np.minimum(ha, hb) / np.maximum(ha, hb)))
+    size_sum = size_sims.sum(axis=1)
+    accel = np.zeros(n)
+    for t in range(1, K):
+        turn = (centers[t + 1] - centers[t]) - (centers[t] - centers[t - 1])
+        accel += np.sqrt(_row_dot(turn, turn))
+    size_prod = size_sims[:, 0]
+    for e in range(1, K):
+        size_prod = size_prod * size_sims[:, e]
+    # math.exp and float ** give the bits of a per-hypothesis scalar loop;
+    # np.exp and np.power round some of these values differently
     sigma = params.position_scale
-    for hyp in hypotheses:
-        coords = tuple(to_storage_index(i) for i in hyp.indices)
-        valid_mask[coords] = True
-        anchor_index = hyp.indices[anchor_pos]
+    smooth = np.fromiter(map(pow, size_prod.tolist(), repeat(1.0 / K)),
+                         float, n)
+    decay = np.fromiter(map(math.exp, (-accel / sigma).tolist()), float, n)
+    powers = np.array([virtual_scale ** v for v in range(K + 2)])
+    scale = powers[virtual_count]
 
-        if batch.candidates[anchor_pos][coords[anchor_pos]].is_virtual:
-            # structural slot with no geometry: zero affinity, zero tape row
-            entries.append(coords)
-            app_rows.append([0.0] * K)
-            sq_dists.append([0.0] * K)
-            size_sums.append(0.0)
-            accels.append(0.0)
-            smooths.append(0.0)
-            vscales.append(0.0)
-            scored.append(replace(hyp, affinity=0.0))
-            continue
+    gauss = np.exp(-sq_dists / (2.0 * sigma * sigma))
+    affinity = scale * (params.appearance_weight * _row_dot(app_edges, gauss)
+                        + params.motion_weight * gauss.sum(axis=1)
+                        + params.size_weight * size_sum
+                        + params.long_term_weight * decay * smooth)
 
-        members: list[Candidate] = []
-        for pos, idx0 in enumerate(coords):
-            cand = batch.candidates[pos][idx0]
-            if cand.is_virtual and pos != anchor_pos:
-                if resolved_virtuals is None or (anchor_index, pos) not in resolved_virtuals:
-                    raise ContractError(
-                        f"no resolved virtual for anchor {anchor_index} at "
-                        f"frame position {pos}")
-                cand = resolved_virtuals[(anchor_index, pos)]
-            members.append(cand)
+    def per_hypothesis(column: np.ndarray) -> np.ndarray:
+        full = np.zeros((len(hyps),) + column.shape[1:])
+        full[scored] = column
+        return full
 
-        virtual_count = sum(
-            1 for pos, idx0 in enumerate(coords)
-            if batch.candidates[pos][idx0].is_virtual)
-        scale = virtual_scale ** virtual_count
-
-        centers = [np.asarray(require_center(c), dtype=float) for c in members]
-        app_edges = []
-        d2 = []
-        size_sim_edges = []
-        for e in range(K):
-            app_edges.append(appearance_similarity(
-                members[e].appearance, members[e + 1].appearance))
-            d2.append(float(np.sum((centers[e + 1] - centers[e]) ** 2)))
-            size_sim_edges.append(_size_similarity(members[e].box, members[e + 1].box))
-        app_edges = np.asarray(app_edges)
-        size_sum = float(np.sum(size_sim_edges))
-        accel = 0.0
-        for t in range(1, K):
-            accel += float(np.linalg.norm(
-                (centers[t + 1] - centers[t]) - (centers[t] - centers[t - 1])))
-        smooth = float(np.prod(size_sim_edges)) ** (1.0 / K)
-
-        gauss = np.exp(-np.asarray(d2) / (2.0 * sigma * sigma))
-        app_gauss = float(np.dot(app_edges, gauss))
-        c = scale * (params.appearance_weight * app_gauss
-                     + params.motion_weight * float(gauss.sum())
-                     + params.size_weight * size_sum
-                     + params.long_term_weight * math.exp(-accel / sigma) * smooth)
-        values[coords] = c
-
-        entries.append(coords)
-        app_rows.append([float(a) for a in app_edges])
-        sq_dists.append(d2)
-        size_sums.append(size_sum)
-        accels.append(accel)
-        smooths.append(smooth)
-        vscales.append(scale)
-        scored.append(replace(hyp, affinity=float(c)))
-
+    affinity = per_hypothesis(affinity)
+    values = np.zeros(batch.sizes)
+    valid_mask = np.zeros(batch.sizes, dtype=bool)
+    coords = tuple(hyps.T)
+    values[coords] = affinity
+    valid_mask[coords] = True
     tape = ProviderTape(
-        entries=entries,
-        appearance_edges=np.array(app_rows).reshape(len(entries), K),
-        squared_distances=np.array(sq_dists).reshape(len(entries), K),
-        size_sum=np.array(size_sums),
-        acceleration=np.array(accels),
-        size_smoothness=np.array(smooths),
-        virtual_scale=np.array(vscales),
+        entries=hyps,
+        appearance_edges=per_hypothesis(app_edges),
+        squared_distances=per_hypothesis(sq_dists),
+        size_sum=per_hypothesis(size_sum),
+        acceleration=per_hypothesis(accel),
+        size_smoothness=per_hypothesis(smooth),
+        virtual_scale=per_hypothesis(scale),
     )
-    pairwise = reshape_to_pairwise(values, valid_mask)
-    return AffinityTensorBundle(values, pairwise, valid_mask, scored, tape, params)
+    pairwise = _scatter_pairwise(hyps, affinity, batch.sizes)
+    return AffinityTensorBundle(values, pairwise, valid_mask, tape, params)
+
+
+def _pair_flat_indices(tuples: np.ndarray, sizes) -> tuple[np.ndarray, ...]:
+    """Flat pair indices of (N, K+1) 0-based candidate tuples: for each
+    frame pair k, ``i_{k-1} * I_k + i_k`` (row-major over the I_{k-1} x I_k
+    grid).  The tuple indexes the K-order pairwise tensor directly."""
+    return tuple(tuples[:, k - 1] * sizes[k] + tuples[:, k]
+                 for k in range(1, len(sizes)))
 
 
 def reshape_to_pairwise(values: np.ndarray, valid_mask: np.ndarray) -> np.ndarray:
@@ -403,16 +371,17 @@ def reshape_to_pairwise(values: np.ndarray, valid_mask: np.ndarray) -> np.ndarra
     values = np.asarray(values, dtype=float)
     if values.shape != valid_mask.shape:
         raise ContractError("values and valid_mask shapes differ")
-    sizes = values.shape
-    K = values.ndim - 1
-    pair_dims = tuple(sizes[k - 1] * sizes[k] for k in range(1, K + 1))
-    pairwise = np.zeros(pair_dims)
-    for coords in np.argwhere(valid_mask):
-        flat = tuple(
-            to_storage_index(flatten_pair(int(coords[k - 1]) + 1,
-                                          int(coords[k]) + 1, sizes[k]))
-            for k in range(1, K + 1))
-        pairwise[flat] = values[tuple(coords)]
+    return _scatter_pairwise(np.argwhere(valid_mask), values[valid_mask],
+                             values.shape)
+
+
+def _scatter_pairwise(tuples: np.ndarray, entries: np.ndarray,
+                      sizes) -> np.ndarray:
+    """The K-order pairwise tensor holding ``entries`` at the flat pair
+    indices of the candidate ``tuples`` and zero elsewhere."""
+    pairwise = np.zeros(tuple(sizes[k - 1] * sizes[k]
+                              for k in range(1, len(sizes))))
+    pairwise[_pair_flat_indices(tuples, sizes)] = entries
     return pairwise
 
 
@@ -429,21 +398,14 @@ def backprop_affinity(bundle: AffinityTensorBundle,
         raise ContractError(
             f"gradient shape {d_pairwise.shape} does not match the pairwise "
             f"tensor {bundle.pairwise.shape}")
-    sizes = bundle.values.shape
-    K = bundle.values.ndim - 1
     tape = bundle.tape
     params = bundle.params
     sigma = params.position_scale
 
-    if not tape.entries:
+    if len(tape.entries) == 0:
         return AffinityParamGradient()
 
-    incoming = np.empty(len(tape.entries))
-    for h, coords in enumerate(tape.entries):
-        flat = tuple(
-            to_storage_index(flatten_pair(coords[k - 1] + 1, coords[k] + 1, sizes[k]))
-            for k in range(1, K + 1))
-        incoming[h] = d_pairwise[flat]
+    incoming = d_pairwise[_pair_flat_indices(tape.entries, bundle.values.shape)]
 
     gauss = np.exp(-tape.squared_distances / (2.0 * sigma * sigma))
     app_gauss = tape.appearance_edges * gauss

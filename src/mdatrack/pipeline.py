@@ -26,8 +26,8 @@ import numpy as np
 from .affinity import (
     AffinityProviderParams,
     ConnectionGateConfig,
-    appearance_similarity,
     compute_affinity,
+    descriptor_similarity,
     generate_hypotheses,
 )
 from .errors import ContractError, InternalInvariantError
@@ -42,7 +42,6 @@ from .types import (
     Candidate,
     batch_windows,
     box_center,
-    box_diagonal,
     box_iou,
     box_visible_fraction,
     require_center,
@@ -126,7 +125,8 @@ class TrackState:
     """Live targets plus the head bookkeeping that links windows.
 
     ``heads`` maps (frame index, slot in that frame's candidate list) to the
-    track owning that candidate; ids are never reused.
+    track owning that candidate.  Ids run 1, 2, ... in creation order and
+    records are only appended, so track ``i`` is ``targets[i - 1]``.
     """
 
     targets: list[TrackRecord] = field(default_factory=list)
@@ -135,9 +135,10 @@ class TrackState:
     skipped_windows: int = 0
 
     def by_id(self, track_id: int) -> TrackRecord:
-        for t in self.targets:
-            if t.id == track_id:
-                return t
+        if 1 <= track_id <= len(self.targets):
+            track = self.targets[track_id - 1]
+            if track.id == track_id:
+                return track
         raise InternalInvariantError(f"unknown track id {track_id}")
 
 
@@ -146,67 +147,79 @@ def _make_virtual_placeholder(frame_index: int) -> Candidate:
                      box=(0.0, 0.0, 1.0, 1.0), score=0.0, is_virtual=True)
 
 
+def _grid_gaussian(dx2: np.ndarray, dy2: np.ndarray, denom: float,
+                   out: np.ndarray) -> np.ndarray:
+    """exp(-(dx2 + dy2) / denom) over each anchor's search grid, written to
+    ``out`` (anchors, 17 rows, 17 columns) from per-column ``dx2`` and
+    per-row ``dy2`` (anchors, 17)."""
+    np.add(dy2[:, :, None], dx2[:, None, :], out=out)
+    np.divide(out, -denom, out=out)
+    return np.exp(out, out=out)
+
+
 def resolve_virtuals(batch: AssociationBatch,
                      params: AffinityProviderParams,
                      anchor_velocities: dict[int, tuple[float, float]] | None = None,
-                     ) -> dict[tuple[int, int], Candidate]:
+                     ) -> dict[int, np.ndarray]:
     """Fix the adjacent-frame virtual centers, one location per anchor.
 
     For each real anchor the virtual in frame position ``pos`` resolves to
     the argmax of a local search score around the anchor's constant-velocity
     extrapolation: a Gaussian prior at the extrapolated point plus
     appearance-similarity-weighted Gaussians at each real detection of that
-    frame.  The grid spans one box diagonal at a step of diagonal / 8.
-    Returns {(anchor index 1-based, frame position): resolved candidate}.
+    frame.  The grid spans one box diagonal at a step of diagonal / 8 and is
+    scanned row-major; ties resolve to the first maximum.  Returns
+    {frame position: (I_anchor, 2) resolved centers}, one row per anchor
+    slot, NaN for the virtual anchor slot.
     """
     anchor_velocities = anchor_velocities or {}
     anchor_pos = batch.anchor_position
-    sigma = params.position_scale
-    resolved: dict[tuple[int, int], Candidate] = {}
+    anchors = batch.arrays[anchor_pos]
+    real = np.flatnonzero(~anchors.is_virtual)
+    denom = 2.0 * params.position_scale * params.position_scale
+    velocity = np.array([anchor_velocities.get(int(slot), (0.0, 0.0))
+                         for slot in real], dtype=float).reshape(-1, 2)
+    origin = anchors.centers[real]
+    offsets = np.arange(-8, 9) * (anchors.diagonals[real] / 8.0)[:, None]
+    resolved: dict[int, np.ndarray] = {}
 
-    for slot, anchor in enumerate(batch.candidates[anchor_pos]):
-        if anchor.is_virtual:
+    for pos, frame in enumerate(batch.arrays):
+        if (pos == anchor_pos or not len(frame.is_virtual)
+                or not frame.is_virtual[-1]):
             continue
-        vx, vy = anchor_velocities.get(slot, (0.0, 0.0))
-        ax, ay = require_center(anchor)
-        diag = box_diagonal(anchor.box)
-        step = diag / 8.0
-        offsets = np.arange(-8, 9) * step
-        for pos in range(batch.K + 1):
-            if pos == anchor_pos:
-                continue
-            if not batch.candidates[pos] or not batch.candidates[pos][-1].is_virtual:
-                continue
-            dt = batch.frames[pos] - batch.frames[anchor_pos]
-            px, py = ax + vx * dt, ay + vy * dt
+        dt = batch.frames[pos] - batch.frames[anchor_pos]
+        px = origin[:, 0] + velocity[:, 0] * dt
+        py = origin[:, 1] + velocity[:, 1] * dt
+        grid_x = px[:, None] + offsets            # (anchors, 17) columns
+        grid_y = py[:, None] + offsets            # (anchors, 17) rows
+        scores = _grid_gaussian((grid_x - px[:, None]) ** 2,
+                                (grid_y - py[:, None]) ** 2, denom,
+                                np.empty((len(real), 17, 17)))
 
-            reals = [c for c in batch.candidates[pos] if not c.is_virtual]
-            weights = np.array([appearance_similarity(anchor.appearance,
-                                                      c.appearance)
-                                for c in reals])
-            centers = np.array([require_center(c) for c in reals]
-                               ).reshape(len(reals), 2)
-
-            # row-major scan of the grid; ties resolve to the first maximum
-            gy, gx = np.meshgrid(py + offsets, px + offsets, indexing="ij")
-            gxf, gyf = gx.ravel(), gy.ravel()
-            scores = np.exp(-((gxf - px) ** 2 + (gyf - py) ** 2)
-                            / (2.0 * sigma * sigma))
-            for w, (cx, cy) in zip(weights, centers):
-                scores += w * np.exp(-((gxf - cx) ** 2 + (gyf - cy) ** 2)
-                                     / (2.0 * sigma * sigma))
-            best = int(np.argmax(scores))
-            best_xy = (float(gxf[best]), float(gyf[best]))
-
-            w, h = anchor.box[2], anchor.box[3]
-            resolved[(slot + 1, pos)] = Candidate(
-                frame_index=batch.frames[pos],
-                center=best_xy,
-                box=(best_xy[0] - w / 2.0, best_xy[1] - h / 2.0, w, h),
-                score=anchor.score,
-                is_virtual=True,
-                appearance=anchor.appearance.copy(),
-            )
+        detections = np.flatnonzero(~frame.is_virtual)
+        weights = descriptor_similarity(
+            anchors.descriptors[real, None, :], anchors.norms[real, None],
+            frame.descriptors[None, detections, :], frame.norms[None, detections])
+        spots = frame.centers[detections]
+        dx2 = (grid_x[:, None, :] - spots[:, 0, None]) ** 2   # (anchors, M, 17)
+        dy2 = (grid_y[:, None, :] - spots[:, 1, None]) ** 2
+        buffer = np.empty_like(scores)
+        # one detection at a time keeps memory at O(anchors * 289) and the
+        # sum in detection order; a zero weight (negative cosine) adds
+        # exactly nothing, so only the anchors a detection attracts are scored
+        for m in range(len(detections)):
+            rows = np.flatnonzero(weights[:, m])
+            term = _grid_gaussian(dx2[rows, m], dy2[rows, m], denom,
+                                  buffer[:len(rows)])
+            term *= weights[rows, m, None, None]
+            scores[rows] += term
+        scores = scores.reshape(len(real), 17 * 17)
+        row, col = np.divmod(np.argmax(scores, axis=1), 17)
+        each = np.arange(len(real))
+        centers = np.full((len(anchors.is_virtual), 2), np.nan)
+        centers[real, 0] = grid_x[each, col]
+        centers[real, 1] = grid_y[each, row]
+        resolved[pos] = centers
     return resolved
 
 
@@ -253,7 +266,7 @@ def track_batch(frames_store: list[list[Candidate]],
     resolved = resolve_virtuals(batch, params, velocities)
 
     hypotheses = generate_hypotheses(batch, gate)
-    if not hypotheses:
+    if len(hypotheses) == 0:
         state.skipped_windows += 1
         return state
     bundle = compute_affinity(batch, hypotheses, params,
@@ -280,7 +293,9 @@ def track_batch(frames_store: list[list[Candidate]],
     for slot in real_anchor_slots:
         anchor = anchor_list[slot]
         track_id = state.heads.get((f1, slot))
-        prediction = resolved[(slot + 1, 2)]
+        cx, cy = resolved[2][slot].tolist()
+        w, h = anchor.box[2], anchor.box[3]
+        prediction = (cx - w / 2.0, cy - h / 2.0, w, h)
 
         assigned = np.flatnonzero(x_next[slot])
         next_slot = int(assigned[0]) if assigned.size else virtual_next_slot
@@ -314,14 +329,14 @@ def track_batch(frames_store: list[list[Candidate]],
                     f"candidate {next_slot} on frame {f2} claimed twice")
             claimed_next.add(next_slot)
             partner = window_cands[2][next_slot]
-            if (box_iou(prediction.box, partner.box) < config.t_dif
+            if (box_iou(prediction, partner.box) < config.t_dif
                     and quality.evaluate(partner) < config.quality_threshold):
                 # detection disagrees with the prediction and looks bad:
                 # keep the predicted box, reuse the stored appearance
-                track.boxes[f2] = prediction.box
+                track.boxes[f2] = prediction
                 track.status = ACTIVE
                 pseudo_slot = _append_prediction(frames_store, f2,
-                                                 prediction.box, track)
+                                                 prediction, track)
                 new_heads[(f2, pseudo_slot)] = track_id
             else:
                 track.boxes[f2] = partner.box
@@ -331,17 +346,17 @@ def track_batch(frames_store: list[list[Candidate]],
                 track.score = partner.score
                 new_heads[(f2, next_slot)] = track_id
         else:
-            if box_visible_fraction(prediction.box, config.frame_box) < config.t_exit:
+            if box_visible_fraction(prediction, config.frame_box) < config.t_exit:
                 track.status = EXITED
                 continue
             track.frames_coasting += 1
             if track.frames_coasting > config.max_coast_frames:
                 track.status = EXITED
                 continue
-            track.boxes[f2] = prediction.box
+            track.boxes[f2] = prediction
             track.status = COASTING
             pseudo_slot = _append_prediction(frames_store, f2,
-                                             prediction.box, track)
+                                             prediction, track)
             new_heads[(f2, pseudo_slot)] = track_id
 
     state.heads = new_heads
@@ -358,7 +373,6 @@ def _append_prediction(frames_store: list[list[Candidate]], frame: int,
         box=box,
         score=track.score,
         appearance=track.descriptor.copy(),
-        from_prediction=True,
     )
     frames_store[frame].append(cand)
     return len(frames_store[frame]) - 1

@@ -74,7 +74,7 @@ def train_window(frames: tuple[int, ...],
         K=len(frames) - 1, frames=tuple(frames),
         candidates=tuple(tuple(c) for c in candidates))
     hypotheses = generate_hypotheses(batch, gate)
-    if not hypotheses:
+    if len(hypotheses) == 0:
         return None
     bundle = compute_affinity(batch, hypotheses, params)
     if bundle.pairwise.max() <= 0.0:

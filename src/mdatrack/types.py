@@ -1,9 +1,13 @@
-"""Domain types and index algebra for the association engine.
+"""Domain types for the association engine.
 
-Index convention: the math layer is 1-based (candidate ``i_k`` runs over
-``1..I_k``, flat pair index ``j`` over ``1..I_prev*I_next``).  Arrays are
-0-based.  ``to_storage_index`` / ``to_math_index`` below are the single
-adapter between the two; every conversion in the package goes through them.
+Candidates are Python objects at the program's edges (detections in,
+tracks out).  Inside one window the front end works on arrays: each frame
+of an :class:`AssociationBatch` becomes one :class:`FrameArrays`, built
+once per window and shared by the gate, the hypothesis generator, virtual
+resolution and the affinity provider.  Every index in those arrays is
+0-based: a hypothesis is a row of 0-based candidate indices, one per frame,
+and the flat index of the pair (i_prev, i_next) is ``i_prev * I_next +
+i_next``.
 """
 
 from __future__ import annotations
@@ -11,6 +15,9 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass, field
+from functools import cached_property
+from itertools import accumulate
+from typing import NamedTuple
 
 import numpy as np
 
@@ -20,16 +27,6 @@ from .errors import ContractError, InputValidationError, RangeError
 #: length keeps the affinity provider interface uniform; 24 corresponds to an
 #: 8-bin-per-channel color histogram over the candidate patch.
 DEFAULT_DESCRIPTOR_LENGTH = 24
-
-
-def to_storage_index(i: int) -> int:
-    """1-based math index -> 0-based array index."""
-    return i - 1
-
-
-def to_math_index(i: int) -> int:
-    """0-based array index -> 1-based math index."""
-    return i + 1
 
 
 # ---------------------------------------------------------------------------
@@ -105,8 +102,6 @@ class Candidate:
     is_virtual: bool = False
     appearance: np.ndarray = field(
         default_factory=lambda: np.zeros(DEFAULT_DESCRIPTOR_LENGTH))
-    #: set for pseudo-candidates injected from a coasting track's prediction
-    from_prediction: bool = False
 
     def __post_init__(self):
         if self.frame_index < 0:
@@ -126,6 +121,51 @@ def require_center(candidate: Candidate) -> tuple[float, float]:
             "virtual candidate center read before resolution "
             f"(frame {candidate.frame_index})")
     return candidate.center
+
+
+class FrameArrays(NamedTuple):
+    """One frame of a window as arrays, one row per candidate in list order.
+
+    An unresolved virtual candidate has a NaN center and a zero descriptor;
+    its box is kept as given.
+    """
+
+    centers: np.ndarray       # (n, 2)
+    boxes: np.ndarray         # (n, 4) left, top, width, height
+    diagonals: np.ndarray     # (n,) box diagonal
+    descriptors: np.ndarray   # (n, D)
+    norms: np.ndarray         # (n,) descriptor Euclidean norm
+    is_virtual: np.ndarray    # (n,) bool
+
+
+def _window_arrays(candidates: tuple[tuple[Candidate, ...], ...]
+                   ) -> tuple[FrameArrays, ...]:
+    """Build every frame's arrays in one pass over the window; the frames
+    are views into window-wide arrays."""
+    flat = [c for frame in candidates for c in frame]
+    n = len(flat)
+    length = next((len(c.appearance) for c in flat if not c.is_virtual),
+                  DEFAULT_DESCRIPTOR_LENGTH)
+    blank = np.zeros(length)
+    try:
+        descriptors = np.array(
+            [blank if c.is_virtual else c.appearance for c in flat],
+            dtype=float).reshape(n, length)
+    except ValueError:
+        raise InputValidationError(
+            "descriptor lengths differ within one window") from None
+    centers = np.array([(math.nan, math.nan) if c.center is None else c.center
+                        for c in flat], dtype=float).reshape(n, 2)
+    boxes = np.array([c.box for c in flat], dtype=float).reshape(n, 4)
+    diagonals = np.array([box_diagonal(c.box) for c in flat], dtype=float)
+    # row-wise descriptor.dot(descriptor): bit-equal to np.linalg.norm
+    norms = np.sqrt((descriptors[:, None, :] @ descriptors[:, :, None])[:, 0, 0])
+    is_virtual = np.array([c.is_virtual for c in flat], dtype=bool)
+    bounds = list(accumulate((len(frame) for frame in candidates), initial=0))
+    return tuple(
+        FrameArrays(centers[a:b], boxes[a:b], diagonals[a:b], descriptors[a:b],
+                    norms[a:b], is_virtual[a:b])
+        for a, b in zip(bounds, bounds[1:]))
 
 
 @dataclass(frozen=True)
@@ -169,67 +209,16 @@ class AssociationBatch:
         s = self.sizes
         return [(s[k - 1], s[k]) for k in range(1, self.K + 1)]
 
-
-@dataclass(frozen=True)
-class HypothesisTrajectory:
-    """A (K+1)-tuple of 1-based candidate indices, one per frame."""
-
-    indices: tuple[int, ...]
-    affinity: float = 0.0
-
-
-@dataclass(frozen=True)
-class PairIndex:
-    """A frame-pair index triple and its flattened form."""
-
-    k: int
-    i_prev: int
-    i_next: int
-    j: int
-
-    @classmethod
-    def from_pair(cls, k: int, i_prev: int, i_next: int, size_next: int) -> "PairIndex":
-        return cls(k, i_prev, i_next, flatten_pair(i_prev, i_next, size_next))
-
-    @classmethod
-    def from_flat(cls, k: int, j: int, size_next: int,
-                  size_prev: int | None = None) -> "PairIndex":
-        i_prev, i_next = unflatten_pair(j, size_next, size_prev)
-        return cls(k, i_prev, i_next, j)
+    @cached_property
+    def arrays(self) -> tuple[FrameArrays, ...]:
+        """The window's frames as arrays, built on first use and shared by
+        the gate, hypothesis generation, virtual resolution and affinity."""
+        return _window_arrays(self.candidates)
 
 
 # ---------------------------------------------------------------------------
 # Operations
 # ---------------------------------------------------------------------------
-
-def flatten_pair(i_prev: int, i_next: int, size_next: int) -> int:
-    """Map the 1-based pair (i_prev, i_next) to its flat 1-based index.
-
-    The flat index is (i_prev - 1) * size_next + i_next, which enumerates the
-    grid row-major exactly once.
-    """
-    if i_prev < 1:
-        raise RangeError(f"i_prev must be >= 1, got {i_prev}")
-    if not 1 <= i_next <= size_next:
-        raise RangeError(
-            f"i_next must be in 1..{size_next}, got {i_next}")
-    return (i_prev - 1) * size_next + i_next
-
-
-def unflatten_pair(j: int, size_next: int,
-                   size_prev: int | None = None) -> tuple[int, int]:
-    """Inverse of :func:`flatten_pair`; all indices 1-based."""
-    if size_next < 1:
-        raise RangeError(f"size_next must be >= 1, got {size_next}")
-    if j < 1:
-        raise RangeError(f"flat index must be >= 1, got {j}")
-    if size_prev is not None and j > size_prev * size_next:
-        raise RangeError(
-            f"flat index {j} out of range 1..{size_prev * size_next}")
-    i_prev = (j - 1) // size_next + 1
-    i_next = (j - 1) % size_next + 1
-    return i_prev, i_next
-
 
 def batch_windows(frame_count: int, K: int = 2, overlap: int = 2) -> list[list[int]]:
     """Sliding association windows of K+1 frames sharing ``overlap`` frames.

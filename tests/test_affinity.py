@@ -1,5 +1,6 @@
 """Gate, hypothesis generation, provider scores and their gradients."""
 
+import io
 import itertools
 import math
 
@@ -11,15 +12,17 @@ from mdatrack.affinity import (
     ConnectionGateConfig,
     backprop_affinity,
     compute_affinity,
+    descriptor_similarity,
     generate_hypotheses,
     load_params,
     reshape_to_pairwise,
     save_params,
 )
 from mdatrack.errors import ContractError, InputValidationError
+from mdatrack.evalio import load_mot
 from mdatrack.oracle import finite_diff_grad
 from mdatrack.solver import pairwise_objective, assignment_objective
-from mdatrack.types import AssociationBatch, Candidate, flatten_pair
+from mdatrack.types import AssociationBatch, Candidate
 
 
 def cand(frame, cx, cy, w=20.0, h=20.0, appearance=None, virtual=False,
@@ -48,6 +51,89 @@ def gate_oracle(a, b, factor, bounds):
             and low <= b.box[3] / a.box[3] <= high)
 
 
+def edges_oracle(prev, nxt, gate):
+    """Plain-loop restatement of the gate between two frames: virtual lines
+    connect to everything; each real row without a partner, then each real
+    column still without one, takes every partner of the first relaxed
+    level that admits any."""
+    bounds = gate.size_ratio_bounds
+    edges = {(i, j) for i, a in enumerate(prev) for j, b in enumerate(nxt)
+             if a.is_virtual or b.is_virtual
+             or gate_oracle(a, b, gate.base_distance_factor, bounds)}
+    factors = [gate.base_distance_factor * gate.relaxation_factor ** r
+               for r in range(1, gate.max_relaxations + 1)]
+    for i, a in enumerate(prev):
+        if a.is_virtual or any(e[0] == i for e in edges):
+            continue
+        for factor in factors:
+            found = {(i, j) for j, b in enumerate(nxt)
+                     if gate_oracle(a, b, factor, bounds)}
+            if found:
+                edges |= found
+                break
+    for j, b in enumerate(nxt):
+        if b.is_virtual or any(e[1] == j for e in edges):
+            continue
+        for factor in factors:
+            found = {(i, j) for i, a in enumerate(prev)
+                     if gate_oracle(a, b, factor, bounds)}
+            if found:
+                edges |= found
+                break
+    return edges
+
+
+def hypotheses_oracle(frames, gate):
+    """Every index tuple, in lexicographic order, whose consecutive pairs
+    are gate edges."""
+    edges = [edges_oracle(frames[k], frames[k + 1], gate)
+             for k in range(len(frames) - 1)]
+    return [list(t) for t in itertools.product(*(range(len(f)) for f in frames))
+            if all((t[k], t[k + 1]) in edges[k] for k in range(len(edges)))]
+
+
+def affinity_oracle(frames, row, params, virtual_scale, resolved):
+    """Scalar restatement of one hypothesis's provider score."""
+    K = len(row) - 1
+    anchor_pos = K // 2
+    anchor = frames[anchor_pos][row[anchor_pos]]
+    if anchor.is_virtual:
+        return 0.0
+    members = []
+    for pos, i in enumerate(row):
+        c = frames[pos][i]
+        if c.is_virtual:
+            members.append((tuple(resolved[pos][row[anchor_pos]]),
+                            anchor.box[2:], anchor.appearance))
+        else:
+            members.append((c.center, c.box[2:], c.appearance))
+
+    def similarity(a, b):
+        na, nb = np.linalg.norm(a), np.linalg.norm(b)
+        if na < 1e-12 or nb < 1e-12:
+            return 0.5
+        return max(0.0, float(np.dot(a, b)) / (na * nb)) ** 2
+
+    sigma = params.position_scale
+    score, size_sims = 0.0, []
+    for (p, s, a), (q, t, b) in zip(members, members[1:]):
+        gauss = math.exp(-((q[0] - p[0]) ** 2 + (q[1] - p[1]) ** 2)
+                         / (2 * sigma * sigma))
+        size_sims.append(min(s[0], t[0]) / max(s[0], t[0])
+                         * min(s[1], t[1]) / max(s[1], t[1]))
+        score += (params.appearance_weight * similarity(a, b) * gauss
+                  + params.motion_weight * gauss
+                  + params.size_weight * size_sims[-1])
+    accel = sum(math.hypot(members[t + 1][0][0] - 2 * members[t][0][0]
+                           + members[t - 1][0][0],
+                           members[t + 1][0][1] - 2 * members[t][0][1]
+                           + members[t - 1][0][1]) for t in range(1, K))
+    score += (params.long_term_weight * math.exp(-accel / sigma)
+              * math.prod(size_sims) ** (1.0 / K))
+    virtuals = sum(frames[pos][i].is_virtual for pos, i in enumerate(row))
+    return virtual_scale ** virtuals * score
+
+
 class TestGenerateHypotheses:
     def test_two_far_targets_give_two_hypotheses(self):
         # brute-force gate evaluation over all 8 tuples finds exactly the
@@ -65,15 +151,14 @@ class TestGenerateHypotheses:
                                  gate.size_ratio_bounds)
                      for k in range(2))
             if ok:
-                expected.append(tuple(i + 1 for i in tup))
-        assert sorted(h.indices for h in hyps) == sorted(expected)
+                expected.append(tup)
+        assert [tuple(h) for h in hyps.tolist()] == expected
         assert len(hyps) == 2
 
     def test_single_candidate_per_frame(self):
         frames = [[cand(f, 100.0, 100.0)] for f in range(3)]
         hyps = generate_hypotheses(make_batch(frames), ConnectionGateConfig())
-        assert len(hyps) == 1
-        assert hyps[0].indices == (1, 1, 1)
+        assert hyps.tolist() == [[0, 0, 0]]
 
     def test_isolated_candidate_recovered_by_relaxation(self):
         # frame-1 candidate sits beyond the base threshold (one diagonal)
@@ -90,7 +175,7 @@ class TestGenerateHypotheses:
         assert len(hyps) == 1
         strict = ConnectionGateConfig(base_distance_factor=1.0,
                                       relaxation_factor=2.0, max_relaxations=0)
-        assert generate_hypotheses(make_batch(frames), strict) == []
+        assert len(generate_hypotheses(make_batch(frames), strict)) == 0
 
     def test_virtual_connects_unconditionally(self):
         frames = [
@@ -101,7 +186,7 @@ class TestGenerateHypotheses:
         gate = ConnectionGateConfig(max_relaxations=0)
         hyps = generate_hypotheses(make_batch(frames), gate)
         # the real frame-0 candidate is out of range, the virtual is not
-        assert (2, 1, 1) in {h.indices for h in hyps}
+        assert [1, 0, 0] in hyps.tolist()
 
     def test_gate_monotone_in_base_distance_factor(self):
         rng = np.random.default_rng(17)
@@ -114,7 +199,111 @@ class TestGenerateHypotheses:
                 base_distance_factor=1.0, max_relaxations=0))
             large = generate_hypotheses(batch, ConnectionGateConfig(
                 base_distance_factor=2.5, max_relaxations=0))
-            assert {h.indices for h in small} <= {h.indices for h in large}
+            assert ({tuple(h) for h in small.tolist()}
+                    <= {tuple(h) for h in large.tolist()})
+
+
+    def test_column_without_partner_is_relaxed(self):
+        # frame-1 candidate 1 is beyond every base threshold; frame 0's only
+        # row already has a partner, so the unpartnered column relaxes
+        diag = math.hypot(20.0, 20.0)
+        far = 100.0 + 1.5 * diag
+        frames = [
+            [cand(0, 100.0, 100.0)],
+            [cand(1, 100.0, 100.0), cand(1, far, 100.0)],
+            [cand(2, far, 100.0), cand(2, 100.0, 100.0)],
+        ]
+        batch = make_batch(frames)
+        gate = ConnectionGateConfig(max_relaxations=1)
+        hyps = generate_hypotheses(batch, gate)
+        assert hyps.tolist() == [[0, 0, 1], [0, 1, 0]]
+        assert hyps.tolist() == hypotheses_oracle(frames, gate)
+        strict = ConnectionGateConfig(max_relaxations=0)
+        assert generate_hypotheses(batch, strict).tolist() == [[0, 0, 1]]
+
+    def test_relaxation_stops_at_first_level_that_adds(self):
+        # row 0 of frame 0 reaches candidate 0 of frame 1 at the first
+        # relaxed level and candidate 1 only at the second; candidate 1 has
+        # its own partner, so neither side relaxes to the second level
+        diag = math.hypot(20.0, 20.0)
+        near, farther = 1.5 * diag, 3.5 * diag
+        frames = [
+            [cand(0, 100.0, 100.0), cand(0, 100.0, 100.0 + farther)],
+            [cand(1, 100.0 + near, 100.0), cand(1, 100.0, 100.0 + farther)],
+            [cand(2, 100.0 + near, 100.0), cand(2, 100.0, 100.0 + farther)],
+        ]
+        gate = ConnectionGateConfig(relaxation_factor=2.0, max_relaxations=2)
+        hyps = generate_hypotheses(make_batch(frames), gate)
+        assert hyps.tolist() == [[0, 0, 0], [1, 1, 1]]
+        assert hyps.tolist() == hypotheses_oracle(frames, gate)
+
+    @pytest.mark.parametrize("with_virtuals", [False, True])
+    def test_random_windows_match_the_restatement(self, with_virtuals):
+        rng = np.random.default_rng(41 + with_virtuals)
+        for _ in range(150):
+            K = int(rng.integers(2, 4))
+            frames = []
+            for f in range(K + 1):
+                frame = [cand(f, *rng.uniform(0, 160, 2),
+                              w=rng.uniform(8, 40), h=rng.uniform(8, 40))
+                         for _ in range(int(rng.integers(0, 5)))]
+                if with_virtuals and rng.uniform() < 0.7:
+                    frame.append(cand(f, 0, 0, virtual=True))
+                frames.append(frame)
+            gate = ConnectionGateConfig(
+                base_distance_factor=rng.uniform(0.3, 1.5),
+                relaxation_factor=rng.uniform(1.2, 3.0),
+                max_relaxations=int(rng.integers(0, 4)))
+            hyps = generate_hypotheses(make_batch(frames), gate)
+            assert hyps.shape == (len(hyps), K + 1)
+            assert hyps.tolist() == hypotheses_oracle(frames, gate)
+
+
+class TestDescriptorSimilarity:
+    @staticmethod
+    def similarity(a, b):
+        a, b = np.asarray(a, float), np.asarray(b, float)
+        return descriptor_similarity(a, np.linalg.norm(a, axis=-1),
+                                     b, np.linalg.norm(b, axis=-1))
+
+    def test_zero_descriptor_is_neutral(self):
+        zero, some = np.zeros(8), np.arange(1.0, 9.0)
+        assert self.similarity(zero, some) == 0.5
+        assert self.similarity(some, zero) == 0.5
+        assert self.similarity(zero, zero) == 0.5
+
+    def test_negative_cosine_clips_to_zero(self):
+        some = np.arange(1.0, 9.0)
+        assert self.similarity(some, -some) == 0.0
+        assert self.similarity(some, some) == pytest.approx(1.0)
+
+    def test_rows_match_the_scalar_rule(self):
+        rng = np.random.default_rng(8)
+        a, b = rng.normal(size=(50, 24)), rng.normal(size=(50, 24))
+        b[:5] = 0.0
+        expected = []
+        for x, y in zip(a, b):
+            nx, ny = np.linalg.norm(x), np.linalg.norm(y)
+            if nx < 1e-12 or ny < 1e-12:
+                expected.append(0.5)
+            else:
+                expected.append(max(0.0, np.dot(x, y) / (nx * ny)) ** 2)
+        np.testing.assert_allclose(self.similarity(a, b), expected,
+                                   rtol=0, atol=1e-15)
+        # broadcast anchors x detections, as virtual resolution uses it
+        grid = self.similarity(a[:4, None, :], b[None, :6, :])
+        assert grid.shape == (4, 6)
+        np.testing.assert_allclose(
+            grid, [[self.similarity(x, y) for y in b[:6]] for x in a[:4]],
+            rtol=0, atol=1e-15)
+
+    def test_file_input_scores_appearance_neutral(self):
+        text = "".join(f"{f},-1,{90 + 2 * f},90,20,20,0.9\n" for f in (1, 2, 3))
+        frames = load_mot(io.StringIO(text))
+        batch = make_batch(frames)
+        bundle = compute_affinity(batch, generate_hypotheses(
+            batch, ConnectionGateConfig()), AffinityProviderParams())
+        assert bundle.tape.appearance_edges.tolist() == [[0.5, 0.5]]
 
 
 class TestComputeAffinity:
@@ -187,6 +376,42 @@ class TestComputeAffinity:
         assert abs(grads.appearance_weight - numeric[0]) <= 1e-5 * abs(numeric[0])
 
 
+    def test_random_windows_match_the_scalar_restatement(self):
+        # tracking-shaped windows: a virtual slot ends every frame, the
+        # adjacent-frame virtuals take per-anchor resolved centers
+        rng = np.random.default_rng(53)
+        params = AffinityProviderParams(position_scale=25.0, size_weight=0.7)
+        for _ in range(40):
+            frames = [[cand(f, *rng.uniform(0, 80, 2), w=rng.uniform(15, 30),
+                            h=rng.uniform(15, 30), appearance=rng.normal(size=8))
+                       for _ in range(int(rng.integers(1, 4)))]
+                      + [cand(f, 0, 0, virtual=True)] for f in range(3)]
+            batch = make_batch(frames)
+            anchors = len(frames[1])
+            resolved = {pos: rng.uniform(0, 80, size=(anchors, 2))
+                        for pos in (0, 2)}
+            for table in resolved.values():
+                table[-1] = np.nan                  # the virtual anchor slot
+            hyps = generate_hypotheses(batch, ConnectionGateConfig())
+            bundle = compute_affinity(batch, hyps, params, virtual_scale=0.8,
+                                      resolved_virtuals=resolved)
+            expected = [affinity_oracle(frames, row, params, 0.8, resolved)
+                        for row in hyps.tolist()]
+            np.testing.assert_allclose(bundle.values[tuple(hyps.T)], expected,
+                                       rtol=1e-12, atol=0)
+
+    def test_missing_resolution_rejected(self):
+        frames = [[cand(f, 50.0, 50.0), cand(f, 0, 0, virtual=True)]
+                  for f in range(3)]
+        batch = make_batch(frames)
+        hyps = generate_hypotheses(batch, ConnectionGateConfig())
+        with pytest.raises(ContractError):
+            compute_affinity(batch, hyps, AffinityProviderParams())
+        with pytest.raises(ContractError):
+            compute_affinity(batch, hyps, AffinityProviderParams(),
+                             resolved_virtuals={0: np.zeros((2, 2))})
+
+
 class TestBackpropAffinity:
     def test_zero_gradient_in_zero_gradient_out(self):
         frames = [[cand(f, 100.0, 100.0)] for f in range(3)]
@@ -236,7 +461,7 @@ class TestBackpropAffinity:
         batch = make_batch(frames)
         hyps = generate_hypotheses(batch, ConnectionGateConfig(
             base_distance_factor=3.0, max_relaxations=0))
-        assert hyps
+        assert len(hyps)
         params = AffinityProviderParams(position_scale=22.0)
         w = rng.normal(size=(4, 4))
 
@@ -289,10 +514,9 @@ class TestReshape:
         values = np.zeros((2, 2, 2))
         values[1, 0, 1] = 0.7    # c_{212} in 1-based indexing
         pairwise = reshape_to_pairwise(values, values > 0)
-        j1 = flatten_pair(2, 1, 2)   # = 3
-        j2 = flatten_pair(1, 2, 2)   # = 2
-        assert (j1, j2) == (3, 2)
-        assert pairwise[j1 - 1, j2 - 1] == 0.7
+        j1 = 1 * 2 + 0               # pair (i0, i1) = (1, 0) of a 2x2 grid
+        j2 = 0 * 2 + 1               # pair (i1, i2) = (0, 1)
+        assert pairwise[j1, j2] == 0.7
         assert np.count_nonzero(pairwise) == 1
 
     @pytest.mark.parametrize("seed", range(8))

@@ -54,7 +54,7 @@ class TestFourFrameAssociation:
         batch = self.build()
         gate = ConnectionGateConfig()
         hyps = generate_hypotheses(batch, gate)
-        assert {h.indices for h in hyps} == {(1, 1, 1, 1), (2, 2, 2, 2)}
+        assert {tuple(h) for h in hyps.tolist()} == {(0, 0, 0, 0), (1, 1, 1, 1)}
 
         # widen the gate so wrong combinations compete and must be rejected
         wide = ConnectionGateConfig(base_distance_factor=12.0,

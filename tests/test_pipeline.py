@@ -12,10 +12,13 @@ from mdatrack.affinity import (
     generate_hypotheses,
 )
 from mdatrack.evalio import ScenarioSpec, clear_mot, generate_scenario
+from mdatrack.errors import InternalInvariantError
 from mdatrack.pipeline import (
     ConfidenceQuality,
     GroundTruthQuality,
     PipelineConfig,
+    TrackRecord,
+    TrackState,
     resolve_virtuals,
     run_sequence,
     _make_virtual_placeholder,
@@ -51,8 +54,8 @@ class TestResolveVirtuals:
                                 [cand(1, 100.0, 100.0)],
                                 []])
         resolved = resolve_virtuals(batch, AffinityProviderParams())
-        assert resolved[(1, 2)].center == (100.0, 100.0)
-        assert resolved[(1, 0)].center == (100.0, 100.0)
+        assert resolved[2][0].tolist() == [100.0, 100.0]
+        assert resolved[0][0].tolist() == [100.0, 100.0]
 
     def test_constant_velocity_resolves_at_extrapolation(self):
         batch = tracking_batch([[cand(0, 90.0, 100.0)],
@@ -60,10 +63,10 @@ class TestResolveVirtuals:
                                 []])
         resolved = resolve_virtuals(batch, AffinityProviderParams(),
                                     anchor_velocities={0: (10.0, 0.0)})
-        cx, cy = resolved[(1, 2)].center
+        cx, cy = resolved[2][0]
         step = math.hypot(24.0, 24.0) / 8.0
         assert math.hypot(cx - 110.0, cy - 100.0) <= step + 1e-9
-        bx, by = resolved[(1, 0)].center
+        bx, by = resolved[0][0]
         assert math.hypot(bx - 90.0, by - 100.0) <= step + 1e-9
 
     def test_real_candidate_at_extrapolation_beats_scaled_virtual(self):
@@ -101,7 +104,71 @@ class TestResolveVirtuals:
                                 [cand(1, 50.0, 50.0)],
                                 []])
         resolved = resolve_virtuals(batch, AffinityProviderParams())
-        assert all(key[0] == 1 for key in resolved)  # only the real anchor
+        for centers in resolved.values():   # rows: real anchor, virtual slot
+            assert np.isfinite(centers[0]).all()
+            assert np.isnan(centers[1]).all()
+
+
+    def test_random_windows_match_the_scalar_search(self):
+        # the grid search restated per anchor: prior at the extrapolation,
+        # plus similarity-weighted Gaussians at the detections, first argmax
+        rng = np.random.default_rng(61)
+        params = AffinityProviderParams(position_scale=20.0)
+        for _ in range(30):
+            per_frame = [[cand(f, *rng.uniform(50, 150, 2),
+                               w=rng.uniform(15, 30), h=rng.uniform(15, 30),
+                               appearance=rng.normal(size=8))
+                          for _ in range(int(rng.integers(1, 5)))]
+                         for f in range(3)]
+            batch = tracking_batch(per_frame)
+            velocities = {slot: tuple(rng.uniform(-5, 5, 2))
+                          for slot in range(len(per_frame[1]))
+                          if rng.uniform() < 0.6}
+            resolved = resolve_virtuals(batch, params, velocities)
+            assert sorted(resolved) == [0, 2]
+            for slot, anchor in enumerate(per_frame[1]):
+                vx, vy = velocities.get(slot, (0.0, 0.0))
+                step = math.hypot(anchor.box[2], anchor.box[3]) / 8.0
+                for pos in (0, 2):
+                    px = anchor.center[0] + vx * (pos - 1)
+                    py = anchor.center[1] + vy * (pos - 1)
+                    spots = [(px, py, 1.0)] + [
+                        (c.center[0], c.center[1],
+                         max(0.0, float(np.dot(anchor.appearance, c.appearance))
+                             / (np.linalg.norm(anchor.appearance)
+                                * np.linalg.norm(c.appearance))) ** 2)
+                        for c in per_frame[pos]]
+                    best, best_xy = -1.0, None
+                    for r in range(-8, 9):
+                        for q in range(-8, 9):
+                            x, y = px + q * step, py + r * step
+                            score = sum(
+                                w * math.exp(-((x - cx) ** 2 + (y - cy) ** 2)
+                                             / (2 * 20.0 ** 2))
+                                for cx, cy, w in spots)
+                            if score > best:
+                                best, best_xy = score, (x, y)
+                    np.testing.assert_allclose(resolved[pos][slot], best_xy,
+                                               rtol=0, atol=1e-9)
+
+
+class TestTrackState:
+    def test_by_id_finds_each_record(self):
+        state = TrackState(targets=[TrackRecord(id=i) for i in (1, 2, 3)],
+                           next_id=4)
+        assert [state.by_id(i).id for i in (3, 1, 2)] == [3, 1, 2]
+
+    def test_unknown_id_raises(self):
+        state = TrackState(targets=[TrackRecord(id=1), TrackRecord(id=2)],
+                           next_id=3)
+        for unknown in (0, -1, 3):
+            with pytest.raises(InternalInvariantError):
+                state.by_id(unknown)
+
+    def test_record_out_of_creation_order_raises(self):
+        state = TrackState(targets=[TrackRecord(id=2)], next_id=3)
+        with pytest.raises(InternalInvariantError):
+            state.by_id(1)
 
 
 def run_clean_scenario(frame_count=12, target_count=3, seed=2, **spec_kw):

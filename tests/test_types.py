@@ -1,16 +1,15 @@
 """Index algebra, window scheduling, and domain-type invariants."""
 
+import numpy as np
 import pytest
 
-from mdatrack.errors import ContractError, InputValidationError, RangeError
+from mdatrack.affinity import _pair_flat_indices
+from mdatrack.errors import ContractError, InputValidationError
 from mdatrack.types import (
     AssociationBatch,
     Candidate,
-    PairIndex,
     batch_windows,
-    flatten_pair,
     require_center,
-    unflatten_pair,
 )
 
 
@@ -20,58 +19,47 @@ def make_candidate(frame=0, center=(10.0, 10.0), box=(0.0, 0.0, 20.0, 20.0),
 
 
 class TestFlattenPair:
+    """The row-major flat index of a candidate pair, i_prev * I_next + i_next
+    (0-based), which the pairwise tensor is addressed by."""
+
+    @staticmethod
+    def flat(i_prev, i_next, size_next):
+        tuples = np.array([[i_prev, i_next]])
+        (j,) = _pair_flat_indices(tuples, (i_prev + 1, size_next))
+        return int(j[0])
+
     def test_flattening_formula(self):
-        assert flatten_pair(2, 1, 3) == 4
+        assert self.flat(1, 0, 3) == 3
 
     def test_identity_corner(self):
         for size in (1, 3, 7):
-            assert flatten_pair(1, 1, size) == 1
+            assert self.flat(0, 0, size) == 0
 
     def test_last_cell(self):
-        assert flatten_pair(3, 3, 3) == 9
-
-    def test_out_of_range(self):
-        with pytest.raises(RangeError):
-            flatten_pair(0, 1, 3)
-        with pytest.raises(RangeError):
-            flatten_pair(1, 4, 3)
-
-    def test_unflatten_examples(self):
-        assert unflatten_pair(4, 3) == (2, 1)
-        assert unflatten_pair(1, 9) == (1, 1)
-
-    def test_unflatten_range(self):
-        with pytest.raises(RangeError):
-            unflatten_pair(0, 3)
-        with pytest.raises(RangeError):
-            unflatten_pair(13, 3, size_prev=4)
+        assert self.flat(2, 2, 3) == 8
 
     def test_round_trip_4x3(self):
-        # exhaustive loop oracle over the 4x3 grid
-        seen = []
-        for j in range(1, 13):
-            i_prev, i_next = unflatten_pair(j, 3, size_prev=4)
-            assert flatten_pair(i_prev, i_next, 3) == j
-            seen.append((i_prev, i_next))
-        assert sorted(seen) == [(i, j) for i in range(1, 5) for j in range(1, 4)]
+        # exhaustive loop oracle over the 4x3 grid: divmod inverts the index
+        grid = np.array([(i, j) for i in range(4) for j in range(3)])
+        (flat,) = _pair_flat_indices(grid, (4, 3))
+        assert flat.tolist() == list(range(12))
+        assert ([divmod(j, 3) for j in flat.tolist()]
+                == [tuple(r) for r in grid.tolist()])
 
     def test_bijection_all_small_grids(self):
-        # flatten/unflatten is a bijection on every grid with sides <= 8
+        # the index is a bijection onto 0..I_prev*I_next-1 on every grid with
+        # sides <= 8, and each column of a K=2 tuple array gets its own pair
         for size_prev in range(1, 9):
             for size_next in range(1, 9):
-                flats = set()
-                for i in range(1, size_prev + 1):
-                    for j in range(1, size_next + 1):
-                        f = flatten_pair(i, j, size_next)
-                        assert unflatten_pair(f, size_next) == (i, j)
-                        flats.add(f)
-                assert flats == set(range(1, size_prev * size_next + 1))
-
-    def test_pair_index_round_trip(self):
-        p = PairIndex.from_pair(1, 2, 3, 4)
-        assert p.j == flatten_pair(2, 3, 4)
-        q = PairIndex.from_flat(1, p.j, 4)
-        assert (q.i_prev, q.i_next) == (2, 3)
+                grid = np.array([(i, j) for i in range(size_prev)
+                                 for j in range(size_next)])
+                (flat,) = _pair_flat_indices(grid, (size_prev, size_next))
+                assert (sorted(flat.tolist())
+                        == list(range(size_prev * size_next)))
+        tuples = np.array([[1, 2, 0], [0, 1, 3]])
+        first, second = _pair_flat_indices(tuples, (2, 3, 4))
+        assert first.tolist() == [1 * 3 + 2, 0 * 3 + 1]
+        assert second.tolist() == [2 * 4 + 0, 1 * 4 + 3]
 
 
 class TestBatchWindows:
@@ -159,3 +147,26 @@ class TestAssociationBatch:
                  (make_candidate(),), (make_candidate(),))
         with pytest.raises(ContractError):
             AssociationBatch(K=2, frames=(0, 1, 2), candidates=cands)
+
+    def test_arrays_follow_candidate_order(self):
+        virtual = Candidate(frame_index=1, center=None, box=(0, 0, 1, 1),
+                            score=0.0, is_virtual=True)
+        cands = ((make_candidate(center=(1.0, 2.0), box=(0.0, 0.0, 6.0, 8.0)),),
+                 (make_candidate(frame=1), virtual),
+                 (make_candidate(frame=2, appearance=np.full(24, 2.0)),))
+        arrays = AssociationBatch(K=2, frames=(0, 1, 2), candidates=cands).arrays
+        assert [len(fa.is_virtual) for fa in arrays] == [1, 2, 1]
+        assert arrays[0].centers.tolist() == [[1.0, 2.0]]
+        assert arrays[0].diagonals.tolist() == [10.0]
+        assert arrays[1].is_virtual.tolist() == [False, True]
+        assert np.isnan(arrays[1].centers[1]).all()
+        assert arrays[1].descriptors[1].tolist() == [0.0] * 24
+        assert arrays[2].norms.tolist() == [pytest.approx(np.sqrt(96.0))]
+
+    def test_descriptor_lengths_must_agree(self):
+        cands = ((make_candidate(appearance=np.ones(8)),),
+                 (make_candidate(frame=1, appearance=np.ones(6)),),
+                 (make_candidate(frame=2, appearance=np.ones(8)),))
+        batch = AssociationBatch(K=2, frames=(0, 1, 2), candidates=cands)
+        with pytest.raises(InputValidationError):
+            batch.arrays
