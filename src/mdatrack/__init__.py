@@ -13,7 +13,6 @@ from .affinity import (
     compute_affinity,
     generate_hypotheses,
     load_params,
-    reshape_to_pairwise,
     save_params,
 )
 from .evalio import (
@@ -43,6 +42,7 @@ from .pipeline import (
 )
 from .solver import (
     AssignmentState,
+    HypothesisTensor,
     PartialNormMask,
     assignment_objective,
     bce_loss,
@@ -50,7 +50,6 @@ from .solver import (
     dump_state,
     l1_normalize_backward,
     l1_normalize_forward,
-    pairwise_objective,
     power_iteration_backward,
     power_iteration_forward,
 )

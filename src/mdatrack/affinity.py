@@ -16,8 +16,9 @@ precomputed descriptors and box geometry:
 * per trajectory: a constant-velocity consistency score weighted by
   size-change smoothness, with its own learnable weight.
 
-The provider records a tape sufficient to map a loss gradient on the
-pairwise tensor back to parameter gradients.
+The provider returns one affinity per hypothesis, the non-zero entries of
+the solver's pairwise tensor, and records a tape sufficient to map a loss
+gradient on those values back to parameter gradients.
 """
 
 from __future__ import annotations
@@ -125,11 +126,14 @@ class ProviderTape:
 
 @dataclass
 class AffinityTensorBundle:
-    """Dense affinity values over candidate tuples plus the pairwise reshape."""
+    """Affinity of every hypothesis plus what its backward pass needs.
 
-    values: np.ndarray                    # (K+1)-order tensor of c >= 0
-    pairwise: np.ndarray                  # K-order tensor over flat pair indices
-    valid_mask: np.ndarray                # bool, membership in the hypothesis set
+    ``values[h]`` scores the tuple ``tape.entries[h]``; together with the
+    frame sizes they are the sparse pairwise tensor the solver runs on
+    (:class:`mdatrack.solver.HypothesisTensor`).
+    """
+
+    values: np.ndarray                    # (H,) affinity c >= 0
     tape: ProviderTape
     params: AffinityProviderParams
 
@@ -238,7 +242,7 @@ def compute_affinity(batch: AssociationBatch,
                      virtual_scale: float = 1.0,
                      resolved_virtuals: dict[int, np.ndarray] | None = None
                      ) -> AffinityTensorBundle:
-    """Score every hypothesis and assemble the affinity tensors.
+    """Score every hypothesis.
 
     ``hypotheses`` is the (H, K+1) index array of :func:`generate_hypotheses`.
     ``resolved_virtuals`` maps a frame position to the (I_anchor, 2)
@@ -333,12 +337,6 @@ def compute_affinity(batch: AssociationBatch,
         full[scored] = column
         return full
 
-    affinity = per_hypothesis(affinity)
-    values = np.zeros(batch.sizes)
-    valid_mask = np.zeros(batch.sizes, dtype=bool)
-    coords = tuple(hyps.T)
-    values[coords] = affinity
-    valid_mask[coords] = True
     tape = ProviderTape(
         entries=hyps,
         appearance_edges=per_hypothesis(app_edges),
@@ -348,64 +346,30 @@ def compute_affinity(batch: AssociationBatch,
         size_smoothness=per_hypothesis(smooth),
         virtual_scale=per_hypothesis(scale),
     )
-    pairwise = _scatter_pairwise(hyps, affinity, batch.sizes)
-    return AffinityTensorBundle(values, pairwise, valid_mask, tape, params)
-
-
-def _pair_flat_indices(tuples: np.ndarray, sizes) -> tuple[np.ndarray, ...]:
-    """Flat pair indices of (N, K+1) 0-based candidate tuples: for each
-    frame pair k, ``i_{k-1} * I_k + i_k`` (row-major over the I_{k-1} x I_k
-    grid).  The tuple indexes the K-order pairwise tensor directly."""
-    return tuple(tuples[:, k - 1] * sizes[k] + tuples[:, k]
-                 for k in range(1, len(sizes)))
-
-
-def reshape_to_pairwise(values: np.ndarray, valid_mask: np.ndarray) -> np.ndarray:
-    """Reshape the (K+1)-order candidate-tuple tensor to the K-order tensor
-    over flattened pair indices.
-
-    Entry (j_1, ..., j_K) equals the tuple value when the shared frame index
-    of every adjacent flat pair agrees, and zero otherwise, which is the
-    unique rule preserving the multilinear objective across the reshape.
-    """
-    values = np.asarray(values, dtype=float)
-    if values.shape != valid_mask.shape:
-        raise ContractError("values and valid_mask shapes differ")
-    return _scatter_pairwise(np.argwhere(valid_mask), values[valid_mask],
-                             values.shape)
-
-
-def _scatter_pairwise(tuples: np.ndarray, entries: np.ndarray,
-                      sizes) -> np.ndarray:
-    """The K-order pairwise tensor holding ``entries`` at the flat pair
-    indices of the candidate ``tuples`` and zero elsewhere."""
-    pairwise = np.zeros(tuple(sizes[k - 1] * sizes[k]
-                              for k in range(1, len(sizes))))
-    pairwise[_pair_flat_indices(tuples, sizes)] = entries
-    return pairwise
+    return AffinityTensorBundle(per_hypothesis(affinity), tape, params)
 
 
 def backprop_affinity(bundle: AffinityTensorBundle,
-                      d_pairwise: np.ndarray) -> AffinityParamGradient:
-    """Map a loss gradient on the pairwise tensor to parameter gradients.
+                      d_values: np.ndarray) -> AffinityParamGradient:
+    """Map a loss gradient on the hypothesis values to parameter gradients.
 
-    Each valid hypothesis corresponds to exactly one pairwise entry, so its
-    incoming gradient is read off directly and pushed through the provider's
-    tape.  Parameters not touched by any valid hypothesis get zero gradient.
+    ``d_values`` holds one entry per hypothesis, in the order of
+    ``bundle.values`` (the value gradient
+    :func:`mdatrack.solver.power_iteration_backward` returns), and is pushed
+    through the provider's tape.  Parameters not touched by any hypothesis
+    get zero gradient.
     """
-    d_pairwise = np.asarray(d_pairwise, dtype=float)
-    if d_pairwise.shape != bundle.pairwise.shape:
+    incoming = np.asarray(d_values, dtype=float)
+    if incoming.shape != bundle.values.shape:
         raise ContractError(
-            f"gradient shape {d_pairwise.shape} does not match the pairwise "
-            f"tensor {bundle.pairwise.shape}")
+            f"gradient shape {incoming.shape} does not match the "
+            f"{len(bundle.values)} hypothesis values")
     tape = bundle.tape
     params = bundle.params
     sigma = params.position_scale
 
     if len(tape.entries) == 0:
         return AffinityParamGradient()
-
-    incoming = d_pairwise[_pair_flat_indices(tape.entries, bundle.values.shape)]
 
     gauss = np.exp(-tape.squared_distances / (2.0 * sigma * sigma))
     app_gauss = tape.appearance_edges * gauss

@@ -12,7 +12,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .affinity import reshape_to_pairwise
 from .evalio import (
     MotRecord,
     ScenarioSpec,
@@ -23,6 +22,7 @@ from .evalio import (
 )
 from .oracle import brute_force_mda, finite_diff_grad
 from .solver import (
+    HypothesisTensor,
     PartialNormMask,
     assignment_objective,
     bce_loss,
@@ -50,14 +50,23 @@ def _grad_close(analytic: np.ndarray, numeric: np.ndarray,
                        <= atol + rtol * np.abs(numeric)))
 
 
-def random_solver_instance(rng: np.random.Generator, max_size: int = 3):
-    """A random strictly positive affinity tensor on equal frame sizes,
-    returned as (tuple tensor, pairwise tensor, pair shapes)."""
+def tuple_tensor(values: np.ndarray, mask: np.ndarray | None = None
+                 ) -> HypothesisTensor:
+    """The solver's tensor for a dense (K+1)-order tuple tensor: one
+    hypothesis per tuple in ``mask`` (every tuple by default), in
+    lexicographic order."""
+    values = np.asarray(values, dtype=float)
+    if mask is None:
+        mask = np.ones(values.shape, dtype=bool)
+    return HypothesisTensor(np.argwhere(mask), values[mask], values.shape)
+
+
+def random_solver_instance(rng: np.random.Generator,
+                           max_size: int = 3) -> HypothesisTensor:
+    """The solver tensor of a random strictly positive tuple tensor on equal
+    frame sizes (every tuple a hypothesis)."""
     n = int(rng.integers(1, max_size + 1))
-    values = rng.uniform(0.1, 1.0, size=(n, n, n))
-    mask = np.ones_like(values, dtype=bool)
-    shapes = [(n, n), (n, n)]
-    return values, reshape_to_pairwise(values, mask), shapes
+    return tuple_tensor(rng.uniform(0.1, 1.0, size=(n, n, n)))
 
 
 def make_planted_instance(rng: np.random.Generator, n: int,
@@ -81,13 +90,10 @@ def solve_and_discretize(values: np.ndarray,
                          norm_pairs: int = 10) -> tuple[float, list[np.ndarray]]:
     """Full solver chain on a dense tuple tensor with no virtual slots;
     returns the achieved objective and the binary assignment matrices."""
-    sizes = values.shape
-    K = values.ndim - 1
-    shapes = [(sizes[k - 1], sizes[k]) for k in range(1, K + 1)]
-    pairwise = reshape_to_pairwise(values, np.ones(sizes, dtype=bool))
-    state = power_iteration_forward(pairwise, power_iterations, shapes)
+    state = power_iteration_forward(tuple_tensor(values), power_iterations)
     norm = l1_normalize_forward(state.matrices(),
-                                PartialNormMask.empty(K), norm_pairs)
+                                PartialNormMask.empty(values.ndim - 1),
+                                norm_pairs)
     binary = discretize(norm.matrices())
     return assignment_objective(values, binary), binary
 
@@ -100,18 +106,19 @@ def check_power_iteration_gradients(seeds=range(50), max_iters: int = 3) -> Chec
     failures = []
     for seed in seeds:
         rng = np.random.default_rng(seed)
-        values, pairwise, shapes = random_solver_instance(rng)
+        tensor = random_solver_instance(rng)
         n_iter = int(rng.integers(1, max_iters + 1))
-        w = [rng.normal(size=pairwise.shape[k]) for k in range(2)]
+        w = [rng.normal(size=tensor.shape[k]) for k in range(2)]
 
-        state = power_iteration_forward(pairwise, n_iter, shapes)
+        state = power_iteration_forward(tensor, n_iter)
         analytic, _ = power_iteration_backward(state, w)
 
-        def loss(tensor):
-            st = power_iteration_forward(tensor, n_iter, shapes)
+        def loss(values):
+            st = power_iteration_forward(
+                HypothesisTensor(tensor.entries, values, tensor.sizes), n_iter)
             return sum(float(wk @ xk) for wk, xk in zip(w, st.x))
 
-        numeric = finite_diff_grad(loss, pairwise)
+        numeric = finite_diff_grad(loss, tensor.values)
         if not _grad_close(analytic, numeric):
             failures.append(seed)
     return CheckResult(

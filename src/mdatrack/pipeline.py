@@ -1,7 +1,10 @@
 """Online tracking loop: sliding association windows, per-anchor virtual
 candidate resolution, the solver chain, and target management.
 
-Tracking works on K=2 windows with two overlapping frames.  Each window
+Tracking works on K=2 windows with two overlapping frames.  The window
+length is set by the virtual-candidate and target-management scheme below,
+which is written for one anchor frame between two neighbours; the solver
+takes any K, at memory linear in the hypothesis count.  Each window
 appends one virtual candidate to every frame (always the last slot).  The
 two adjacent-frame virtuals are resolved per anchor to the location
 maximizing a search score built from the anchor's motion prediction and
@@ -32,6 +35,7 @@ from .affinity import (
 )
 from .errors import ContractError, InternalInvariantError
 from .solver import (
+    HypothesisTensor,
     PartialNormMask,
     discretize,
     l1_normalize_forward,
@@ -272,13 +276,14 @@ def track_batch(frames_store: list[list[Candidate]],
     bundle = compute_affinity(batch, hypotheses, params,
                               virtual_scale=config.alpha,
                               resolved_virtuals=resolved)
-    if bundle.pairwise.max() <= 0.0:
+    if bundle.values.max() <= 0.0:
         state.skipped_windows += 1
         return state
 
     shapes = batch.pair_shapes()
     power_state = power_iteration_forward(
-        bundle.pairwise, config.power_iterations, shapes)
+        HypothesisTensor(hypotheses, bundle.values, batch.sizes),
+        config.power_iterations)
     mask = PartialNormMask.for_virtuals(shapes, [True, True], [True, True])
     norm_state = l1_normalize_forward(power_state.matrices(), mask,
                                       config.norm_pairs)

@@ -3,7 +3,11 @@
 Two layers, each with a forward pass and an analytic backward pass:
 
 * a rank-1 tensor-approximation power iteration that relaxes the hard
-  assignment problem into per-pair soft assignment vectors, and
+  assignment problem into per-pair soft assignment vectors, run on the
+  pairwise affinity tensor held as its hypothesis list
+  (:class:`HypothesisTensor`): the tensor has one non-zero entry per
+  gated hypothesis, so every contraction is a bincount over the hypotheses
+  and the tensor never exists in dense form, and
 * an alternating row/column l1 normalization that pushes the soft
   assignment matrices toward the doubly-stochastic constraint set, with
   optional partial masks so a virtual row/column stays unconstrained in
@@ -72,13 +76,68 @@ class PartialNormMask:
         return cls(rows, cols)
 
 
+def _pair_flat_indices(tuples: np.ndarray, sizes) -> tuple[np.ndarray, ...]:
+    """Flat pair indices of (N, K+1) 0-based candidate tuples: for each
+    frame pair k, ``i_{k-1} * I_k + i_k`` (row-major over the I_{k-1} x I_k
+    grid), the tuple's coordinate along mode k of the pairwise tensor."""
+    return tuple(tuples[:, k - 1] * sizes[k] + tuples[:, k]
+                 for k in range(1, len(sizes)))
+
+
+@dataclass(frozen=True, eq=False)
+class HypothesisTensor:
+    """The K-order pairwise affinity tensor, held as its hypothesis list.
+
+    Mode k runs over the flattened candidate pairs of frames k and k+1
+    (dimension I_k * I_{k+1}).  Hypothesis h, the candidate tuple
+    ``entries[h]``, holds ``values[h]`` at its flat pair indices ``flat``;
+    every other entry is zero.  The flat pair indices determine the tuple,
+    so distinct tuples never share an entry.
+    """
+
+    entries: np.ndarray                  # (H, K+1) 0-based candidate tuples
+    values: np.ndarray                   # (H,) affinity of each hypothesis
+    sizes: tuple[int, ...]               # candidates per frame, K+1 frames
+    flat: tuple[np.ndarray, ...] = field(init=False, repr=False)
+
+    def __post_init__(self):
+        entries = np.asarray(self.entries, dtype=np.intp)
+        values = np.asarray(self.values, dtype=float)
+        sizes = tuple(int(s) for s in self.sizes)
+        if len(sizes) < 2:
+            raise ContractError(f"need at least two frames, got sizes {sizes}")
+        if entries.ndim != 2 or entries.shape[1] != len(sizes):
+            raise ContractError(
+                f"entries must be an (H, {len(sizes)}) index array, "
+                f"got {entries.shape}")
+        if values.shape != (len(entries),):
+            raise ContractError(
+                f"{len(entries)} hypotheses but values of shape {values.shape}")
+        if np.any(entries < 0) or np.any(entries >= np.array(sizes)):
+            raise ContractError(f"hypothesis index outside frame sizes {sizes}")
+        object.__setattr__(self, "entries", entries)
+        object.__setattr__(self, "values", values)
+        object.__setattr__(self, "sizes", sizes)
+        object.__setattr__(self, "flat", _pair_flat_indices(entries, sizes))
+
+    @property
+    def pair_shapes(self) -> list[tuple[int, int]]:
+        """(I_{k-1}, I_k) for each of the K frame pairs."""
+        return list(zip(self.sizes, self.sizes[1:]))
+
+    @property
+    def shape(self) -> tuple[int, ...]:
+        """Dimension of each mode, I_{k-1} * I_k."""
+        return tuple(a * b for a, b in self.pair_shapes)
+
+
 @dataclass
 class AssignmentState:
     """Per-pair soft assignments plus the history the backward passes need."""
 
     x: list[np.ndarray]
     shapes: list[tuple[int, int]]
-    tensor: np.ndarray | None = None
+    tensor: HypothesisTensor | None = None
     iterate_history: list[list[np.ndarray]] | None = None
     contraction_history: list[float] | None = None
     slice_history: list[list[np.ndarray]] | None = None
@@ -88,44 +147,6 @@ class AssignmentState:
 
     def matrices(self) -> list[np.ndarray]:
         return [v.reshape(shape) for v, shape in zip(self.x, self.shapes)]
-
-
-def _check_pair_shapes(tensor: np.ndarray, shapes: list[tuple[int, int]]) -> None:
-    if tensor.ndim != len(shapes):
-        raise ContractError(
-            f"tensor order {tensor.ndim} does not match {len(shapes)} pair shapes")
-    for k, ((n_prev, n_next), dim) in enumerate(zip(shapes, tensor.shape)):
-        if n_prev * n_next != dim:
-            raise ContractError(
-                f"pair {k}: shape {n_prev}x{n_next} does not flatten to dim {dim}")
-    for k in range(1, len(shapes)):
-        if shapes[k - 1][1] != shapes[k][0]:
-            raise ContractError(
-                f"pairs {k - 1} and {k} disagree on the shared frame size")
-
-
-def _partial_contraction(tensor: np.ndarray, vectors: list[np.ndarray],
-                         free_mode: int) -> np.ndarray:
-    """Contract the tensor with one vector per mode except ``free_mode``."""
-    K = tensor.ndim
-    subs = _LETTERS[:K]
-    inputs = [subs] + [subs[m] for m in range(K) if m != free_mode]
-    operands = [tensor] + [vectors[m] for m in range(K) if m != free_mode]
-    return np.einsum(",".join(inputs) + "->" + subs[free_mode], *operands)
-
-
-def _outer(vectors: list[np.ndarray]) -> np.ndarray:
-    K = len(vectors)
-    subs = _LETTERS[:K]
-    return np.einsum(",".join(subs) + "->" + subs, *vectors)
-
-
-def pairwise_objective(tensor: np.ndarray, x: list[np.ndarray]) -> float:
-    """Full multilinear contraction of the pairwise tensor with the
-    flattened assignment vectors."""
-    K = tensor.ndim
-    subs = _LETTERS[:K]
-    return float(np.einsum(subs + "," + ",".join(subs) + "->", tensor, *x))
 
 
 def assignment_objective(affinity: np.ndarray, matrices: list[np.ndarray]) -> float:
@@ -142,9 +163,32 @@ def assignment_objective(affinity: np.ndarray, matrices: list[np.ndarray]) -> fl
 # Power iteration layer
 # ---------------------------------------------------------------------------
 
-def power_iteration_forward(tensor: np.ndarray,
+def _gather(vectors: list[np.ndarray],
+            tensor: HypothesisTensor) -> list[np.ndarray]:
+    """Each mode's vector read at the hypotheses' coordinates."""
+    return [v[f] for v, f in zip(vectors, tensor.flat)]
+
+
+def _product(columns: list[np.ndarray]) -> np.ndarray:
+    out = columns[0]
+    for column in columns[1:]:
+        out = out * column
+    return out
+
+
+def _contract(tensor: HypothesisTensor, gathered: list[np.ndarray],
+              free_mode: int) -> np.ndarray:
+    """Contract the tensor with one vector per mode except ``free_mode``,
+    given each mode's vector gathered at the hypotheses: one weighted
+    bincount over the hypotheses' mode coordinates."""
+    others = [column for m, column in enumerate(gathered) if m != free_mode]
+    return np.bincount(tensor.flat[free_mode],
+                       _product([tensor.values] + others),
+                       minlength=tensor.shape[free_mode])
+
+
+def power_iteration_forward(tensor: HypothesisTensor,
                             num_iterations: int,
-                            shapes: list[tuple[int, int]],
                             x0: list[np.ndarray] | None = None) -> AssignmentState:
     """Run the rank-1 power iteration on the pairwise affinity tensor.
 
@@ -154,29 +198,31 @@ def power_iteration_forward(tensor: np.ndarray,
         x_k <- x_k * (contraction of the tensor with the other vectors) / C
 
     where C is the full contraction, shared across pairs, so every updated
-    vector sums to one.  All iterates, slices and normalizers are retained
-    for the backward pass.
+    vector sums to one.  The contraction for pair k is one weighted bincount
+    of the H hypotheses over their mode-k coordinates, so the tensor is
+    never formed; the iterates stay dense vectors of length I_{k-1} * I_k.
+    All iterates, slices and normalizers are retained for the backward pass.
     """
-    tensor = np.asarray(tensor, dtype=float)
-    _check_pair_shapes(tensor, shapes)
     if num_iterations < 1:
         raise ContractError(f"need at least one iteration, got {num_iterations}")
+    values = tensor.values
     # tolerance instead of a strict check so finite-difference probes around
     # structural zeros stay admissible
-    if np.any(tensor < -1e-6):
+    if np.any(values < -1e-6):
         raise ContractError("affinity tensor must be nonnegative")
-    if not np.all(np.isfinite(tensor)):
+    if not np.all(np.isfinite(values)):
         raise NumericError("non-finite entries in the affinity tensor")
 
-    K = tensor.ndim
+    dims = tensor.shape
+    K = len(dims)
     if x0 is None:
-        x = [np.ones(tensor.shape[k]) for k in range(K)]
+        x = [np.ones(d) for d in dims]
     else:
         if len(x0) != K:
             raise ContractError(f"x0 needs {K} vectors, got {len(x0)}")
         x = [np.asarray(v, dtype=float).copy() for v in x0]
         for k, v in enumerate(x):
-            if v.shape != (tensor.shape[k],):
+            if v.shape != (dims[k],):
                 raise ContractError(f"x0[{k}] has wrong length")
 
     iterate_history = [[v.copy() for v in x]]
@@ -184,7 +230,8 @@ def power_iteration_forward(tensor: np.ndarray,
     slice_history: list[list[np.ndarray]] = []
 
     for n in range(num_iterations):
-        slices = [_partial_contraction(tensor, x, k) for k in range(K)]
+        gathered = _gather(x, tensor)
+        slices = [_contract(tensor, gathered, k) for k in range(K)]
         norm_const = float(x[0] @ slices[0])
         if not np.isfinite(norm_const):
             raise NumericError(f"non-finite contraction at iteration {n}")
@@ -202,7 +249,7 @@ def power_iteration_forward(tensor: np.ndarray,
 
     return AssignmentState(
         x=[v.copy() for v in x],
-        shapes=list(shapes),
+        shapes=tensor.pair_shapes,
         tensor=tensor,
         iterate_history=iterate_history,
         contraction_history=contraction_history,
@@ -216,14 +263,16 @@ def power_iteration_backward(state: AssignmentState,
     """Backward pass of the power iteration layer.
 
     Given the loss gradient at the final iterates, walks the iterations in
-    reverse, accumulating the affinity-tensor gradient
+    reverse, accumulating the gradient of each hypothesis value (its tensor
+    entry at coordinates j_1..j_K)
 
-        dL/da  +=  (prod_k x_k(n)) / C(n) * sum_k (e_{j_k} - x_k(n+1))^T g_k(n+1)
+        dL/dv  +=  (prod_k x_k(n)[j_k]) / C(n) * sum_k (g_k(n+1)[j_k] - <x_k(n+1), g_k(n+1)>)
 
-    at each iteration and propagating the iterate gradients with the exact
-    differential of the synchronous update (own-slice term, shared-normalizer
-    term, and the cross-pair contraction terms).  Returns the dense tensor
-    gradient and the gradient at the initial vectors.
+    and propagating the iterate gradients with the exact differential of the
+    synchronous update (own-slice term, shared-normalizer term, and the
+    cross-pair contraction terms, each a bincount over the hypotheses).
+    Returns the (H,) gradient of the hypothesis values and the gradient at
+    the initial vectors.
     """
     if (state.iterate_history is None or state.contraction_history is None
             or state.slice_history is None or state.tensor is None):
@@ -241,7 +290,7 @@ def power_iteration_backward(state: AssignmentState,
         g.append(gk.copy())
 
     num_iterations = len(state.contraction_history)
-    d_tensor = np.zeros_like(tensor)
+    d_values = np.zeros(len(tensor.values))
 
     for n in reversed(range(num_iterations)):
         xs = state.iterate_history[n]
@@ -250,30 +299,30 @@ def power_iteration_backward(state: AssignmentState,
         norm_const = state.contraction_history[n]
 
         beta = sum(float(xs_next[k] @ g[k]) for k in range(K))
+        gathered = _gather(xs, tensor)
+        weighted = [x * gk for x, gk in zip(gathered, _gather(g, tensor))]
 
-        # tensor gradient contribution of this iteration
-        term = -beta * _outer(xs)
+        def swap(m):
+            # the gathered iterates with mode m's scaled by its gradient
+            return gathered[:m] + [weighted[m]] + gathered[m + 1:]
+
+        # value gradient contribution of this iteration: each hypothesis'
+        # entry of -beta * (outer xs) + sum_k (outer xs, x_k scaled by g_k),
+        # summed term by term so it rounds as the dense outer products do
+        term = -beta * _product(gathered)
         for k in range(K):
-            weighted = list(xs)
-            weighted[k] = xs[k] * g[k]
-            term += _outer(weighted)
-        d_tensor += term / norm_const
+            term += _product(swap(k))
+        d_values += term / norm_const
 
         # iterate gradients one step earlier
         new_g = []
         for k in range(K):
-            cross = np.zeros_like(g[k])
-            for m in range(K):
-                if m == k:
-                    continue
-                weighted = list(xs)
-                weighted[m] = xs[m] * g[m]
-                cross += _partial_contraction(tensor, weighted, k)
+            cross = sum(_contract(tensor, swap(m), k)
+                        for m in range(K) if m != k)
             new_g.append(slices[k] / norm_const * (g[k] - beta) + cross / norm_const)
         g = new_g
 
-    return d_tensor, g
-
+    return d_values, g
 
 # ---------------------------------------------------------------------------
 # l1 normalization layer

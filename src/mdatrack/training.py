@@ -3,9 +3,9 @@
 Training windows are built from ground-truth boxes (no virtual candidates,
 full normalization).  The loss is the binary cross entropy between the
 normalized soft assignments and the ground-truth assignment matrices; its
-gradient flows through the normalization layer, the power iteration and the
-affinity reshape into the provider parameters, which take a plain projected
-gradient-descent step per window.
+gradient flows through the normalization layer and the power iteration to
+the hypothesis affinities, and from there into the provider parameters,
+which take a plain projected gradient-descent step per window.
 """
 
 from __future__ import annotations
@@ -22,6 +22,7 @@ from .affinity import (
     generate_hypotheses,
 )
 from .solver import (
+    HypothesisTensor,
     PartialNormMask,
     bce_loss,
     l1_normalize_backward,
@@ -77,13 +78,13 @@ def train_window(frames: tuple[int, ...],
     if len(hypotheses) == 0:
         return None
     bundle = compute_affinity(batch, hypotheses, params)
-    if bundle.pairwise.max() <= 0.0:
+    if bundle.values.max() <= 0.0:
         return None
 
-    shapes = batch.pair_shapes()
-    power_state = power_iteration_forward(bundle.pairwise, power_iterations,
-                                          shapes)
-    mask = PartialNormMask.empty(len(shapes))
+    power_state = power_iteration_forward(
+        HypothesisTensor(hypotheses, bundle.values, batch.sizes),
+        power_iterations)
+    mask = PartialNormMask.empty(batch.K)
     norm_state = l1_normalize_forward(power_state.matrices(), mask, norm_pairs)
 
     predicted = norm_state.matrices()
@@ -91,9 +92,9 @@ def train_window(frames: tuple[int, ...],
     loss, d_pred = bce_loss(predicted, target)
 
     d_norm_in = l1_normalize_backward(norm_state, d_pred)
-    d_tensor, _ = power_iteration_backward(
+    d_values, _ = power_iteration_backward(
         power_state, [g.reshape(-1) for g in d_norm_in])
-    grads = backprop_affinity(bundle, d_tensor)
+    grads = backprop_affinity(bundle, d_values)
 
     new_vector = project_param_vector(
         params.as_vector() - learning_rate * grads.as_vector())

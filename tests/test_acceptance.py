@@ -11,13 +11,21 @@ import time
 import numpy as np
 import pytest
 
+from dense_reference import (
+    assert_sparse_equals_dense,
+    pairwise_objective,
+    reshape_to_pairwise,
+)
 from mdatrack.affinity import (
     AffinityProviderParams,
     ConnectionGateConfig,
     load_params,
-    reshape_to_pairwise,
 )
-from mdatrack.checks import make_planted_instance, solve_and_discretize
+from mdatrack.checks import (
+    make_planted_instance,
+    solve_and_discretize,
+    tuple_tensor,
+)
 from mdatrack.cli import RunConfig, cmd_train
 from mdatrack.evalio import (
     MotRecord,
@@ -30,11 +38,11 @@ from mdatrack.evalio import (
 from mdatrack.oracle import brute_force_mda, finite_diff_grad
 from mdatrack.pipeline import GroundTruthQuality, PipelineConfig, run_sequence
 from mdatrack.solver import (
+    HypothesisTensor,
     PartialNormMask,
     assignment_objective,
     l1_normalize_backward,
     l1_normalize_forward,
-    pairwise_objective,
     power_iteration_backward,
     power_iteration_forward,
 )
@@ -65,18 +73,19 @@ def test_gradient_suite():
         iters = int(rng.integers(1, 4))
         pairs = int(rng.integers(1, 4))
         values = rng.uniform(0.1, 1.0, size=(n, n, n))
-        tensor = reshape_to_pairwise(values, np.ones(values.shape, bool))
-        shapes = [(n, n), (n, n)]
+        tensor = tuple_tensor(values)
         w = [rng.normal(size=n * n) for _ in range(2)]
 
-        state = power_iteration_forward(tensor, iters, shapes)
+        state = power_iteration_forward(tensor, iters)
         analytic, _ = power_iteration_backward(state, w)
 
-        def power_loss(t):
-            s = power_iteration_forward(t, iters, shapes)
+        def power_loss(v):
+            s = power_iteration_forward(
+                HypothesisTensor(tensor.entries, v, tensor.sizes), iters)
             return sum(float(wk @ xk) for wk, xk in zip(w, s.x))
 
-        if not grad_close(analytic, finite_diff_grad(power_loss, tensor)):
+        if not grad_close(analytic,
+                          finite_diff_grad(power_loss, tensor.values)):
             power_failures.append(seed)
 
         mats = [rng.uniform(0.1, 1.0, size=(n, n)) for _ in range(2)]
@@ -189,9 +198,12 @@ def test_constraint_suite():
 
 
 def test_energy_identity_suite():
-    """The pairwise reshape preserves the multilinear objective to 1e-12
-    absolute on 100 random instances."""
+    """The sparse solver equals a dense restatement to 1e-12 on 100 random
+    instances: the dense pairwise reshape preserves the multilinear
+    objective, the sparse solver's contraction constant equals it, and the
+    sparse forward and backward passes equal the dense ones."""
     rng = np.random.default_rng(2)
+    gradient_rng = np.random.default_rng(3)    # keeps rng's instances as they were
     worst = 0.0
     for _ in range(100):
         n = int(rng.integers(1, 5))
@@ -202,6 +214,11 @@ def test_energy_identity_suite():
         lhs = pairwise_objective(pairwise, xs)
         rhs = assignment_objective(values, [x.reshape(n, n) for x in xs])
         worst = max(worst, abs(lhs - rhs))
+        if values.any():
+            tensor = tuple_tensor(values, mask)
+            sparse = power_iteration_forward(tensor, 1, x0=xs)
+            worst = max(worst, abs(sparse.contraction_history[0] - lhs))
+            assert_sparse_equals_dense(tensor, 3, gradient_rng, x0=xs)
     passed = worst <= 1e-12
     report("energy-identity-suite", passed, f"worst deviation {worst:.2e}")
     assert worst <= 1e-12

@@ -7,6 +7,11 @@ import math
 import numpy as np
 import pytest
 
+from dense_reference import (
+    pairwise_objective,
+    pairwise_tensor,
+    reshape_to_pairwise,
+)
 from mdatrack.affinity import (
     AffinityProviderParams,
     ConnectionGateConfig,
@@ -15,13 +20,16 @@ from mdatrack.affinity import (
     descriptor_similarity,
     generate_hypotheses,
     load_params,
-    reshape_to_pairwise,
     save_params,
 )
 from mdatrack.errors import ContractError, InputValidationError
 from mdatrack.evalio import load_mot
 from mdatrack.oracle import finite_diff_grad
-from mdatrack.solver import pairwise_objective, assignment_objective
+from mdatrack.solver import (
+    HypothesisTensor,
+    _pair_flat_indices,
+    assignment_objective,
+)
 from mdatrack.types import AssociationBatch, Candidate
 
 
@@ -315,7 +323,7 @@ class TestComputeAffinity:
         params = AffinityProviderParams()
         bundle = compute_affinity(batch, generate_hypotheses(
             batch, ConnectionGateConfig()), params)
-        best = bundle.values[0, 0, 0]
+        (best,) = bundle.values
 
         rng = np.random.default_rng(23)
         for _ in range(30):
@@ -323,8 +331,8 @@ class TestComputeAffinity:
                              100.0 + rng.uniform(-15, 15),
                              appearance=rng.normal(size=8))] for f in range(3)]
             b2 = make_batch(shifted)
-            v = compute_affinity(b2, generate_hypotheses(
-                b2, ConnectionGateConfig()), params).values[0, 0, 0]
+            (v,) = compute_affinity(b2, generate_hypotheses(
+                b2, ConnectionGateConfig()), params).values
             assert v <= best + 1e-12
 
     def test_values_zero_outside_hypothesis_set(self):
@@ -333,8 +341,14 @@ class TestComputeAffinity:
         batch = make_batch(frames)
         hyps = generate_hypotheses(batch, ConnectionGateConfig(max_relaxations=0))
         bundle = compute_affinity(batch, hyps, AffinityProviderParams())
-        assert np.all(bundle.values[~bundle.valid_mask] == 0.0)
+        assert bundle.values.shape == (len(hyps),)
         assert np.all(bundle.values >= 0.0)
+        # the solver's tensor is non-zero only at the hypotheses
+        dense = pairwise_tensor(
+            HypothesisTensor(hyps, bundle.values, batch.sizes))
+        outside = np.ones(dense.shape, dtype=bool)
+        outside[_pair_flat_indices(hyps, batch.sizes)] = False
+        assert np.all(dense[outside] == 0.0)
 
     def test_empty_hypotheses_rejected(self):
         frames = [[cand(f, 50.0, 50.0)] for f in range(3)]
@@ -366,13 +380,12 @@ class TestComputeAffinity:
                 position_scale=base.position_scale,
                 size_weight=base.size_weight,
                 long_term_weight=base.long_term_weight)
-            return compute_affinity(batch, hyps, p).values[0, 0, 0]
+            (value,) = compute_affinity(batch, hyps, p).values
+            return value
 
         numeric = finite_diff_grad(c_of_aw, np.array([base.appearance_weight]))
         bundle = compute_affinity(batch, hyps, base)
-        d_pairwise = np.zeros_like(bundle.pairwise)
-        d_pairwise[0, 0] = 1.0
-        grads = backprop_affinity(bundle, d_pairwise)
+        grads = backprop_affinity(bundle, np.array([1.0]))
         assert abs(grads.appearance_weight - numeric[0]) <= 1e-5 * abs(numeric[0])
 
 
@@ -397,7 +410,7 @@ class TestComputeAffinity:
                                       resolved_virtuals=resolved)
             expected = [affinity_oracle(frames, row, params, 0.8, resolved)
                         for row in hyps.tolist()]
-            np.testing.assert_allclose(bundle.values[tuple(hyps.T)], expected,
+            np.testing.assert_allclose(bundle.values, expected,
                                        rtol=1e-12, atol=0)
 
     def test_missing_resolution_rejected(self):
@@ -418,7 +431,7 @@ class TestBackpropAffinity:
         batch = make_batch(frames)
         bundle = compute_affinity(batch, generate_hypotheses(
             batch, ConnectionGateConfig()), AffinityProviderParams())
-        grads = backprop_affinity(bundle, np.zeros_like(bundle.pairwise))
+        grads = backprop_affinity(bundle, np.zeros_like(bundle.values))
         assert np.all(grads.as_vector() == 0.0)
 
     def test_single_hypothesis_closed_form(self):
@@ -433,9 +446,7 @@ class TestBackpropAffinity:
         params = AffinityProviderParams(position_scale=25.0)
         bundle = compute_affinity(batch, hyps, params)
 
-        d_pairwise = np.zeros_like(bundle.pairwise)
-        d_pairwise[0, 0] = 1.0
-        grads = backprop_affinity(bundle, d_pairwise)
+        grads = backprop_affinity(bundle, np.array([1.0]))
 
         # hand derivative: same appearance (sim 1 per edge), equal boxes
         # (size sim 1), distance 4 per edge, zero acceleration
@@ -464,15 +475,16 @@ class TestBackpropAffinity:
         assert len(hyps)
         params = AffinityProviderParams(position_scale=22.0)
         w = rng.normal(size=(4, 4))
+        # loss = sum of w times the pairwise tensor, read at the hypotheses
+        w_at = w[_pair_flat_indices(hyps, batch.sizes)]
 
         bundle = compute_affinity(batch, hyps, params)
-        d_pairwise = w.copy()
-        grads = backprop_affinity(bundle, d_pairwise).as_vector()
+        grads = backprop_affinity(bundle, w_at).as_vector()
 
         def loss(vec):
             p = AffinityProviderParams.from_vector(vec)
             b = compute_affinity(batch, hyps, p)
-            return float(np.sum(w * b.pairwise))
+            return float(w_at @ b.values)
 
         numeric = finite_diff_grad(loss, params.as_vector())
         assert np.all(np.abs(grads - numeric) <= 1e-8 + 1e-5 * np.abs(numeric))
@@ -483,7 +495,7 @@ class TestBackpropAffinity:
         bundle = compute_affinity(batch, generate_hypotheses(
             batch, ConnectionGateConfig()), AffinityProviderParams())
         with pytest.raises(ContractError):
-            backprop_affinity(bundle, np.zeros((5, 5)))
+            backprop_affinity(bundle, np.zeros(5))
 
 
 class TestReshape:

@@ -4,27 +4,39 @@ gradient flow through sparse hypothesis supports."""
 import numpy as np
 import pytest
 
+from dense_reference import (
+    assert_sparse_equals_dense,
+    pairwise_objective,
+    pairwise_tensor,
+)
 from mdatrack.affinity import (
     AffinityProviderParams,
     ConnectionGateConfig,
     backprop_affinity,
     compute_affinity,
     generate_hypotheses,
-    reshape_to_pairwise,
 )
+from mdatrack.checks import tuple_tensor
 from mdatrack.oracle import brute_force_mda, finite_diff_grad
 from mdatrack.solver import (
+    HypothesisTensor,
     PartialNormMask,
     assignment_objective,
     bce_loss,
     discretize,
     l1_normalize_backward,
     l1_normalize_forward,
-    pairwise_objective,
     power_iteration_backward,
     power_iteration_forward,
 )
 from mdatrack.types import AssociationBatch, Candidate
+
+
+def dense_values(batch, hyps, values):
+    """The (K+1)-order tuple tensor holding each hypothesis value."""
+    dense = np.zeros(batch.sizes)
+    dense[tuple(hyps.T)] = values
+    return dense
 
 
 def cand(frame, cx, cy, w=20.0, h=20.0, appearance=None):
@@ -62,30 +74,38 @@ class TestFourFrameAssociation:
         hyps = generate_hypotheses(batch, wide)
         assert len(hyps) == 16
         bundle = compute_affinity(batch, hyps, AffinityProviderParams())
-        shapes = batch.pair_shapes()
-        state = power_iteration_forward(bundle.pairwise, 10, shapes)
+        state = power_iteration_forward(
+            HypothesisTensor(hyps, bundle.values, batch.sizes), 10)
         norm = l1_normalize_forward(state.matrices(),
                                     PartialNormMask.empty(3), 10)
         binary = discretize(norm.matrices())
         for mat in binary:
             np.testing.assert_array_equal(mat, np.eye(2))
 
-        oracle = brute_force_mda(bundle.values)
-        achieved = assignment_objective(bundle.values, binary)
+        values = dense_values(batch, hyps, bundle.values)
+        oracle = brute_force_mda(values)
+        achieved = assignment_objective(values, binary)
         assert achieved == pytest.approx(oracle.best_value)
 
     def test_energy_identity_on_four_frames(self):
+        # the sparse K=3 solver equals the dense restatement, and its
+        # contraction constant is the multilinear objective
         batch = self.build()
         wide = ConnectionGateConfig(base_distance_factor=12.0,
                                     max_relaxations=0)
-        bundle = compute_affinity(batch, generate_hypotheses(batch, wide),
-                                  AffinityProviderParams())
+        hyps = generate_hypotheses(batch, wide)
+        bundle = compute_affinity(batch, hyps, AffinityProviderParams())
+        tensor = HypothesisTensor(hyps, bundle.values, batch.sizes)
         rng = np.random.default_rng(5)
-        xs = [rng.uniform(size=d) for d in bundle.pairwise.shape]
-        lhs = pairwise_objective(bundle.pairwise, xs)
-        rhs = assignment_objective(bundle.values,
+        xs = [rng.uniform(size=d) for d in tensor.shape]
+        lhs = power_iteration_forward(tensor, 1, x0=xs).contraction_history[0]
+        dense = pairwise_objective(pairwise_tensor(tensor), xs)
+        rhs = assignment_objective(dense_values(batch, hyps, bundle.values),
                                    [x.reshape(2, 2) for x in xs])
         assert abs(lhs - rhs) <= 1e-12
+        assert abs(lhs - dense) <= 1e-12
+        assert_sparse_equals_dense(tensor, 10, rng)
+        assert_sparse_equals_dense(tensor, 3, rng, x0=xs)
 
     def test_full_training_step_gradient_on_four_frames(self):
         batch = self.build()
@@ -94,24 +114,25 @@ class TestFourFrameAssociation:
         hyps = generate_hypotheses(batch, wide)
         params = AffinityProviderParams(position_scale=20.0)
         target = [np.eye(2)] * 3
-        shapes = batch.pair_shapes()
 
         def loss_of(vec):
             p = AffinityProviderParams.from_vector(vec)
             b = compute_affinity(batch, hyps, p)
-            s = power_iteration_forward(b.pairwise, 3, shapes)
+            s = power_iteration_forward(
+                HypothesisTensor(hyps, b.values, batch.sizes), 3)
             n = l1_normalize_forward(s.matrices(), PartialNormMask.empty(3), 2)
             return bce_loss(n.matrices(), target)[0]
 
         bundle = compute_affinity(batch, hyps, params)
-        state = power_iteration_forward(bundle.pairwise, 3, shapes)
+        state = power_iteration_forward(
+            HypothesisTensor(hyps, bundle.values, batch.sizes), 3)
         norm = l1_normalize_forward(state.matrices(),
                                     PartialNormMask.empty(3), 2)
         _, d_pred = bce_loss(norm.matrices(), target)
         d_norm_in = l1_normalize_backward(norm, d_pred)
-        d_tensor, _ = power_iteration_backward(
+        d_values, _ = power_iteration_backward(
             state, [g.reshape(-1) for g in d_norm_in])
-        analytic = backprop_affinity(bundle, d_tensor).as_vector()
+        analytic = backprop_affinity(bundle, d_values).as_vector()
         numeric = finite_diff_grad(loss_of, params.as_vector())
         assert np.all(np.abs(analytic - numeric)
                       <= 1e-7 + 1e-4 * np.abs(numeric))
@@ -120,29 +141,38 @@ class TestFourFrameAssociation:
 class TestSparseSupportGradients:
     """Backward passes stay exact when the hypothesis set is sparse."""
 
-    @pytest.mark.parametrize("seed", range(5))
-    def test_power_backward_on_masked_support(self, seed):
-        rng = np.random.default_rng(seed)
+    @staticmethod
+    def masked_support(rng):
         n = 3
         mask = rng.uniform(size=(n, n, n)) > 0.4
         # guarantee a feasible support: plant one full assignment
         for i in range(n):
             mask[i, i, i] = True
         values = rng.uniform(0.2, 1.0, size=(n, n, n)) * mask
-        tensor = reshape_to_pairwise(values, mask)
-        shapes = [(n, n), (n, n)]
-        w = [rng.normal(size=n * n) for _ in range(2)]
+        return tuple_tensor(values, mask)
 
-        state = power_iteration_forward(tensor, 3, shapes)
+    @pytest.mark.parametrize("seed", range(5))
+    def test_power_backward_on_masked_support(self, seed):
+        rng = np.random.default_rng(seed)
+        tensor = self.masked_support(rng)
+        w = [rng.normal(size=d) for d in tensor.shape]
+
+        state = power_iteration_forward(tensor, 3)
         analytic, _ = power_iteration_backward(state, w)
 
-        def loss(t):
-            s = power_iteration_forward(t, 3, shapes)
+        def loss(v):
+            s = power_iteration_forward(
+                HypothesisTensor(tensor.entries, v, tensor.sizes), 3)
             return sum(float(wk @ xk) for wk, xk in zip(w, s.x))
 
-        numeric = finite_diff_grad(loss, tensor)
+        numeric = finite_diff_grad(loss, tensor.values)
         assert np.all(np.abs(analytic - numeric)
                       <= 1e-7 + 1e-4 * np.abs(numeric))
+
+    @pytest.mark.parametrize("seed", range(5))
+    def test_sparse_equals_dense_on_masked_support(self, seed):
+        rng = np.random.default_rng(seed)
+        assert_sparse_equals_dense(self.masked_support(rng), 3, rng)
 
     def test_affinity_chain_on_gated_support(self):
         # gradients flow only through generated hypotheses; parameters
@@ -158,13 +188,15 @@ class TestSparseSupportGradients:
         hyps = generate_hypotheses(batch, gate)
         assert len(hyps) == 2
         bundle = compute_affinity(batch, hyps, AffinityProviderParams())
-        d_pairwise = np.ones_like(bundle.pairwise)
-        grads = backprop_affinity(bundle, d_pairwise)
-        # cross-target entries are outside the valid set and contribute
-        # nothing even though the incoming gradient there is 1
-        only_valid = np.zeros_like(bundle.pairwise)
-        for coords in np.argwhere(bundle.valid_mask):
-            i0, i1, i2 = coords
-            only_valid[i0 * 2 + i1, i1 * 2 + i2] = 1.0
-        grads_valid = backprop_affinity(bundle, only_valid)
-        np.testing.assert_allclose(grads.as_vector(), grads_valid.as_vector())
+        # the tensor holds the two same-target hypotheses and nothing at
+        # the cross-target entries
+        dense = pairwise_tensor(
+            HypothesisTensor(hyps, bundle.values, batch.sizes))
+        assert np.count_nonzero(dense) == 2
+        for i0, i1, i2 in hyps.tolist():
+            assert dense[i0 * 2 + i1, i1 * 2 + i2] > 0.0
+        # the gradient is the sum of the per-hypothesis contributions
+        grads = backprop_affinity(bundle, np.ones(2))
+        per_hypothesis = [backprop_affinity(bundle, e).as_vector()
+                          for e in np.eye(2)]
+        np.testing.assert_allclose(grads.as_vector(), sum(per_hypothesis))

@@ -103,8 +103,9 @@ class TestFiniteDiff:
         # loss = bce of (normalize . power-iterate) checked against the
         # composed analytic backward passes: this probe is the oracle for
         # the solver's gradients
-        from mdatrack.affinity import reshape_to_pairwise
+        from mdatrack.checks import tuple_tensor
         from mdatrack.solver import (
+            HypothesisTensor,
             PartialNormMask,
             bce_loss,
             l1_normalize_backward,
@@ -115,16 +116,16 @@ class TestFiniteDiff:
 
         rng = np.random.default_rng(8)
         values = rng.uniform(0.1, 1.0, size=(2, 2, 2))
-        tensor = reshape_to_pairwise(values, np.ones((2, 2, 2), bool))
-        shapes = [(2, 2), (2, 2)]
+        tensor = tuple_tensor(values)
         target = [np.eye(2), np.array([[0.0, 1.0], [1.0, 0.0]])]
 
-        def loss(t):
-            s = power_iteration_forward(t, 3, shapes)
+        def loss(v):
+            s = power_iteration_forward(
+                HypothesisTensor(tensor.entries, v, tensor.sizes), 3)
             n = l1_normalize_forward(s.matrices(), PartialNormMask.empty(2), 2)
             return bce_loss(n.matrices(), target)[0]
 
-        state = power_iteration_forward(tensor, 3, shapes)
+        state = power_iteration_forward(tensor, 3)
         norm = l1_normalize_forward(state.matrices(),
                                     PartialNormMask.empty(2), 2)
         _, d_pred = bce_loss(norm.matrices(), target)
@@ -132,6 +133,6 @@ class TestFiniteDiff:
         analytic, _ = power_iteration_backward(
             state, [g.reshape(-1) for g in d_norm_in])
 
-        numeric = finite_diff_grad(loss, tensor)
+        numeric = finite_diff_grad(loss, tensor.values)
         assert np.all(np.abs(analytic - numeric)
                       <= 1e-7 + 1e-4 * np.abs(numeric))

@@ -24,6 +24,7 @@ from mdatrack.pipeline import (
     _make_virtual_placeholder,
 )
 from mdatrack.solver import (
+    HypothesisTensor,
     PartialNormMask,
     discretize,
     l1_normalize_forward,
@@ -85,12 +86,13 @@ class TestResolveVirtuals:
         bundle = compute_affinity(batch, hyps, params,
                                   virtual_scale=config.alpha,
                                   resolved_virtuals=resolved)
-        real = bundle.values[0, 0, 0]        # (real, anchor, real)
-        virt = bundle.values[0, 0, 1]        # (real, anchor, virtual)
+        value = dict(zip(map(tuple, hyps.tolist()), bundle.values))
+        real = value[0, 0, 0]                # (real, anchor, real)
+        virt = value[0, 0, 1]                # (real, anchor, virtual)
         assert real > virt
-        state = power_iteration_forward(bundle.pairwise,
-                                        config.power_iterations,
-                                        batch.pair_shapes())
+        state = power_iteration_forward(
+            HypothesisTensor(hyps, bundle.values, batch.sizes),
+            config.power_iterations)
         norm = l1_normalize_forward(
             state.matrices(),
             PartialNormMask.for_virtuals(batch.pair_shapes(),
@@ -361,7 +363,8 @@ class TestAlphaMonotonicity:
                 bundle = compute_affinity(batch, hyps, params,
                                           virtual_scale=alpha,
                                           resolved_virtuals=resolved)
-                state = power_iteration_forward(bundle.pairwise, 10, shapes)
+                state = power_iteration_forward(
+                    HypothesisTensor(hyps, bundle.values, batch.sizes), 10)
                 norm = l1_normalize_forward(state.matrices(), mask, 10)
                 binary = discretize(norm.matrices(), [True, True],
                                     [True, True])

@@ -4,10 +4,16 @@ against independent oracles (finite differences, brute force, hand math)."""
 import numpy as np
 import pytest
 
-from mdatrack.affinity import reshape_to_pairwise
+from dense_reference import (
+    assert_sparse_equals_dense,
+    pairwise_objective,
+    reshape_to_pairwise,
+)
+from mdatrack.checks import random_solver_instance, tuple_tensor
 from mdatrack.errors import ContractError, DegenerateInputError, NumericError
 from mdatrack.oracle import brute_force_mda, finite_diff_grad
 from mdatrack.solver import (
+    HypothesisTensor,
     PartialNormMask,
     assignment_objective,
     bce_loss,
@@ -15,7 +21,6 @@ from mdatrack.solver import (
     dump_state,
     l1_normalize_backward,
     l1_normalize_forward,
-    pairwise_objective,
     power_iteration_backward,
     power_iteration_forward,
 )
@@ -24,8 +29,8 @@ GRAD_RTOL = 1e-4
 GRAD_ATOL = 1e-7
 
 
-def full_tensor(values):
-    return reshape_to_pairwise(values, np.ones(values.shape, dtype=bool))
+def with_values(tensor, values):
+    return HypothesisTensor(tensor.entries, values, tensor.sizes)
 
 
 def grad_close(analytic, numeric, rtol=GRAD_RTOL, atol=GRAD_ATOL):
@@ -35,7 +40,7 @@ def grad_close(analytic, numeric, rtol=GRAD_RTOL, atol=GRAD_ATOL):
 class TestPowerIterationForward:
     def test_single_hypothesis_pins_to_one(self):
         values = np.array([[[0.37]]])
-        state = power_iteration_forward(full_tensor(values), 5, [(1, 1), (1, 1)])
+        state = power_iteration_forward(tuple_tensor(values), 5)
         for iterate in state.iterate_history:
             for vec in iterate:
                 np.testing.assert_allclose(vec, [1.0])
@@ -43,7 +48,7 @@ class TestPowerIterationForward:
     def test_identity_dominant_instance_recovers_identity(self):
         values = np.full((2, 2, 2), 0.1)
         values[0, 0, 0] = values[1, 1, 1] = 1.0
-        state = power_iteration_forward(full_tensor(values), 20, [(2, 2), (2, 2)])
+        state = power_iteration_forward(tuple_tensor(values), 20)
         norm = l1_normalize_forward(state.matrices(), PartialNormMask.empty(2), 10)
         binary = discretize(norm.matrices())
         np.testing.assert_array_equal(binary[0], np.eye(2))
@@ -55,7 +60,7 @@ class TestPowerIterationForward:
 
     def test_uniform_instance_stays_uniform(self):
         values = np.full((2, 2, 2), 0.3)
-        state = power_iteration_forward(full_tensor(values), 6, [(2, 2), (2, 2)])
+        state = power_iteration_forward(tuple_tensor(values), 6)
         for iterate in state.iterate_history:
             for vec in iterate:
                 assert np.ptp(vec) == 0.0
@@ -63,7 +68,7 @@ class TestPowerIterationForward:
     def test_every_updated_vector_sums_to_one(self):
         rng = np.random.default_rng(2)
         values = rng.uniform(0.1, 1.0, size=(3, 3, 3))
-        state = power_iteration_forward(full_tensor(values), 4, [(3, 3), (3, 3)])
+        state = power_iteration_forward(tuple_tensor(values), 4)
         for iterate in state.iterate_history[1:]:
             for vec in iterate:
                 assert vec.sum() == pytest.approx(1.0)
@@ -72,41 +77,46 @@ class TestPowerIterationForward:
     def test_scale_equivariance_power_of_two_is_bit_exact(self):
         rng = np.random.default_rng(4)
         values = rng.uniform(0.1, 1.0, size=(2, 2, 2))
-        tensor = full_tensor(values)
-        a = power_iteration_forward(tensor, 5, [(2, 2), (2, 2)])
-        b = power_iteration_forward(4.0 * tensor, 5, [(2, 2), (2, 2)])
+        a = power_iteration_forward(tuple_tensor(values), 5)
+        b = power_iteration_forward(tuple_tensor(4.0 * values), 5)
         for va, vb in zip(a.x, b.x):
             np.testing.assert_array_equal(va, vb)
 
     def test_scale_equivariance_general_scalar(self):
         rng = np.random.default_rng(5)
         values = rng.uniform(0.1, 1.0, size=(3, 3, 3))
-        tensor = full_tensor(values)
-        a = power_iteration_forward(tensor, 5, [(3, 3), (3, 3)])
-        b = power_iteration_forward(np.pi * tensor, 5, [(3, 3), (3, 3)])
+        a = power_iteration_forward(tuple_tensor(values), 5)
+        b = power_iteration_forward(tuple_tensor(np.pi * values), 5)
         for va, vb in zip(a.x, b.x):
             np.testing.assert_allclose(va, vb, rtol=1e-12)
 
     def test_all_zero_tensor_is_degenerate(self):
         with pytest.raises(DegenerateInputError, match="iteration 0"):
-            power_iteration_forward(np.zeros((4, 4)), 3, [(2, 2), (2, 2)])
+            power_iteration_forward(tuple_tensor(np.zeros((2, 2, 2))), 3)
 
     def test_non_finite_tensor_rejected(self):
-        tensor = np.ones((4, 4))
-        tensor[0, 0] = np.nan
+        values = np.ones((2, 2, 2))
+        values[0, 0, 0] = np.nan
         with pytest.raises(NumericError):
-            power_iteration_forward(tensor, 3, [(2, 2), (2, 2)])
+            power_iteration_forward(tuple_tensor(values), 3)
 
     def test_shape_validation(self):
+        # hypotheses must fit the frame sizes, one value per hypothesis
         with pytest.raises(ContractError):
-            power_iteration_forward(np.ones((4, 4)), 3, [(2, 2), (3, 2)])
+            HypothesisTensor(np.array([[0, 2, 0]]), np.ones(1), (2, 2, 2))
+        with pytest.raises(ContractError):
+            HypothesisTensor(np.array([[0, 1]]), np.ones(1), (2, 2, 2))
+        with pytest.raises(ContractError):
+            HypothesisTensor(np.array([[0, 1, 0]]), np.ones(2), (2, 2, 2))
+        with pytest.raises(ContractError):
+            power_iteration_forward(tuple_tensor(np.ones((2, 2, 2))), 3,
+                                    x0=[np.ones(4), np.ones(3)])
 
     def test_determinism_bit_identical(self):
         rng = np.random.default_rng(6)
         values = rng.uniform(0.1, 1.0, size=(3, 3, 3))
-        tensor = full_tensor(values)
-        a = power_iteration_forward(tensor, 7, [(3, 3), (3, 3)])
-        b = power_iteration_forward(tensor.copy(), 7, [(3, 3), (3, 3)])
+        a = power_iteration_forward(tuple_tensor(values), 7)
+        b = power_iteration_forward(tuple_tensor(values.copy()), 7)
         for va, vb in zip(a.x, b.x):
             np.testing.assert_array_equal(va, vb)
 
@@ -114,21 +124,22 @@ class TestPowerIterationForward:
 class TestPowerIterationBackward:
     def test_zero_incoming_gradient_gives_zero_tensor_gradient(self):
         rng = np.random.default_rng(7)
-        tensor = full_tensor(rng.uniform(0.1, 1.0, size=(2, 2, 2)))
-        state = power_iteration_forward(tensor, 3, [(2, 2), (2, 2)])
-        d_tensor, d_x0 = power_iteration_backward(
+        tensor = tuple_tensor(rng.uniform(0.1, 1.0, size=(2, 2, 2)))
+        state = power_iteration_forward(tensor, 3)
+        d_values, d_x0 = power_iteration_backward(
             state, [np.zeros(4), np.zeros(4)])
-        assert np.all(d_tensor == 0)
+        assert d_values.shape == (8,)
+        assert np.all(d_values == 0)
         assert all(np.all(g == 0) for g in d_x0)
 
     def test_single_hypothesis_one_step_closed_form(self):
         # with one hypothesis the iterate is constantly 1 whatever the
-        # affinity, so the hand-differentiated tensor gradient is zero
+        # affinity, so the hand-differentiated value gradient is zero
         state = power_iteration_forward(
-            np.array([[0.37]]), 1, [(1, 1), (1, 1)])
-        d_tensor, _ = power_iteration_backward(
+            HypothesisTensor(np.zeros((1, 3), int), [0.37], (1, 1, 1)), 1)
+        d_values, _ = power_iteration_backward(
             state, [np.array([2.0]), np.array([-3.0])])
-        np.testing.assert_allclose(d_tensor, [[0.0]])
+        np.testing.assert_allclose(d_values, [0.0])
 
     @pytest.mark.parametrize("seed", range(12))
     def test_matches_finite_differences(self, seed):
@@ -136,32 +147,29 @@ class TestPowerIterationBackward:
         n = int(rng.integers(1, 4))
         iterations = int(rng.integers(1, 4))
         values = rng.uniform(0.1, 1.0, size=(n, n, n))
-        tensor = full_tensor(values)
-        shapes = [(n, n), (n, n)]
+        tensor = tuple_tensor(values)
         w = [rng.normal(size=tensor.shape[0]), rng.normal(size=tensor.shape[1])]
 
-        state = power_iteration_forward(tensor, iterations, shapes)
+        state = power_iteration_forward(tensor, iterations)
         analytic, _ = power_iteration_backward(state, w)
 
-        def loss(t):
-            s = power_iteration_forward(t, iterations, shapes)
+        def loss(v):
+            s = power_iteration_forward(with_values(tensor, v), iterations)
             return sum(float(wk @ xk) for wk, xk in zip(w, s.x))
 
-        numeric = finite_diff_grad(loss, tensor)
+        numeric = finite_diff_grad(loss, tensor.values)
         assert grad_close(analytic, numeric)
 
     def test_initial_vector_gradient_matches_finite_differences(self):
         rng = np.random.default_rng(42)
         values = rng.uniform(0.1, 1.0, size=(2, 2, 2))
-        tensor = full_tensor(values)
-        shapes = [(2, 2), (2, 2)]
+        tensor = tuple_tensor(values)
         w = [rng.normal(size=4), rng.normal(size=4)]
-        state = power_iteration_forward(tensor, 2, shapes)
+        state = power_iteration_forward(tensor, 2)
         _, d_x0 = power_iteration_backward(state, w)
 
         def loss(cat):
-            s = power_iteration_forward(tensor, 2, shapes,
-                                        x0=[cat[:4], cat[4:]])
+            s = power_iteration_forward(tensor, 2, x0=[cat[:4], cat[4:]])
             return sum(float(wk @ xk) for wk, xk in zip(w, s.x))
 
         numeric = finite_diff_grad(loss, np.ones(8))
@@ -172,17 +180,16 @@ class TestPowerIterationBackward:
         rng = np.random.default_rng(9)
         n = 2
         values = rng.uniform(0.1, 1.0, size=(n, n, n, n))
-        tensor = reshape_to_pairwise(values, np.ones(values.shape, bool))
-        shapes = [(n, n)] * 3
+        tensor = tuple_tensor(values)
         w = [rng.normal(size=n * n) for _ in range(3)]
-        state = power_iteration_forward(tensor, 2, shapes)
+        state = power_iteration_forward(tensor, 2)
         analytic, _ = power_iteration_backward(state, w)
 
-        def loss(t):
-            s = power_iteration_forward(t, 2, shapes)
+        def loss(v):
+            s = power_iteration_forward(with_values(tensor, v), 2)
             return sum(float(wk @ xk) for wk, xk in zip(w, s.x))
 
-        numeric = finite_diff_grad(loss, tensor)
+        numeric = finite_diff_grad(loss, tensor.values)
         assert grad_close(analytic, numeric)
 
     def test_missing_history_rejected(self):
@@ -395,10 +402,25 @@ class TestDumpState:
 
 class TestObjectiveHelpers:
     def test_pairwise_matches_assignment_objective(self):
+        # the sparse solver's first contraction constant from x0 is the
+        # multilinear objective at x0: equal to the dense pairwise
+        # contraction and to the tuple-tensor assignment objective
         rng = np.random.default_rng(31)
         values = rng.uniform(size=(3, 3, 3))
-        tensor = full_tensor(values)
         xs = [rng.uniform(size=9), rng.uniform(size=9)]
-        lhs = pairwise_objective(tensor, xs)
+        state = power_iteration_forward(tuple_tensor(values), 1, x0=xs)
+        lhs = state.contraction_history[0]
+        dense = pairwise_objective(
+            reshape_to_pairwise(values, np.ones(values.shape, bool)), xs)
         rhs = assignment_objective(values, [x.reshape(3, 3) for x in xs])
+        assert abs(lhs - dense) <= 1e-12
         assert lhs == pytest.approx(rhs, abs=1e-12)
+
+    @pytest.mark.parametrize("seed", range(50))
+    def test_sparse_equals_dense_on_check_instances(self, seed):
+        # the instances and iteration counts of the check suite's
+        # power-iteration gradient check
+        rng = np.random.default_rng(seed)
+        tensor = random_solver_instance(rng)
+        iterations = int(rng.integers(1, 4))
+        assert_sparse_equals_dense(tensor, iterations, rng)

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from mdatrack.affinity import _pair_flat_indices
+from mdatrack.solver import _pair_flat_indices
 from mdatrack.errors import ContractError, InputValidationError
 from mdatrack.types import (
     AssociationBatch,
@@ -20,7 +20,7 @@ def make_candidate(frame=0, center=(10.0, 10.0), box=(0.0, 0.0, 20.0, 20.0),
 
 class TestFlattenPair:
     """The row-major flat index of a candidate pair, i_prev * I_next + i_next
-    (0-based), which the pairwise tensor is addressed by."""
+    (0-based), a hypothesis' coordinate in the pairwise tensor."""
 
     @staticmethod
     def flat(i_prev, i_next, size_next):
