@@ -80,6 +80,12 @@ class PipelineConfig:
             raise ContractError("IoU thresholds must lie in [0, 1]")
         if self.max_coast_frames < 0:
             raise ContractError("max_coast_frames must be >= 0")
+        if self.power_iterations < 1:
+            raise ContractError("power_iterations must be >= 1")
+        if self.norm_pairs < 0:
+            raise ContractError("norm_pairs must be >= 0")
+        if not (self.frame_width > 0.0 and self.frame_height > 0.0):
+            raise ContractError("frame_width and frame_height must be > 0")
 
     @property
     def frame_box(self) -> Box:
@@ -93,14 +99,33 @@ class GroundTruthQuality:
     def __init__(self, gt_tracks: dict[int, dict[int, Box]],
                  iou_threshold: float = 0.5):
         self.iou_threshold = iou_threshold
-        self._per_frame: dict[int, list[Box]] = {}
+        per_frame: dict[int, list[Box]] = {}
         for traj in gt_tracks.values():
             for frame, box in traj.items():
-                self._per_frame.setdefault(frame, []).append(box)
+                per_frame.setdefault(frame, []).append(box)
+        # per frame: (n, 4) corners (left, top, right, bottom), (n,) areas
+        self._per_frame: dict[int, tuple[np.ndarray, np.ndarray]] = {}
+        for frame, boxes in per_frame.items():
+            ltwh = np.array(boxes, dtype=float)
+            corners = np.concatenate([ltwh[:, :2], ltwh[:, :2] + ltwh[:, 2:]],
+                                     axis=1)
+            self._per_frame[frame] = (corners, ltwh[:, 2] * ltwh[:, 3])
 
     def evaluate(self, candidate: Candidate) -> float:
-        boxes = self._per_frame.get(candidate.frame_index, [])
-        best = max((box_iou(candidate.box, b) for b in boxes), default=0.0)
+        best = 0.0
+        gt = self._per_frame.get(candidate.frame_index)
+        if gt is not None:
+            # box_iou against every ground-truth box, operation for operation
+            corners, areas = gt
+            x0, y0, w, h = candidate.box
+            extent = (np.minimum((x0 + w, y0 + h), corners[:, 2:])
+                      - np.maximum((x0, y0), corners[:, :2]))
+            np.maximum(extent, 0.0, out=extent)
+            inter = extent[:, 0] * extent[:, 1]
+            union = w * h + areas - inter
+            iou = np.divide(inter, union, out=np.zeros_like(inter),
+                            where=union > 0.0)
+            best = float(iou.max())
         return 1.0 if best >= self.iou_threshold else 0.0
 
 
@@ -151,16 +176,6 @@ def _make_virtual_placeholder(frame_index: int) -> Candidate:
                      box=(0.0, 0.0, 1.0, 1.0), score=0.0, is_virtual=True)
 
 
-def _grid_gaussian(dx2: np.ndarray, dy2: np.ndarray, denom: float,
-                   out: np.ndarray) -> np.ndarray:
-    """exp(-(dx2 + dy2) / denom) over each anchor's search grid, written to
-    ``out`` (anchors, 17 rows, 17 columns) from per-column ``dx2`` and
-    per-row ``dy2`` (anchors, 17)."""
-    np.add(dy2[:, :, None], dx2[:, None, :], out=out)
-    np.divide(out, -denom, out=out)
-    return np.exp(out, out=out)
-
-
 def resolve_virtuals(batch: AssociationBatch,
                      params: AffinityProviderParams,
                      anchor_velocities: dict[int, tuple[float, float]] | None = None,
@@ -169,12 +184,14 @@ def resolve_virtuals(batch: AssociationBatch,
 
     For each real anchor the virtual in frame position ``pos`` resolves to
     the argmax of a local search score around the anchor's constant-velocity
-    extrapolation: a Gaussian prior at the extrapolated point plus
-    appearance-similarity-weighted Gaussians at each real detection of that
-    frame.  The grid spans one box diagonal at a step of diagonal / 8 and is
-    scanned row-major; ties resolve to the first maximum.  Returns
-    {frame position: (I_anchor, 2) resolved centers}, one row per anchor
-    slot, NaN for the virtual anchor slot.
+    extrapolation: a sum of Gaussians over spots, the extrapolated point
+    with weight 1 and each real detection of that frame weighted by its
+    appearance similarity to the anchor, computed for every anchor as one
+    batched matmul at memory O(anchors x spots x 17).  The grid spans one
+    box diagonal at a step of diagonal / 8 and is scanned row-major; ties
+    resolve to the first maximum.  Returns {frame position: (I_anchor, 2)
+    resolved centers}, one row per anchor slot, NaN for the virtual anchor
+    slot.
     """
     anchor_velocities = anchor_velocities or {}
     anchor_pos = batch.anchor_position
@@ -196,27 +213,24 @@ def resolve_virtuals(batch: AssociationBatch,
         py = origin[:, 1] + velocity[:, 1] * dt
         grid_x = px[:, None] + offsets            # (anchors, 17) columns
         grid_y = py[:, None] + offsets            # (anchors, 17) rows
-        scores = _grid_gaussian((grid_x - px[:, None]) ** 2,
-                                (grid_y - py[:, None]) ** 2, denom,
-                                np.empty((len(real), 17, 17)))
 
         detections = np.flatnonzero(~frame.is_virtual)
-        weights = descriptor_similarity(
+        spots = frame.centers[detections]
+        weights = np.ones((len(real), len(detections) + 1))   # (anchors, spots)
+        weights[:, 1:] = descriptor_similarity(
             anchors.descriptors[real, None, :], anchors.norms[real, None],
             frame.descriptors[None, detections, :], frame.norms[None, detections])
-        spots = frame.centers[detections]
-        dx2 = (grid_x[:, None, :] - spots[:, 0, None]) ** 2   # (anchors, M, 17)
-        dy2 = (grid_y[:, None, :] - spots[:, 1, None]) ** 2
-        buffer = np.empty_like(scores)
-        # one detection at a time keeps memory at O(anchors * 289) and the
-        # sum in detection order; a zero weight (negative cosine) adds
-        # exactly nothing, so only the anchors a detection attracts are scored
-        for m in range(len(detections)):
-            rows = np.flatnonzero(weights[:, m])
-            term = _grid_gaussian(dx2[rows, m], dy2[rows, m], denom,
-                                  buffer[:len(rows)])
-            term *= weights[rows, m, None, None]
-            scores[rows] += term
+        spot_x = np.empty_like(weights)
+        spot_y = np.empty_like(weights)
+        spot_x[:, 0], spot_x[:, 1:] = px, spots[:, 0]
+        spot_y[:, 0], spot_y[:, 1:] = py, spots[:, 1]
+        # exp(-(dx² + dy²) / denom) = exp(-dx² / denom) * exp(-dy² / denom),
+        # so the score at (row r, column c) is sum_s w_s * gy_s[r] * gx_s[c]:
+        # one batched matmul at memory O(anchors * spots * 17)
+        gx = np.exp((grid_x[:, None, :] - spot_x[:, :, None]) ** 2 / -denom)
+        gy = np.exp((grid_y[:, None, :] - spot_y[:, :, None]) ** 2 / -denom)
+        gy *= weights[:, :, None]
+        scores = np.matmul(gy.transpose(0, 2, 1), gx)   # (anchors, rows, columns)
         scores = scores.reshape(len(real), 17 * 17)
         row, col = np.divmod(np.argmax(scores, axis=1), 17)
         each = np.arange(len(real))
@@ -292,6 +306,9 @@ def track_batch(frames_store: list[list[Candidate]],
     virtual_pred_slot = len(window_cands[0]) - 1
     virtual_next_slot = len(window_cands[2]) - 1
 
+    # first 1 of each binary anchor row, or none for an unassigned row
+    partners = x_next.argmax(axis=1)
+    has_partner = x_next.any(axis=1)
     new_heads: dict[tuple[int, int], int] = {}
     claimed_next: set[int] = set()
 
@@ -302,8 +319,8 @@ def track_batch(frames_store: list[list[Candidate]],
         w, h = anchor.box[2], anchor.box[3]
         prediction = (cx - w / 2.0, cy - h / 2.0, w, h)
 
-        assigned = np.flatnonzero(x_next[slot])
-        next_slot = int(assigned[0]) if assigned.size else virtual_next_slot
+        next_slot = (int(partners[slot]) if has_partner[slot]
+                     else virtual_next_slot)
 
         if track_id is None:
             if quality.evaluate(anchor) <= config.quality_threshold:

@@ -151,6 +151,24 @@ class TestErrors:
     def test_eval_requires_both_files(self):
         assert main(["--mode", "eval", "--gt", "only.txt"]) == 1
 
+    def test_zero_power_iterations_exits_before_any_work(
+            self, tmp_path, monkeypatch, capsys):
+        from mdatrack import cli
+
+        def no_work(*args, **kwargs):
+            raise AssertionError("work started")
+
+        monkeypatch.setattr(cli, "generate_scenario", no_work)
+        monkeypatch.setattr(cli, "run_sequence", no_work)
+        cfg = tmp_path / "bad.cfg"
+        cfg.write_text("frame_count = 6\ntarget_count = 2\n"
+                       "power_iterations = 0\n")
+        hyp = tmp_path / "hyp.txt"
+        assert main(["--mode", "track", "--config", str(cfg),
+                     "--out", str(hyp)]) == 1
+        assert not hyp.exists()
+        assert "power_iterations" in capsys.readouterr().err
+
     def test_bad_input_file(self, tmp_path):
         bad = tmp_path / "bad.txt"
         bad.write_text("not,a,valid,mot,line\n")

@@ -12,7 +12,7 @@ from mdatrack.affinity import (
     generate_hypotheses,
 )
 from mdatrack.evalio import ScenarioSpec, clear_mot, generate_scenario
-from mdatrack.errors import InternalInvariantError
+from mdatrack.errors import ContractError, InternalInvariantError
 from mdatrack.pipeline import (
     ConfidenceQuality,
     GroundTruthQuality,
@@ -30,7 +30,7 @@ from mdatrack.solver import (
     l1_normalize_forward,
     power_iteration_forward,
 )
-from mdatrack.types import AssociationBatch, Candidate
+from mdatrack.types import AssociationBatch, Candidate, box_iou
 
 
 def cand(frame, cx, cy, w=24.0, h=24.0, appearance=None, score=1.0):
@@ -172,6 +172,93 @@ class TestTrackState:
         with pytest.raises(InternalInvariantError):
             state.by_id(1)
 
+
+class TestPipelineConfig:
+    @pytest.mark.parametrize("field, value", [
+        ("power_iterations", 0), ("power_iterations", -3),
+        ("norm_pairs", -1),
+        ("frame_width", 0.0), ("frame_width", -640.0),
+        ("frame_height", 0.0), ("frame_height", -1.0),
+        ("frame_width", float("nan")),
+    ])
+    def test_rejects_unusable_solver_and_frame_settings(self, field, value):
+        with pytest.raises(ContractError):
+            PipelineConfig(**{field: value})
+
+    def test_accepts_the_smallest_usable_settings(self):
+        config = PipelineConfig(power_iterations=1, norm_pairs=0,
+                                frame_width=1.0, frame_height=1.0)
+        assert config.frame_box == (0.0, 0.0, 1.0, 1.0)
+
+
+def scalar_quality(gt_tracks, candidate, threshold=0.5):
+    """The box-quality rule restated with the scalar box_iou."""
+    boxes = [traj[candidate.frame_index] for traj in gt_tracks.values()
+             if candidate.frame_index in traj]
+    best = max((box_iou(candidate.box, b) for b in boxes), default=0.0)
+    return 1.0 if best >= threshold else 0.0
+
+
+def box_cand(frame, box):
+    l, t, w, h = box
+    return Candidate(frame_index=frame, center=(l + w / 2, t + h / 2),
+                     box=tuple(box), score=1.0)
+
+
+class TestGroundTruthQuality:
+    @pytest.mark.parametrize("threshold", [0.5, 0.3, 0.7])
+    def test_random_boxes_follow_the_scalar_rule(self, threshold):
+        rng = np.random.default_rng(17)
+        gt = {tid: {f: tuple(rng.uniform(0, 60, 2)) + tuple(rng.uniform(5, 30, 2))
+                    for f in range(4) if rng.uniform() < 0.8}
+              for tid in range(8)}
+        quality = GroundTruthQuality(gt, iou_threshold=threshold)
+        seen = set()
+        for _ in range(400):
+            frame = int(rng.integers(0, 5))          # frame 4 has no GT
+            if rng.uniform() < 0.5 and any(frame in t for t in gt.values()):
+                owner = next(t for t in gt.values() if frame in t)
+                box = np.array(owner[frame])
+                box[:2] += rng.normal(0, 4, 2)
+                box[2:] *= rng.uniform(0.7, 1.4, 2)
+            else:
+                box = np.concatenate([rng.uniform(0, 60, 2),
+                                      rng.uniform(5, 30, 2)])
+            c = box_cand(frame, box.tolist())
+            value = quality.evaluate(c)
+            assert value == scalar_quality(gt, c, threshold)
+            seen.add(value)
+        assert seen == {0.0, 1.0}
+
+    def test_disjoint_and_touching_boxes_have_zero_iou(self):
+        gt = {1: {0: (0.0, 0.0, 2.0, 2.0)}, 2: {0: (10.0, 10.0, 2.0, 2.0)}}
+        quality = GroundTruthQuality(gt, iou_threshold=1e-12)
+        for box in [(2.0, 0.0, 2.0, 2.0), (0.0, 2.0, 2.0, 2.0),
+                    (12.0, 12.0, 1.0, 1.0), (5.0, 5.0, 1.0, 1.0)]:
+            c = box_cand(0, box)
+            assert quality.evaluate(c) == scalar_quality(gt, c, 1e-12) == 0.0
+
+    def test_identical_boxes(self):
+        gt = {1: {3: (4.0, 5.0, 20.0, 30.0)}}
+        for threshold in (0.5, 1.0):
+            quality = GroundTruthQuality(gt, iou_threshold=threshold)
+            c = box_cand(3, (4.0, 5.0, 20.0, 30.0))
+            assert quality.evaluate(c) == scalar_quality(gt, c, threshold) == 1.0
+
+    def test_iou_of_exactly_one_half_passes(self):
+        gt = {1: {0: (1.0, 0.0, 3.0, 1.0)}}
+        c = box_cand(0, (0.0, 0.0, 3.0, 1.0))
+        assert box_iou(c.box, gt[1][0]) == 0.5
+        assert GroundTruthQuality(gt).evaluate(c) == 1.0
+        strict = GroundTruthQuality(gt, iou_threshold=np.nextafter(0.5, 1.0))
+        assert strict.evaluate(c) == 0.0
+
+    def test_frame_without_ground_truth_scores_zero(self):
+        gt = {1: {0: (0.0, 0.0, 10.0, 10.0)}}
+        c = box_cand(7, (0.0, 0.0, 10.0, 10.0))
+        assert GroundTruthQuality(gt).evaluate(c) == 0.0
+        # the scalar rule's default of 0.0 passes a threshold of 0
+        assert GroundTruthQuality(gt, iou_threshold=0.0).evaluate(c) == 1.0
 
 def run_clean_scenario(frame_count=12, target_count=3, seed=2, **spec_kw):
     spec = ScenarioSpec(frame_count=frame_count, target_count=target_count,
