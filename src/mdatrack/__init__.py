@@ -25,7 +25,6 @@ from .evalio import (
     load_mot,
     load_mot_records,
     records_to_tracks,
-    save_mot,
     save_mot_records,
     tracks_to_records,
 )
@@ -47,7 +46,6 @@ from .solver import (
     assignment_objective,
     bce_loss,
     discretize,
-    dump_state,
     l1_normalize_backward,
     l1_normalize_forward,
     power_iteration_backward,

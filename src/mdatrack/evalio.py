@@ -137,12 +137,6 @@ def records_to_tracks(records: list[MotRecord]) -> dict[int, dict[int, Box]]:
     return tracks
 
 
-def save_mot(tracks: dict[int, dict[int, Box]], sink, conf: float = 1.0) -> None:
-    """Write id -> frame -> box trajectories to a path or stream in MOT
-    format; load/save/load round-trips are identity on the parsed fields."""
-    save_mot_records(tracks_to_records(tracks, conf), sink)
-
-
 # ---------------------------------------------------------------------------
 # CLEAR MOT metrics
 # ---------------------------------------------------------------------------

@@ -6,12 +6,15 @@ Two layers, each with a forward pass and an analytic backward pass:
   assignment problem into per-pair soft assignment vectors, run on the
   pairwise affinity tensor held as its hypothesis list
   (:class:`HypothesisTensor`): the tensor has one non-zero entry per
-  gated hypothesis, so every contraction is a bincount over the hypotheses
-  and the tensor never exists in dense form, and
+  gated hypothesis and never exists in dense form.  The per-pair vectors
+  are kept as one stacked vector over all pairs, so each contraction, for
+  every pair at once, is a single bincount over the hypotheses' stacked
+  coordinates, and
 * an alternating row/column l1 normalization that pushes the soft
   assignment matrices toward the doubly-stochastic constraint set, with
   optional partial masks so a virtual row/column stays unconstrained in
-  one direction.
+  one direction.  Its history references each step's input; the backward
+  pass reads each step's output from it instead of recomputing it.
 
 Plus the binary cross-entropy training loss and a Hungarian-based
 discretization.  All functions are pure with respect to their inputs;
@@ -21,6 +24,7 @@ history needed by the backward passes is returned inside AssignmentState.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from itertools import accumulate
 
 import numpy as np
 from scipy.optimize import linear_sum_assignment
@@ -42,7 +46,7 @@ class NormStep:
     """One row or column normalization step, with what backward needs."""
 
     axis: str                      # 'row' or 'col'
-    pre: list[np.ndarray]          # matrices entering the step
+    pre: list[np.ndarray]          # matrices entering the step (the previous output)
     divisors: list[np.ndarray]     # per-line sums actually divided by (1 where skipped)
     applied: list[np.ndarray]      # bool per line: was this line normalized
 
@@ -84,21 +88,44 @@ def _pair_flat_indices(tuples: np.ndarray, sizes) -> tuple[np.ndarray, ...]:
                  for k in range(1, len(sizes)))
 
 
+def _segments(stacked: np.ndarray, offsets) -> list[np.ndarray]:
+    """Per-pair views into a stacked vector."""
+    return [stacked[a:b] for a, b in zip(offsets, offsets[1:])]
+
+
+def _offsets(dims) -> tuple[int, ...]:
+    """Start of each mode in the stacked vector, then its total length."""
+    return tuple(accumulate(dims, initial=0))
+
+
 @dataclass(frozen=True, eq=False)
 class HypothesisTensor:
     """The K-order pairwise affinity tensor, held as its hypothesis list.
 
     Mode k runs over the flattened candidate pairs of frames k and k+1
     (dimension I_k * I_{k+1}).  Hypothesis h, the candidate tuple
-    ``entries[h]``, holds ``values[h]`` at its flat pair indices ``flat``;
-    every other entry is zero.  The flat pair indices determine the tuple,
-    so distinct tuples never share an entry.
+    ``entries[h]``, holds ``values[h]`` at its pair coordinates; every other
+    entry is zero.  The pair coordinates determine the tuple, so distinct
+    tuples never share an entry.
+
+    The solver keeps one vector per mode stacked end to end, mode k at
+    ``offsets[k]``.  ``index[k * H + h]`` is hypothesis h's position in mode
+    k of that stacked vector.  For each of the K-1 other modes of a row k,
+    taken in increasing mode order, ``factor_rows[i]`` points at the same
+    hypothesis' entry of the i-th other mode within a (K * H,) array laid
+    out like ``index``, and ``factor_index[i]`` at its position in the
+    stacked vector.
     """
 
     entries: np.ndarray                  # (H, K+1) 0-based candidate tuples
     values: np.ndarray                   # (H,) affinity of each hypothesis
     sizes: tuple[int, ...]               # candidates per frame, K+1 frames
-    flat: tuple[np.ndarray, ...] = field(init=False, repr=False)
+    shape: tuple[int, ...] = field(init=False)     # I_{k-1} * I_k per mode
+    offsets: tuple[int, ...] = field(init=False)   # K+1 mode starts and end
+    index: np.ndarray = field(init=False, repr=False)          # (K*H,)
+    stacked_values: np.ndarray = field(init=False, repr=False)  # (K*H,)
+    factor_index: tuple[np.ndarray, ...] = field(init=False, repr=False)
+    factor_rows: tuple[np.ndarray, ...] = field(init=False, repr=False)
 
     def __post_init__(self):
         entries = np.asarray(self.entries, dtype=np.intp)
@@ -115,38 +142,65 @@ class HypothesisTensor:
                 f"{len(entries)} hypotheses but values of shape {values.shape}")
         if np.any(entries < 0) or np.any(entries >= np.array(sizes)):
             raise ContractError(f"hypothesis index outside frame sizes {sizes}")
-        object.__setattr__(self, "entries", entries)
-        object.__setattr__(self, "values", values)
-        object.__setattr__(self, "sizes", sizes)
-        object.__setattr__(self, "flat", _pair_flat_indices(entries, sizes))
+        H, K = len(entries), len(sizes) - 1
+        shape = tuple(a * b for a, b in zip(sizes, sizes[1:]))
+        offsets = _offsets(shape)
+        index = np.concatenate([
+            flat + offset
+            for flat, offset in zip(_pair_flat_indices(entries, sizes), offsets)])
+        # row k's i-th other mode is i + 1 up to row i, and i after it
+        positions = np.arange(K * H, dtype=np.intp).reshape(K, H)
+        factor_rows = tuple(positions[[i + (i >= k) for k in range(K)]].ravel()
+                            for i in range(K - 1))
+        for name, value in (("entries", entries), ("values", values),
+                            ("sizes", sizes), ("shape", shape),
+                            ("offsets", offsets), ("index", index),
+                            ("stacked_values", np.concatenate([values] * K)),
+                            ("factor_index", tuple(index[r] for r in factor_rows)),
+                            ("factor_rows", factor_rows)):
+            object.__setattr__(self, name, value)
 
     @property
     def pair_shapes(self) -> list[tuple[int, int]]:
         """(I_{k-1}, I_k) for each of the K frame pairs."""
         return list(zip(self.sizes, self.sizes[1:]))
 
-    @property
-    def shape(self) -> tuple[int, ...]:
-        """Dimension of each mode, I_{k-1} * I_k."""
-        return tuple(a * b for a, b in self.pair_shapes)
-
 
 @dataclass
 class AssignmentState:
-    """Per-pair soft assignments plus the history the backward passes need."""
+    """Per-pair soft assignments plus the history the backward passes need.
+
+    The power iteration records its iterates and slices as stacked vectors,
+    every pair's vector end to end; ``x``, ``iterate_history`` and
+    ``slice_history`` are per-pair views into them.
+    """
 
     x: list[np.ndarray]
     shapes: list[tuple[int, int]]
     tensor: HypothesisTensor | None = None
-    iterate_history: list[list[np.ndarray]] | None = None
+    iterates: list[np.ndarray] | None = None        # stacked, N+1 of them
+    slices: list[np.ndarray] | None = None          # stacked, N of them
     contraction_history: list[float] | None = None
-    slice_history: list[list[np.ndarray]] | None = None
     norm_history: list[NormStep] | None = None
     norm_mask: PartialNormMask | None = None
     skipped_lines: list[tuple[int, str, int]] = field(default_factory=list)
 
     def matrices(self) -> list[np.ndarray]:
         return [v.reshape(shape) for v, shape in zip(self.x, self.shapes)]
+
+    def _per_pair(self, stacked: list[np.ndarray] | None):
+        if stacked is None:
+            return None
+        offsets = _offsets(r * c for r, c in self.shapes)
+        return [_segments(v, offsets) for v in stacked]
+
+    @property
+    def iterate_history(self) -> list[list[np.ndarray]] | None:
+        return self._per_pair(self.iterates)
+
+    @property
+    def slice_history(self) -> list[list[np.ndarray]] | None:
+        return self._per_pair(self.slices)
 
 
 def assignment_objective(affinity: np.ndarray, matrices: list[np.ndarray]) -> float:
@@ -163,28 +217,24 @@ def assignment_objective(affinity: np.ndarray, matrices: list[np.ndarray]) -> fl
 # Power iteration layer
 # ---------------------------------------------------------------------------
 
-def _gather(vectors: list[np.ndarray],
-            tensor: HypothesisTensor) -> list[np.ndarray]:
-    """Each mode's vector read at the hypotheses' coordinates."""
-    return [v[f] for v, f in zip(vectors, tensor.flat)]
-
-
-def _product(columns: list[np.ndarray]) -> np.ndarray:
+def _product(columns) -> np.ndarray:
     out = columns[0]
     for column in columns[1:]:
         out = out * column
     return out
 
 
-def _contract(tensor: HypothesisTensor, gathered: list[np.ndarray],
-              free_mode: int) -> np.ndarray:
-    """Contract the tensor with one vector per mode except ``free_mode``,
-    given each mode's vector gathered at the hypotheses: one weighted
-    bincount over the hypotheses' mode coordinates."""
-    others = [column for m, column in enumerate(gathered) if m != free_mode]
-    return np.bincount(tensor.flat[free_mode],
-                       _product([tensor.values] + others),
-                       minlength=tensor.shape[free_mode])
+def _stacked(vectors: list[np.ndarray], dims, what: str) -> np.ndarray:
+    """One float vector per mode, checked against the mode dimensions and
+    stacked end to end."""
+    if len(vectors) != len(dims):
+        raise ContractError(f"{what} needs {len(dims)} vectors, got {len(vectors)}")
+    vectors = [np.asarray(v, dtype=float) for v in vectors]
+    for k, v in enumerate(vectors):
+        if v.shape != (dims[k],):
+            raise ContractError(f"{what}[{k}] has shape {v.shape}, "
+                                f"expected ({dims[k]},)")
+    return np.concatenate(vectors)
 
 
 def power_iteration_forward(tensor: HypothesisTensor,
@@ -198,10 +248,11 @@ def power_iteration_forward(tensor: HypothesisTensor,
         x_k <- x_k * (contraction of the tensor with the other vectors) / C
 
     where C is the full contraction, shared across pairs, so every updated
-    vector sums to one.  The contraction for pair k is one weighted bincount
-    of the H hypotheses over their mode-k coordinates, so the tensor is
-    never formed; the iterates stay dense vectors of length I_{k-1} * I_k.
-    All iterates, slices and normalizers are retained for the backward pass.
+    vector sums to one.  The K vectors are kept as one stacked vector, so an
+    iteration is one gather per other mode and a single weighted bincount
+    over the stacked hypothesis index, which yields every pair's slice at
+    once; the tensor is never formed.  All iterates, slices and normalizers
+    are retained for the backward pass.
     """
     if num_iterations < 1:
         raise ContractError(f"need at least one iteration, got {num_iterations}")
@@ -213,48 +264,56 @@ def power_iteration_forward(tensor: HypothesisTensor,
     if not np.all(np.isfinite(values)):
         raise NumericError("non-finite entries in the affinity tensor")
 
-    dims = tensor.shape
-    K = len(dims)
-    if x0 is None:
-        x = [np.ones(d) for d in dims]
-    else:
-        if len(x0) != K:
-            raise ContractError(f"x0 needs {K} vectors, got {len(x0)}")
-        x = [np.asarray(v, dtype=float).copy() for v in x0]
-        for k, v in enumerate(x):
-            if v.shape != (dims[k],):
-                raise ContractError(f"x0[{k}] has wrong length")
+    offsets = tensor.offsets
+    total, first = offsets[-1], offsets[1]
+    x = (np.ones(total) if x0 is None
+         else _stacked(x0, tensor.shape, "x0"))
 
-    iterate_history = [[v.copy() for v in x]]
+    iterates = [x]
     contraction_history: list[float] = []
-    slice_history: list[list[np.ndarray]] = []
+    all_slices: list[np.ndarray] = []
 
     for n in range(num_iterations):
-        gathered = _gather(x, tensor)
-        slices = [_contract(tensor, gathered, k) for k in range(K)]
-        norm_const = float(x[0] @ slices[0])
+        weights = tensor.stacked_values
+        for factor in tensor.factor_index:
+            weights = weights * x[factor]
+        slices = np.bincount(tensor.index, weights, minlength=total)
+        norm_const = float(x[:first] @ slices[:first])
         if not np.isfinite(norm_const):
             raise NumericError(f"non-finite contraction at iteration {n}")
         if norm_const < DEGENERACY_FLOOR:
             raise DegenerateInputError(
                 f"all-zero contraction at iteration {n}; the affinity tensor "
                 "has no mass on the current support")
-        x = [x[k] * slices[k] / norm_const for k in range(K)]
-        for k in range(K):
-            if not np.all(np.isfinite(x[k])):
-                raise NumericError(f"non-finite iterate for pair {k} at iteration {n}")
-        iterate_history.append([v.copy() for v in x])
+        x = x * slices / norm_const
+        if not np.all(np.isfinite(x)):
+            first_bad = int(np.flatnonzero(~np.isfinite(x))[0])
+            pair = int(np.searchsorted(offsets, first_bad, side="right")) - 1
+            raise NumericError(f"non-finite iterate for pair {pair} at iteration {n}")
+        iterates.append(x)
         contraction_history.append(norm_const)
-        slice_history.append(slices)
+        all_slices.append(slices)
 
     return AssignmentState(
-        x=[v.copy() for v in x],
+        x=_segments(x, offsets),
         shapes=tensor.pair_shapes,
         tensor=tensor,
-        iterate_history=iterate_history,
+        iterates=iterates,
+        slices=all_slices,
         contraction_history=contraction_history,
-        slice_history=slice_history,
     )
+
+
+def _cross_term(tensor: HypothesisTensor, gathered: np.ndarray,
+                weighted: np.ndarray, i: int) -> np.ndarray:
+    """For every pair k at once, the contraction of the tensor with the
+    other pairs' iterates, the i-th of them scaled by its gradient: one
+    weighted bincount over the stacked index, given the iterate and the
+    gradient-scaled iterate gathered at it."""
+    weights = tensor.stacked_values
+    for j, factor in enumerate(tensor.factor_rows):
+        weights = weights * (weighted if j == i else gathered)[factor]
+    return np.bincount(tensor.index, weights, minlength=tensor.offsets[-1])
 
 
 def power_iteration_backward(state: AssignmentState,
@@ -270,63 +329,63 @@ def power_iteration_backward(state: AssignmentState,
 
     and propagating the iterate gradients with the exact differential of the
     synchronous update (own-slice term, shared-normalizer term, and the
-    cross-pair contraction terms, each a bincount over the hypotheses).
-    Returns the (H,) gradient of the hypothesis values and the gradient at
-    the initial vectors.
+    cross-pair contraction terms).  Iterates and gradients are stacked over
+    all pairs as in the forward pass: an iteration gathers the recorded
+    iterate and the gradient once each at the stacked hypothesis index, and
+    the cross terms of every pair take K-1 bincounts.  Returns the (H,)
+    gradient of the hypothesis values and the gradient at the initial
+    vectors.
     """
-    if (state.iterate_history is None or state.contraction_history is None
-            or state.slice_history is None or state.tensor is None):
+    if (state.iterates is None or state.contraction_history is None
+            or state.slices is None or state.tensor is None):
         raise ContractError("state is missing power-iteration history")
     tensor = state.tensor
-    K = len(state.x)
-    if len(d_x_final) != K:
-        raise ContractError(f"need {K} gradient vectors, got {len(d_x_final)}")
-    g = []
-    for k in range(K):
-        gk = np.asarray(d_x_final[k], dtype=float)
-        if gk.shape != state.x[k].shape:
-            raise ContractError(f"gradient {k} has shape {gk.shape}, "
-                                f"expected {state.x[k].shape}")
-        g.append(gk.copy())
+    offsets = tensor.offsets
+    K, H = len(tensor.shape), len(tensor.values)
+    g = _stacked(d_x_final, tensor.shape, "gradient")
 
     num_iterations = len(state.contraction_history)
-    d_values = np.zeros(len(tensor.values))
+    d_values = np.zeros(H)
 
     for n in reversed(range(num_iterations)):
-        xs = state.iterate_history[n]
-        xs_next = state.iterate_history[n + 1]
-        slices = state.slice_history[n]
+        xs = state.iterates[n]
+        xs_next = state.iterates[n + 1]
+        slices = state.slices[n]
         norm_const = state.contraction_history[n]
 
-        beta = sum(float(xs_next[k] @ g[k]) for k in range(K))
-        gathered = _gather(xs, tensor)
-        weighted = [x * gk for x, gk in zip(gathered, _gather(g, tensor))]
-
-        def swap(m):
-            # the gathered iterates with mode m's scaled by its gradient
-            return gathered[:m] + [weighted[m]] + gathered[m + 1:]
+        beta = sum(float(xs_next[a:b] @ g[a:b])
+                   for a, b in zip(offsets, offsets[1:]))
+        gathered = xs[tensor.index]
+        weighted = gathered * g[tensor.index]
+        rows, weighted_rows = gathered.reshape(K, H), weighted.reshape(K, H)
 
         # value gradient contribution of this iteration: each hypothesis'
         # entry of -beta * (outer xs) + sum_k (outer xs, x_k scaled by g_k),
         # summed term by term so it rounds as the dense outer products do
-        term = -beta * _product(gathered)
+        term = -beta * _product(rows)
         for k in range(K):
-            term += _product(swap(k))
+            term += _product([weighted_rows[m] if m == k else rows[m]
+                              for m in range(K)])
         d_values += term / norm_const
 
         # iterate gradients one step earlier
-        new_g = []
-        for k in range(K):
-            cross = sum(_contract(tensor, swap(m), k)
-                        for m in range(K) if m != k)
-            new_g.append(slices[k] / norm_const * (g[k] - beta) + cross / norm_const)
-        g = new_g
+        cross = sum(_cross_term(tensor, gathered, weighted, i)
+                    for i in range(K - 1))
+        g = slices / norm_const * (g - beta) + cross / norm_const
 
-    return d_values, g
+    return d_values, _segments(g, offsets)
 
 # ---------------------------------------------------------------------------
 # l1 normalization layer
 # ---------------------------------------------------------------------------
+
+def _exempt_lines(sums: np.ndarray, masked: frozenset[int]) -> np.ndarray:
+    """Lines a normalization direction never divides: the masked ones and
+    those whose sum is zero at entry."""
+    exempt = sums == 0.0
+    exempt[list(masked)] = True
+    return exempt
+
 
 def l1_normalize_forward(matrices: list[np.ndarray],
                          mask: PartialNormMask,
@@ -337,7 +396,9 @@ def l1_normalize_forward(matrices: list[np.ndarray],
     Rows listed in the mask are skipped during row normalization and
     symmetrically for columns.  Lines that are identically zero at entry are
     excluded from normalization throughout and reported in
-    ``skipped_lines``; a zero sum on any other unmasked line raises.
+    ``skipped_lines``; a zero sum on any other unmasked line raises.  Each
+    step divides every matrix into a new one, so the history references the
+    matrices entering each step instead of copying them.
     """
     K = len(matrices)
     if len(mask.rows_column_only) != K or len(mask.cols_row_only) != K:
@@ -354,47 +415,31 @@ def l1_normalize_forward(matrices: list[np.ndarray],
         mats.append(arr)
 
     skipped: list[tuple[int, str, int]] = []
-    zero_rows: list[set[int]] = []
-    zero_cols: list[set[int]] = []
+    applied = {"row": [], "col": []}
     for k, m in enumerate(mats):
-        zr = {int(i) for i in np.flatnonzero(m.sum(axis=1) == 0.0)}
-        zc = {int(j) for j in np.flatnonzero(m.sum(axis=0) == 0.0)}
-        zero_rows.append(zr)
-        zero_cols.append(zc)
-        skipped.extend((k, "row", i) for i in sorted(zr))
-        skipped.extend((k, "col", j) for j in sorted(zc))
+        row_sums, col_sums = m.sum(axis=1), m.sum(axis=0)
+        skipped.extend((k, "row", int(i)) for i in np.flatnonzero(row_sums == 0.0))
+        skipped.extend((k, "col", int(j)) for j in np.flatnonzero(col_sums == 0.0))
+        applied["row"].append(~_exempt_lines(row_sums, mask.rows_column_only[k]))
+        applied["col"].append(~_exempt_lines(col_sums, mask.cols_row_only[k]))
 
     history: list[NormStep] = []
     for _ in range(num_pairs):
-        for axis in ("row", "col"):
-            pre = [m.copy() for m in mats]
-            divisors = []
-            applied_flags = []
-            for k, m in enumerate(mats):
-                if axis == "row":
-                    sums = m.sum(axis=1)
-                    exempt = mask.rows_column_only[k] | zero_rows[k]
-                else:
-                    sums = m.sum(axis=0)
-                    exempt = mask.cols_row_only[k] | zero_cols[k]
-                applied = np.ones(sums.shape, dtype=bool)
-                for idx in exempt:
-                    applied[idx] = False
-                # tiny positive sums normalize fine (entries never exceed
-                # their sum); only an exact zero is degenerate
-                bad = np.flatnonzero(applied & (sums <= 0.0))
-                if bad.size:
+        for axis, line_axis in (("row", 1), ("col", 0)):
+            pre = mats
+            divisors = [np.where(lines, m.sum(axis=line_axis), 1.0)
+                        for m, lines in zip(pre, applied[axis])]
+            for k, div in enumerate(divisors):
+                # entries stay nonnegative, so only an exact zero sum is
+                # degenerate; tiny positive sums normalize fine (entries
+                # never exceed their sum)
+                if np.count_nonzero(div) < div.size:
                     raise DegenerateInputError(
-                        f"pair {k}: {axis} {int(bad[0])} lost all mass "
-                        "during normalization")
-                div = np.where(applied, sums, 1.0)
-                if axis == "row":
-                    mats[k] = m / div[:, None]
-                else:
-                    mats[k] = m / div[None, :]
-                divisors.append(div)
-                applied_flags.append(applied)
-            history.append(NormStep(axis, pre, divisors, applied_flags))
+                        f"pair {k}: {axis} {int(np.flatnonzero(div == 0.0)[0])} "
+                        "lost all mass during normalization")
+            mats = [m / (div[:, None] if line_axis else div)
+                    for m, div in zip(pre, divisors)]
+            history.append(NormStep(axis, pre, divisors, applied[axis]))
 
     return AssignmentState(
         x=[m.reshape(-1) for m in mats],
@@ -410,9 +455,11 @@ def l1_normalize_backward(state: AssignmentState,
     """Backward pass of the normalization layer.
 
     Walks the recorded steps in reverse.  For a normalized line with
-    pre-step values v and sum s, the gradient maps as
-    g_pre = g_post / s - <v/s, g_post> / s; skipped lines pass the gradient
-    through unchanged.
+    post-step values u and pre-step sum s, the gradient maps as
+    g_pre = g_post / s - <u, g_post> / s; skipped lines, whose divisor is 1
+    and whose inner product is taken as zero, pass the gradient through
+    unchanged.  Each step's output u is read from the history (the next
+    step's input, or the final matrices), never recomputed.
     """
     if state.norm_history is None:
         raise ContractError("state is missing normalization history")
@@ -425,23 +472,20 @@ def l1_normalize_backward(state: AssignmentState,
         if gk.shape != state.shapes[k]:
             raise ContractError(
                 f"gradient {k} has shape {gk.shape}, expected {state.shapes[k]}")
-        g.append(gk.copy())
+        g.append(gk)
 
-    for step in reversed(state.norm_history):
+    history = state.norm_history
+    outputs = [step.pre for step in history[1:]] + [state.matrices()]
+    for step, post in zip(reversed(history), reversed(outputs)):
+        line_axis = 1 if step.axis == "row" else 0
         for k in range(K):
-            pre = step.pre[k]
             div = step.divisors[k]
-            applied = step.applied[k]
-            if step.axis == "row":
-                post = pre / div[:, None]
-                inner = (post * g[k]).sum(axis=1)
-                new = g[k] / div[:, None] - (inner / div)[:, None]
-                g[k] = np.where(applied[:, None], new, g[k])
+            inner = np.where(step.applied[k],
+                             (post[k] * g[k]).sum(axis=line_axis), 0.0)
+            if line_axis:
+                g[k] = g[k] / div[:, None] - (inner / div)[:, None]
             else:
-                post = pre / div[None, :]
-                inner = (post * g[k]).sum(axis=0)
-                new = g[k] / div[None, :] - (inner / div)[None, :]
-                g[k] = np.where(applied[None, :], new, g[k])
+                g[k] = g[k] / div - inner / div
     return g
 
 
@@ -522,14 +566,3 @@ def discretize(matrices: list[np.ndarray],
         result.append(out)
     return result
 
-
-def dump_state(state: AssignmentState) -> str:
-    """Deterministic plain-text serialization of the assignment matrices:
-    one shape header line per pair, then row-major values at 17 significant
-    digits."""
-    chunks = []
-    for k, mat in enumerate(state.matrices()):
-        chunks.append(f"pair {k} shape {mat.shape[0]} {mat.shape[1]}")
-        for row in mat:
-            chunks.append(" ".join(f"{v:.17g}" for v in row))
-    return "\n".join(chunks) + "\n"

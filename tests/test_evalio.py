@@ -14,7 +14,6 @@ from mdatrack.evalio import (
     load_mot_records,
     parse_mot_line,
     records_to_tracks,
-    save_mot,
     save_mot_records,
     tracks_to_records,
 )
@@ -83,7 +82,7 @@ class TestMotFormat:
         import io
         tracks = {2: {0: (1.5, 2.5, 3.0, 4.0), 3: (2.0, 3.0, 3.0, 4.0)}}
         sink = io.StringIO()
-        save_mot(tracks, sink)
+        save_mot_records(tracks_to_records(tracks), sink)
         sink.seek(0)
         assert records_to_tracks(load_mot_records(sink)) == tracks
 

@@ -18,7 +18,6 @@ from mdatrack.solver import (
     assignment_objective,
     bce_loss,
     discretize,
-    dump_state,
     l1_normalize_backward,
     l1_normalize_forward,
     power_iteration_backward,
@@ -386,18 +385,6 @@ class TestDiscretize:
         assert out[0, 0] == 1.0
         assert out[1, 1] == 1.0   # leftover real column claimed by virtual row
         assert out[1, 2] == 0.0   # virtual-virtual cell stays empty
-
-
-class TestDumpState:
-    def test_deterministic_text_dump(self):
-        rng = np.random.default_rng(30)
-        mats = [rng.uniform(0.1, 1.0, size=(2, 3))]
-        state = l1_normalize_forward(mats, PartialNormMask.empty(1), 1)
-        first = dump_state(state)
-        second = dump_state(state)
-        assert first == second
-        assert first.splitlines()[0] == "pair 0 shape 2 3"
-        assert len(first.splitlines()) == 3
 
 
 class TestObjectiveHelpers:
