@@ -28,7 +28,12 @@ from .evalio import (
     save_mot_records,
     tracks_to_records,
 )
-from .oracle import BruteForceResult, brute_force_mda, finite_diff_grad
+from .oracle import (
+    BruteForceResult,
+    assignment_objective,
+    brute_force_mda,
+    finite_diff_grad,
+)
 from .pipeline import (
     ConfidenceQuality,
     GroundTruthQuality,
@@ -42,8 +47,6 @@ from .pipeline import (
 from .solver import (
     AssignmentState,
     HypothesisTensor,
-    PartialNormMask,
-    assignment_objective,
     bce_loss,
     discretize,
     l1_normalize_backward,

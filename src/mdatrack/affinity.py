@@ -18,14 +18,14 @@ precomputed descriptors and box geometry:
 
 The provider returns one affinity per hypothesis, the non-zero entries of
 the solver's pairwise tensor, and records a tape sufficient to map a loss
-gradient on those values back to parameter gradients.
+gradient on those values back to parameter gradients.  Every term is plain
+array code over the hypotheses (ufuncs, einsum row dots), the same
+operations its backward pass uses.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
-from itertools import repeat
 from pathlib import Path
 
 import numpy as np
@@ -51,12 +51,13 @@ class ConnectionGateConfig:
 
     def __post_init__(self):
         low, high = self.size_ratio_bounds
-        if self.base_distance_factor <= 0:
-            raise ContractError("base_distance_factor must be positive")
+        # written so that NaN fails every bound
+        if not 0.0 < self.base_distance_factor < np.inf:
+            raise ContractError("base_distance_factor must be positive and finite")
         if not (0 < low < 1 < high):
             raise ContractError(f"size ratio bounds must straddle 1, got {low}, {high}")
-        if self.relaxation_factor <= 1:
-            raise ContractError("relaxation_factor must exceed 1")
+        if not 1.0 < self.relaxation_factor < np.inf:
+            raise ContractError("relaxation_factor must exceed 1 and be finite")
         if self.max_relaxations < 0:
             raise ContractError("max_relaxations must be >= 0")
 
@@ -80,8 +81,8 @@ class AffinityProviderParams:
                    "appearance_weight", "long_term_weight")
 
     def __post_init__(self):
-        if self.position_scale <= 0:
-            raise ContractError("position_scale must be positive")
+        if not 0.0 < self.position_scale < np.inf:
+            raise ContractError("position_scale must be positive and finite")
 
     def as_vector(self) -> np.ndarray:
         return np.array([getattr(self, name) for name in self.FIELD_NAMES])
@@ -215,12 +216,6 @@ def generate_hypotheses(batch: AssociationBatch,
 # Affinity provider
 # ---------------------------------------------------------------------------
 
-def _row_dot(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Inner products along the last axis of broadcast arrays, bit-equal to
-    1-D np.dot of each pair of rows (an einsum or sum rounds differently)."""
-    return (a[..., None, :] @ b[..., :, None])[..., 0, 0]
-
-
 def descriptor_similarity(a: np.ndarray, norm_a: np.ndarray,
                           b: np.ndarray, norm_b: np.ndarray) -> np.ndarray:
     """Clipped squared cosine of broadcast descriptor rows ``a``, ``b``
@@ -232,7 +227,8 @@ def descriptor_similarity(a: np.ndarray, norm_a: np.ndarray,
     neutral 0.5.
     """
     neutral = (norm_a < 1e-12) | (norm_b < 1e-12)
-    cos = _row_dot(a, b) / np.where(neutral, 1.0, norm_a * norm_b)
+    cos = (np.einsum("...d,...d->...", a, b)
+           / np.where(neutral, 1.0, norm_a * norm_b))
     return np.where(neutral, 0.5, np.maximum(cos, 0.0) ** 2)
 
 
@@ -313,21 +309,19 @@ def compute_affinity(batch: AssociationBatch,
     accel = np.zeros(n)
     for t in range(1, K):
         turn = (centers[t + 1] - centers[t]) - (centers[t] - centers[t - 1])
-        accel += np.sqrt(_row_dot(turn, turn))
+        accel += np.sqrt(np.einsum("...d,...d->...", turn, turn))
     size_prod = size_sims[:, 0]
     for e in range(1, K):
         size_prod = size_prod * size_sims[:, e]
-    # math.exp and float ** give the bits of a per-hypothesis scalar loop;
-    # np.exp and np.power round some of these values differently
     sigma = params.position_scale
-    smooth = np.fromiter(map(pow, size_prod.tolist(), repeat(1.0 / K)),
-                         float, n)
-    decay = np.fromiter(map(math.exp, (-accel / sigma).tolist()), float, n)
+    smooth = size_prod ** (1.0 / K)
+    decay = np.exp(-accel / sigma)
     powers = np.array([virtual_scale ** v for v in range(K + 2)])
     scale = powers[virtual_count]
 
     gauss = np.exp(-sq_dists / (2.0 * sigma * sigma))
-    affinity = scale * (params.appearance_weight * _row_dot(app_edges, gauss)
+    appearance = np.einsum("...d,...d->...", app_edges, gauss)
+    affinity = scale * (params.appearance_weight * appearance
                         + params.motion_weight * gauss.sum(axis=1)
                         + params.size_weight * size_sum
                         + params.long_term_weight * decay * smooth)

@@ -20,11 +20,9 @@ from .evalio import (
     generate_scenario,
     parse_mot_line,
 )
-from .oracle import brute_force_mda, finite_diff_grad
+from .oracle import assignment_objective, brute_force_mda, finite_diff_grad
 from .solver import (
     HypothesisTensor,
-    PartialNormMask,
-    assignment_objective,
     bce_loss,
     discretize,
     l1_normalize_backward,
@@ -91,9 +89,7 @@ def solve_and_discretize(values: np.ndarray,
     """Full solver chain on a dense tuple tensor with no virtual slots;
     returns the achieved objective and the binary assignment matrices."""
     state = power_iteration_forward(tuple_tensor(values), power_iterations)
-    norm = l1_normalize_forward(state.matrices(),
-                                PartialNormMask.empty(values.ndim - 1),
-                                norm_pairs)
+    norm = l1_normalize_forward(state.matrices(), norm_pairs)
     binary = discretize(norm.matrices())
     return assignment_objective(values, binary), binary
 
@@ -135,17 +131,16 @@ def check_normalization_gradients(seeds=range(50), max_pairs: int = 3) -> CheckR
         n = int(rng.integers(2, 4))
         mats = [rng.uniform(0.1, 1.0, size=(n, n)) for _ in range(2)]
         pairs = int(rng.integers(1, max_pairs + 1))
-        mask = PartialNormMask.empty(2)
         w = [rng.normal(size=(n, n)) for _ in range(2)]
 
-        state = l1_normalize_forward(mats, mask, pairs)
+        state = l1_normalize_forward(mats, pairs)
         analytic = l1_normalize_backward(state, w)
 
         for k in range(2):
             def loss(mat, k=k):
                 inputs = [m.copy() for m in mats]
                 inputs[k] = mat
-                st = l1_normalize_forward(inputs, mask, pairs)
+                st = l1_normalize_forward(inputs, pairs)
                 return sum(float(np.sum(wk * xk))
                            for wk, xk in zip(w, st.matrices()))
 
@@ -202,7 +197,7 @@ def check_constraint_satisfaction(seed: int = 0) -> CheckResult:
     for trial in range(20):
         n = int(rng.integers(2, 11))
         mat = rng.uniform(0.05, 1.0, size=(n, n))
-        state = l1_normalize_forward([mat], PartialNormMask.empty(1), 50)
+        state = l1_normalize_forward([mat], 50)
         out = state.matrices()[0]
         if not (np.all(np.abs(out.sum(axis=1) - 1) <= 1e-6)
                 and np.all(np.abs(out.sum(axis=0) - 1) <= 1e-6)):

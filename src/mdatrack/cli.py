@@ -108,9 +108,12 @@ def build_run_config(config_path: str | None, seed: int | None) -> RunConfig:
     train = take(_TRAIN_KEYS)
     if raw:
         raise ContractError(f"unknown config keys: {sorted(raw)}")
+    if seed is None:
+        seed = train.get("seed", 0)
 
-    cfg = RunConfig(
-        scenario=ScenarioSpec(**scen),
+    return RunConfig(
+        seed=seed,
+        scenario=ScenarioSpec(**scen, seed=seed),
         gate=ConnectionGateConfig(**gate),
         provider=AffinityProviderParams(**provider),
         pipeline=PipelineConfig(
@@ -119,21 +122,7 @@ def build_run_config(config_path: str | None, seed: int | None) -> RunConfig:
             **pipe),
         learning_rate=train.get("learning_rate", 0.05),
         epochs=train.get("epochs", 50),
-        seed=train.get("seed", 0),
     )
-    if seed is not None:
-        cfg.seed = seed
-    if cfg.seed != cfg.scenario.seed:
-        cfg = RunConfig(
-            seed=cfg.seed,
-            scenario=ScenarioSpec(**{**_spec_dict(cfg.scenario), "seed": cfg.seed}),
-            gate=cfg.gate, provider=cfg.provider, pipeline=cfg.pipeline,
-            learning_rate=cfg.learning_rate, epochs=cfg.epochs)
-    return cfg
-
-
-def _spec_dict(spec: ScenarioSpec) -> dict:
-    return {f: getattr(spec, f) for f in spec.__dataclass_fields__}
 
 
 def _gt_file_to_training_input(path: str):

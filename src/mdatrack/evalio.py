@@ -4,6 +4,7 @@ synthetic scenario generator used for training and acceptance tests.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -46,11 +47,15 @@ def parse_mot_line(line: str, line_number: int) -> MotRecord:
         raise ParseError(f"expected at least 7 fields, got {len(parts)}",
                          line_number)
     try:
-        frame = int(float(parts[0]))
-        ident = int(float(parts[1]))
-        numbers = [float(p) for p in parts[2:]]
+        values = [float(p) for p in parts]
     except ValueError as exc:
         raise ParseError(f"non-numeric field ({exc})", line_number) from None
+    bad = next((i for i, v in enumerate(values) if not math.isfinite(v)), None)
+    if bad is not None:
+        raise ParseError(f"field {bad + 1} is not finite: {parts[bad]!r}",
+                         line_number)
+    frame, ident = int(values[0]), int(values[1])
+    numbers = values[2:]
     while len(numbers) < 8:
         numbers.append(-1.0)
     left, top, width, height, conf, x, y, z = numbers[:8]
@@ -308,10 +313,6 @@ class Scenario:
     gt_frames: list[list[Candidate]]          # GT boxes as candidates
     gt_frame_ids: list[list[int]]             # target id per GT candidate
     detection_frames: list[list[Candidate]]
-
-    @property
-    def frame_box(self) -> Box:
-        return (0.0, 0.0, self.spec.frame_width, self.spec.frame_height)
 
 
 def generate_scenario(spec: ScenarioSpec) -> Scenario:

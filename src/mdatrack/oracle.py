@@ -1,9 +1,10 @@
-"""Ground-truth machinery: brute-force assignment search and a
-finite-difference gradient checker.
+"""Ground-truth machinery: the dense assignment objective, brute-force
+assignment search and a finite-difference gradient checker.
 
 Everything here enumerates or probes directly and never calls into the
-solver, so it can serve as an independent oracle for solver tests.  It is
-deliberately unoptimized.
+solver, so it can serve as an independent oracle for solver tests.  It
+holds the package's only arithmetic on the dense candidate-tuple tensor,
+and it is deliberately unoptimized.
 """
 
 from __future__ import annotations
@@ -31,13 +32,19 @@ class BruteForceResult:
     all_values: list[tuple[tuple, float]] | None = None
 
 
-def _factorial(n: int) -> int:
-    return math.factorial(n)
+def assignment_objective(affinity: np.ndarray, matrices: list[np.ndarray]) -> float:
+    """Total affinity of a (soft or binary) assignment expressed on the
+    dense candidate-tuple tensor: the tensor contracted with every pair's
+    matrix, pair k on modes k and k+1."""
+    operands = [affinity, list(range(affinity.ndim))]
+    for k, m in enumerate(matrices):
+        operands += [m, [k, k + 1]]
+    return float(np.einsum(*operands, []))
 
 
 def _exact_feasible_count(sizes: tuple[int, ...]) -> int:
     n = sizes[0]
-    return _factorial(n) ** (len(sizes) - 1)
+    return math.factorial(n) ** (len(sizes) - 1)
 
 
 def _partial_matchings(n_rows: int, n_cols: int):
@@ -66,7 +73,7 @@ def _partial_matchings(n_rows: int, n_cols: int):
 def _count_partial_matchings(n_rows: int, n_cols: int) -> int:
     total = 0
     for j in range(min(n_rows, n_cols) + 1):
-        total += (math.comb(n_rows, j) * math.comb(n_cols, j) * _factorial(j))
+        total += (math.comb(n_rows, j) * math.comb(n_cols, j) * math.factorial(j))
     return total
 
 
@@ -180,16 +187,13 @@ def _brute_force_relaxed(affinity, sizes, virtual_last, guard):
 
     keep_all = feasible <= ALL_VALUES_LIMIT
     all_values: list[tuple[tuple, float]] | None = [] if keep_all else None
-    letters = "abcdefghijklmn"[:K + 1]
-    subscripts = (letters + "," +
-                  ",".join(letters[k - 1:k + 1] for k in range(1, K + 1)) + "->")
 
     best_value = -np.inf
     best_combo = None
     tie_count = 0
     for combo_idx in itertools.product(*[range(len(o)) for o in pair_options]):
         mats = [pair_options[k][combo_idx[k]] for k in range(K)]
-        value = float(np.einsum(subscripts, affinity, *mats))
+        value = assignment_objective(affinity, mats)
         if all_values is not None:
             all_values.append((combo_idx, value))
         if value > best_value:

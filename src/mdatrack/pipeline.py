@@ -36,7 +36,6 @@ from .affinity import (
 from .errors import ContractError, InternalInvariantError
 from .solver import (
     HypothesisTensor,
-    PartialNormMask,
     discretize,
     l1_normalize_forward,
     power_iteration_forward,
@@ -294,13 +293,11 @@ def track_batch(frames_store: list[list[Candidate]],
         state.skipped_windows += 1
         return state
 
-    shapes = batch.pair_shapes()
     power_state = power_iteration_forward(
         HypothesisTensor(hypotheses, bundle.values, batch.sizes),
         config.power_iterations)
-    mask = PartialNormMask.for_virtuals(shapes, [True, True], [True, True])
-    norm_state = l1_normalize_forward(power_state.matrices(), mask,
-                                      config.norm_pairs)
+    norm_state = l1_normalize_forward(power_state.matrices(), config.norm_pairs,
+                                      [True, True], [True, True])
     binary = discretize(norm_state.matrices(), [True, True], [True, True])
     x_prev, x_next = binary[0], binary[1]
     virtual_pred_slot = len(window_cands[0]) - 1

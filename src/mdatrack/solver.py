@@ -11,14 +11,18 @@ Two layers, each with a forward pass and an analytic backward pass:
   every pair at once, is a single bincount over the hypotheses' stacked
   coordinates, and
 * an alternating row/column l1 normalization that pushes the soft
-  assignment matrices toward the doubly-stochastic constraint set, with
-  optional partial masks so a virtual row/column stays unconstrained in
-  one direction.  Its history references each step's input; the backward
-  pass reads each step's output from it instead of recomputing it.
+  assignment matrices toward the doubly-stochastic constraint set; a pair
+  whose last row (column) is flagged as a virtual slot leaves that line
+  unconstrained in its own direction.  Its history references each
+  step's input; the backward pass reads each step's output from it
+  instead of recomputing it.
 
 Plus the binary cross-entropy training loss and a Hungarian-based
-discretization.  All functions are pure with respect to their inputs;
+discretization, which takes the same virtual-line flags as the
+normalization.  All functions are pure with respect to their inputs;
 history needed by the backward passes is returned inside AssignmentState.
+Nothing here builds the dense tensor: the dense assignment objective the
+checks score against lives in :mod:`mdatrack.oracle`.
 """
 
 from __future__ import annotations
@@ -38,8 +42,6 @@ from .errors import (
 DEGENERACY_FLOOR = 1e-30
 PROB_EPS = 1e-7
 
-_LETTERS = "abcdefghijklmnopqrstuvwxyz"
-
 
 @dataclass
 class NormStep:
@@ -49,35 +51,6 @@ class NormStep:
     pre: list[np.ndarray]          # matrices entering the step (the previous output)
     divisors: list[np.ndarray]     # per-line sums actually divided by (1 where skipped)
     applied: list[np.ndarray]      # bool per line: was this line normalized
-
-
-@dataclass
-class PartialNormMask:
-    """Lines exempted from one normalization direction, per pair.
-
-    ``rows_column_only[k]`` holds 0-based row indices of X^(k) that are never
-    row-normalized (they still participate in column normalization), and
-    symmetrically for ``cols_row_only``.  In tracking mode these reference
-    only the virtual candidate slot, which always sits at the last index.
-    """
-
-    rows_column_only: list[frozenset[int]]
-    cols_row_only: list[frozenset[int]]
-
-    @classmethod
-    def empty(cls, num_pairs: int) -> "PartialNormMask":
-        return cls([frozenset()] * num_pairs, [frozenset()] * num_pairs)
-
-    @classmethod
-    def for_virtuals(cls, shapes: list[tuple[int, int]],
-                     virtual_rows: list[bool],
-                     virtual_cols: list[bool]) -> "PartialNormMask":
-        rows = []
-        cols = []
-        for (n_rows, n_cols), vr, vc in zip(shapes, virtual_rows, virtual_cols):
-            rows.append(frozenset({n_rows - 1}) if vr else frozenset())
-            cols.append(frozenset({n_cols - 1}) if vc else frozenset())
-        return cls(rows, cols)
 
 
 def _pair_flat_indices(tuples: np.ndarray, sizes) -> tuple[np.ndarray, ...]:
@@ -182,7 +155,6 @@ class AssignmentState:
     slices: list[np.ndarray] | None = None          # stacked, N of them
     contraction_history: list[float] | None = None
     norm_history: list[NormStep] | None = None
-    norm_mask: PartialNormMask | None = None
     skipped_lines: list[tuple[int, str, int]] = field(default_factory=list)
 
     def matrices(self) -> list[np.ndarray]:
@@ -201,16 +173,6 @@ class AssignmentState:
     @property
     def slice_history(self) -> list[list[np.ndarray]] | None:
         return self._per_pair(self.slices)
-
-
-def assignment_objective(affinity: np.ndarray, matrices: list[np.ndarray]) -> float:
-    """Total affinity of a (soft or binary) assignment expressed on the
-    candidate-tuple tensor."""
-    K = affinity.ndim - 1
-    letters = _LETTERS[:K + 1]
-    subscripts = (letters + "," +
-                  ",".join(letters[k - 1:k + 1] for k in range(1, K + 1)) + "->")
-    return float(np.einsum(subscripts, affinity, *matrices))
 
 
 # ---------------------------------------------------------------------------
@@ -379,30 +341,45 @@ def power_iteration_backward(state: AssignmentState,
 # l1 normalization layer
 # ---------------------------------------------------------------------------
 
-def _exempt_lines(sums: np.ndarray, masked: frozenset[int]) -> np.ndarray:
-    """Lines a normalization direction never divides: the masked ones and
-    those whose sum is zero at entry."""
+def _virtual_flags(flags: list[bool] | None, K: int, what: str) -> list[bool]:
+    """One flag per pair, all False when omitted: is the last row (or
+    column) of that pair a virtual slot."""
+    if flags is None:
+        return [False] * K
+    if len(flags) != K:
+        raise ContractError(f"{what} needs {K} flags, got {len(flags)}")
+    return flags
+
+
+def _exempt_lines(sums: np.ndarray, virtual_last: bool) -> np.ndarray:
+    """Lines a normalization direction never divides: a virtual last line
+    and those whose sum is zero at entry."""
     exempt = sums == 0.0
-    exempt[list(masked)] = True
+    if virtual_last:
+        exempt[-1] = True
     return exempt
 
 
 def l1_normalize_forward(matrices: list[np.ndarray],
-                         mask: PartialNormMask,
-                         num_pairs: int) -> AssignmentState:
+                         num_pairs: int,
+                         virtual_rows: list[bool] | None = None,
+                         virtual_cols: list[bool] | None = None
+                         ) -> AssignmentState:
     """Alternating row/column l1 normalization, ``num_pairs`` (row, col)
     passes, starting with rows.
 
-    Rows listed in the mask are skipped during row normalization and
-    symmetrically for columns.  Lines that are identically zero at entry are
-    excluded from normalization throughout and reported in
-    ``skipped_lines``; a zero sum on any other unmasked line raises.  Each
-    step divides every matrix into a new one, so the history references the
+    When ``virtual_rows[k]`` is set, the last row of pair k is a virtual
+    slot that is skipped during row normalization (it still takes part in
+    column normalization), and symmetrically for ``virtual_cols``; these
+    are the flags :func:`discretize` takes.  Lines that are identically
+    zero at entry are excluded from normalization throughout and reported
+    in ``skipped_lines``; a zero sum on any other line raises.  Each step
+    divides every matrix into a new one, so the history references the
     matrices entering each step instead of copying them.
     """
     K = len(matrices)
-    if len(mask.rows_column_only) != K or len(mask.cols_row_only) != K:
-        raise ContractError("mask does not cover every pair")
+    virtual_rows = _virtual_flags(virtual_rows, K, "virtual_rows")
+    virtual_cols = _virtual_flags(virtual_cols, K, "virtual_cols")
     if num_pairs < 0:
         raise ContractError("iteration pair count must be >= 0")
     mats = []
@@ -420,8 +397,8 @@ def l1_normalize_forward(matrices: list[np.ndarray],
         row_sums, col_sums = m.sum(axis=1), m.sum(axis=0)
         skipped.extend((k, "row", int(i)) for i in np.flatnonzero(row_sums == 0.0))
         skipped.extend((k, "col", int(j)) for j in np.flatnonzero(col_sums == 0.0))
-        applied["row"].append(~_exempt_lines(row_sums, mask.rows_column_only[k]))
-        applied["col"].append(~_exempt_lines(col_sums, mask.cols_row_only[k]))
+        applied["row"].append(~_exempt_lines(row_sums, virtual_rows[k]))
+        applied["col"].append(~_exempt_lines(col_sums, virtual_cols[k]))
 
     history: list[NormStep] = []
     for _ in range(num_pairs):
@@ -445,7 +422,6 @@ def l1_normalize_forward(matrices: list[np.ndarray],
         x=[m.reshape(-1) for m in mats],
         shapes=[m.shape for m in mats],
         norm_history=history,
-        norm_mask=mask,
         skipped_lines=skipped,
     )
 
@@ -531,10 +507,8 @@ def discretize(matrices: list[np.ndarray],
     attached to the virtual row.  Virtual slots may absorb several partners.
     """
     K = len(matrices)
-    if virtual_rows is None:
-        virtual_rows = [False] * K
-    if virtual_cols is None:
-        virtual_cols = [False] * K
+    virtual_rows = _virtual_flags(virtual_rows, K, "virtual_rows")
+    virtual_cols = _virtual_flags(virtual_cols, K, "virtual_cols")
     result = []
     for k, m in enumerate(matrices):
         m = np.asarray(m, dtype=float)

@@ -23,7 +23,6 @@ from .affinity import (
 )
 from .solver import (
     HypothesisTensor,
-    PartialNormMask,
     bce_loss,
     l1_normalize_backward,
     l1_normalize_forward,
@@ -84,8 +83,7 @@ def train_window(frames: tuple[int, ...],
     power_state = power_iteration_forward(
         HypothesisTensor(hypotheses, bundle.values, batch.sizes),
         power_iterations)
-    mask = PartialNormMask.empty(batch.K)
-    norm_state = l1_normalize_forward(power_state.matrices(), mask, norm_pairs)
+    norm_state = l1_normalize_forward(power_state.matrices(), norm_pairs)
 
     predicted = norm_state.matrices()
     target = assignment_ground_truth(ids)

@@ -158,8 +158,7 @@ def _window_arrays(candidates: tuple[tuple[Candidate, ...], ...]
                         for c in flat], dtype=float).reshape(n, 2)
     boxes = np.array([c.box for c in flat], dtype=float).reshape(n, 4)
     diagonals = np.array([box_diagonal(c.box) for c in flat], dtype=float)
-    # row-wise descriptor.dot(descriptor): bit-equal to np.linalg.norm
-    norms = np.sqrt((descriptors[:, None, :] @ descriptors[:, :, None])[:, 0, 0])
+    norms = np.linalg.norm(descriptors, axis=1)
     is_virtual = np.array([c.is_virtual for c in flat], dtype=bool)
     bounds = list(accumulate((len(frame) for frame in candidates), initial=0))
     return tuple(
@@ -197,17 +196,8 @@ class AssociationBatch:
         return self.K // 2
 
     @property
-    def anchor_frame(self) -> int:
-        return self.frames[self.anchor_position]
-
-    @property
     def sizes(self) -> tuple[int, ...]:
         return tuple(len(c) for c in self.candidates)
-
-    def pair_shapes(self) -> list[tuple[int, int]]:
-        """(I_{k-1}, I_k) for each of the K frame pairs."""
-        s = self.sizes
-        return [(s[k - 1], s[k]) for k in range(1, self.K + 1)]
 
     @cached_property
     def arrays(self) -> tuple[FrameArrays, ...]:

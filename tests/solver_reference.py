@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from mdatrack.errors import ContractError, DegenerateInputError, NumericError
-from mdatrack.solver import DEGENERACY_FLOOR, HypothesisTensor, PartialNormMask
+from mdatrack.solver import DEGENERACY_FLOOR, HypothesisTensor
 
 
 @dataclass
@@ -177,11 +177,20 @@ def power_iteration_backward(state: ReferenceState,
 
 
 def l1_normalize_forward(matrices: list[np.ndarray],
-                         mask: PartialNormMask,
-                         num_pairs: int) -> ReferenceState:
+                         num_pairs: int,
+                         virtual_rows: list[bool] | None = None,
+                         virtual_cols: list[bool] | None = None
+                         ) -> ReferenceState:
     """Alternating row/column l1 normalization that copies every matrix at
-    each step and rebuilds each line's exemptions from the mask sets."""
+    each step and rebuilds each line's exemptions from index sets: the
+    flagged virtual last line plus the lines that are zero at entry."""
     mats = [np.asarray(m, dtype=float).copy() for m in matrices]
+    virtual_rows = virtual_rows or [False] * len(mats)
+    virtual_cols = virtual_cols or [False] * len(mats)
+    rows_column_only = [{m.shape[0] - 1} if v else set()
+                        for m, v in zip(mats, virtual_rows)]
+    cols_row_only = [{m.shape[1] - 1} if v else set()
+                     for m, v in zip(mats, virtual_cols)]
 
     skipped: list[tuple[int, str, int]] = []
     zero_rows: list[set[int]] = []
@@ -203,10 +212,10 @@ def l1_normalize_forward(matrices: list[np.ndarray],
             for k, m in enumerate(mats):
                 if axis == "row":
                     sums = m.sum(axis=1)
-                    exempt = mask.rows_column_only[k] | zero_rows[k]
+                    exempt = rows_column_only[k] | zero_rows[k]
                 else:
                     sums = m.sum(axis=0)
-                    exempt = mask.cols_row_only[k] | zero_cols[k]
+                    exempt = cols_row_only[k] | zero_cols[k]
                 applied = np.ones(sums.shape, dtype=bool)
                 for idx in exempt:
                     applied[idx] = False

@@ -35,12 +35,14 @@ from mdatrack.evalio import (
     generate_scenario,
     parse_mot_line,
 )
-from mdatrack.oracle import brute_force_mda, finite_diff_grad
+from mdatrack.oracle import (
+    assignment_objective,
+    brute_force_mda,
+    finite_diff_grad,
+)
 from mdatrack.pipeline import GroundTruthQuality, PipelineConfig, run_sequence
 from mdatrack.solver import (
     HypothesisTensor,
-    PartialNormMask,
-    assignment_objective,
     l1_normalize_backward,
     l1_normalize_forward,
     power_iteration_backward,
@@ -90,14 +92,13 @@ def test_gradient_suite():
 
         mats = [rng.uniform(0.1, 1.0, size=(n, n)) for _ in range(2)]
         wm = [rng.normal(size=(n, n)) for _ in range(2)]
-        mask = PartialNormMask.empty(2)
-        norm_state = l1_normalize_forward(mats, mask, pairs)
+        norm_state = l1_normalize_forward(mats, pairs)
         norm_grads = l1_normalize_backward(norm_state, wm)
         for k in range(2):
             def norm_loss(m, k=k):
                 inputs = [x.copy() for x in mats]
                 inputs[k] = m
-                s = l1_normalize_forward(inputs, mask, pairs)
+                s = l1_normalize_forward(inputs, pairs)
                 return sum(float(np.sum(a * b))
                            for a, b in zip(wm, s.matrices()))
 
@@ -166,8 +167,7 @@ def test_constraint_suite():
     for _ in range(20):
         n = int(rng.integers(2, 11))
         mat = rng.uniform(0.05, 1.0, size=(n, n))
-        out = l1_normalize_forward([mat], PartialNormMask.empty(1),
-                                   50).matrices()[0]
+        out = l1_normalize_forward([mat], 50).matrices()[0]
         worst = max(worst,
                     float(np.abs(out.sum(axis=0) - 1).max()),
                     float(np.abs(out.sum(axis=1) - 1).max()))
@@ -179,9 +179,8 @@ def test_constraint_suite():
         rows = int(rng.integers(4, 11))
         cols = int(rng.integers(2, rows))   # real columns < rows
         mat = rng.uniform(0.05, 1.0, size=(rows, cols + 1))
-        mask = PartialNormMask(rows_column_only=[frozenset()],
-                               cols_row_only=[frozenset({cols})])
-        out = l1_normalize_forward([mat], mask, 50).matrices()[0]
+        out = l1_normalize_forward([mat], 50, virtual_rows=[False],
+                                   virtual_cols=[True]).matrices()[0]
         if np.abs(out.sum(axis=1) - 1).max() > 1e-6:
             masked_ok = False
         virtual_sums.append(float(out.sum(axis=0)[cols]))

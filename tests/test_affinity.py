@@ -24,12 +24,8 @@ from mdatrack.affinity import (
 )
 from mdatrack.errors import ContractError, InputValidationError
 from mdatrack.evalio import load_mot
-from mdatrack.oracle import finite_diff_grad
-from mdatrack.solver import (
-    HypothesisTensor,
-    _pair_flat_indices,
-    assignment_objective,
-)
+from mdatrack.oracle import assignment_objective, finite_diff_grad
+from mdatrack.solver import HypothesisTensor, _pair_flat_indices
 from mdatrack.types import AssociationBatch, Candidate
 
 
@@ -544,6 +540,20 @@ class TestReshape:
         lhs = pairwise_objective(pairwise, xs)
         rhs = assignment_objective(values, [x.reshape(n, n) for x in xs])
         assert abs(lhs - rhs) <= 1e-12
+
+
+class TestConfigValidation:
+    @pytest.mark.parametrize("name", ["base_distance_factor",
+                                      "relaxation_factor"])
+    @pytest.mark.parametrize("value", [math.nan, math.inf])
+    def test_gate_rejects_non_finite_factors(self, name, value):
+        with pytest.raises(ContractError, match=name):
+            ConnectionGateConfig(**{name: value})
+
+    @pytest.mark.parametrize("value", [math.nan, math.inf, 0.0])
+    def test_provider_rejects_non_finite_position_scale(self, value):
+        with pytest.raises(ContractError, match="position_scale"):
+            AffinityProviderParams(position_scale=value)
 
 
 class TestParamsFile:

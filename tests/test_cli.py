@@ -39,6 +39,14 @@ class TestConfig:
         assert cfg.seed == 123
         assert cfg.scenario.seed == 123
 
+    def test_config_seed_reaches_scenario(self, tmp_path):
+        path = tmp_path / "run.cfg"
+        path.write_text("seed = 41\n")
+        cfg = build_run_config(str(path), None)
+        assert cfg.seed == 41
+        assert cfg.scenario.seed == 41
+        assert build_run_config(str(path), 7).scenario.seed == 7
+
 
 @pytest.fixture
 def small_cfg(tmp_path):
@@ -168,6 +176,36 @@ class TestErrors:
                      "--out", str(hyp)]) == 1
         assert not hyp.exists()
         assert "power_iterations" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("line", ["base_distance_factor = nan",
+                                      "relaxation_factor = inf",
+                                      "position_scale = nan"])
+    def test_non_finite_config_exits_before_tracking(
+            self, tmp_path, monkeypatch, capsys, line):
+        from mdatrack import cli
+
+        def no_work(*args, **kwargs):
+            raise AssertionError("work started")
+
+        monkeypatch.setattr(cli, "generate_scenario", no_work)
+        monkeypatch.setattr(cli, "run_sequence", no_work)
+        cfg = tmp_path / "bad.cfg"
+        cfg.write_text(f"frame_count = 10\ntarget_count = 5\n{line}\n")
+        hyp = tmp_path / "hyp.txt"
+        assert main(["--mode", "track", "--config", str(cfg),
+                     "--out", str(hyp)]) == 1
+        assert not hyp.exists()
+        assert line.split()[0] in capsys.readouterr().err
+
+    def test_infinite_frame_in_eval_input_is_a_validation_failure(
+            self, tmp_path, capsys):
+        gt = tmp_path / "gt.txt"
+        gt.write_text("1,1,10,20,30,40,1\n")
+        hyp = tmp_path / "hyp.txt"
+        hyp.write_text("inf,1,10,20,30,40,1\n")
+        assert main(["--mode", "eval", "--gt", str(gt),
+                     "--input", str(hyp)]) == 1
+        assert "line 1: field 1 is not finite" in capsys.readouterr().err
 
     def test_bad_input_file(self, tmp_path):
         bad = tmp_path / "bad.txt"

@@ -43,6 +43,16 @@ class TestMotFormat:
         with pytest.raises(ParseError, match="line 7"):
             parse_mot_line("1,-1,10,20,0,40,0.9", 7)
 
+    def test_infinite_frame_rejected(self):
+        with pytest.raises(ParseError, match="^line 3: field 1 is not finite"):
+            parse_mot_line("inf,-1,10,20,30,40,0.9", 3)
+
+    def test_nan_box_coordinate_rejected(self, tmp_path):
+        path = tmp_path / "nan.txt"
+        path.write_text("1,-1,10,20,30,40,0.9\n2,-1,nan,20,30,40,0.9\n")
+        with pytest.raises(ParseError, match="^line 2: field 3 is not finite"):
+            load_mot_records(path)
+
     def test_round_trip_thousand_records(self, tmp_path):
         rng = np.random.default_rng(1)
         records = [

@@ -17,11 +17,13 @@ from mdatrack.affinity import (
     generate_hypotheses,
 )
 from mdatrack.checks import tuple_tensor
-from mdatrack.oracle import brute_force_mda, finite_diff_grad
+from mdatrack.oracle import (
+    assignment_objective,
+    brute_force_mda,
+    finite_diff_grad,
+)
 from mdatrack.solver import (
     HypothesisTensor,
-    PartialNormMask,
-    assignment_objective,
     bce_loss,
     discretize,
     l1_normalize_backward,
@@ -76,8 +78,7 @@ class TestFourFrameAssociation:
         bundle = compute_affinity(batch, hyps, AffinityProviderParams())
         state = power_iteration_forward(
             HypothesisTensor(hyps, bundle.values, batch.sizes), 10)
-        norm = l1_normalize_forward(state.matrices(),
-                                    PartialNormMask.empty(3), 10)
+        norm = l1_normalize_forward(state.matrices(), 10)
         binary = discretize(norm.matrices())
         for mat in binary:
             np.testing.assert_array_equal(mat, np.eye(2))
@@ -120,14 +121,13 @@ class TestFourFrameAssociation:
             b = compute_affinity(batch, hyps, p)
             s = power_iteration_forward(
                 HypothesisTensor(hyps, b.values, batch.sizes), 3)
-            n = l1_normalize_forward(s.matrices(), PartialNormMask.empty(3), 2)
+            n = l1_normalize_forward(s.matrices(), 2)
             return bce_loss(n.matrices(), target)[0]
 
         bundle = compute_affinity(batch, hyps, params)
         state = power_iteration_forward(
             HypothesisTensor(hyps, bundle.values, batch.sizes), 3)
-        norm = l1_normalize_forward(state.matrices(),
-                                    PartialNormMask.empty(3), 2)
+        norm = l1_normalize_forward(state.matrices(), 2)
         _, d_pred = bce_loss(norm.matrices(), target)
         d_norm_in = l1_normalize_backward(norm, d_pred)
         d_values, _ = power_iteration_backward(

@@ -106,7 +106,6 @@ class TestFiniteDiff:
         from mdatrack.checks import tuple_tensor
         from mdatrack.solver import (
             HypothesisTensor,
-            PartialNormMask,
             bce_loss,
             l1_normalize_backward,
             l1_normalize_forward,
@@ -122,12 +121,11 @@ class TestFiniteDiff:
         def loss(v):
             s = power_iteration_forward(
                 HypothesisTensor(tensor.entries, v, tensor.sizes), 3)
-            n = l1_normalize_forward(s.matrices(), PartialNormMask.empty(2), 2)
+            n = l1_normalize_forward(s.matrices(), 2)
             return bce_loss(n.matrices(), target)[0]
 
         state = power_iteration_forward(tensor, 3)
-        norm = l1_normalize_forward(state.matrices(),
-                                    PartialNormMask.empty(2), 2)
+        norm = l1_normalize_forward(state.matrices(), 2)
         _, d_pred = bce_loss(norm.matrices(), target)
         d_norm_in = l1_normalize_backward(norm, d_pred)
         analytic, _ = power_iteration_backward(

@@ -25,7 +25,6 @@ from mdatrack.pipeline import (
 )
 from mdatrack.solver import (
     HypothesisTensor,
-    PartialNormMask,
     discretize,
     l1_normalize_forward,
     power_iteration_forward,
@@ -93,11 +92,8 @@ class TestResolveVirtuals:
         state = power_iteration_forward(
             HypothesisTensor(hyps, bundle.values, batch.sizes),
             config.power_iterations)
-        norm = l1_normalize_forward(
-            state.matrices(),
-            PartialNormMask.for_virtuals(batch.pair_shapes(),
-                                         [True, True], [True, True]),
-            config.norm_pairs)
+        norm = l1_normalize_forward(state.matrices(), config.norm_pairs,
+                                    [True, True], [True, True])
         binary = discretize(norm.matrices(), [True, True], [True, True])
         assert binary[1][0, 0] == 1.0        # anchor prefers the real candidate
 
@@ -442,9 +438,6 @@ class TestAlphaMonotonicity:
             gate = ConnectionGateConfig()
             hyps = generate_hypotheses(batch, gate)
             resolved = resolve_virtuals(batch, params)
-            shapes = batch.pair_shapes()
-            mask = PartialNormMask.for_virtuals(shapes, [True, True],
-                                                [True, True])
 
             def anchor_assignments(alpha):
                 bundle = compute_affinity(batch, hyps, params,
@@ -452,10 +445,11 @@ class TestAlphaMonotonicity:
                                           resolved_virtuals=resolved)
                 state = power_iteration_forward(
                     HypothesisTensor(hyps, bundle.values, batch.sizes), 10)
-                norm = l1_normalize_forward(state.matrices(), mask, 10)
+                norm = l1_normalize_forward(state.matrices(), 10,
+                                            [True, True], [True, True])
                 binary = discretize(norm.matrices(), [True, True],
                                     [True, True])
-                virtual_col = shapes[1][1] - 1
+                virtual_col = batch.sizes[2] - 1
                 return [bool(binary[1][row, virtual_col])
                         for row in range(3)]
 

@@ -11,11 +11,13 @@ from dense_reference import (
 )
 from mdatrack.checks import random_solver_instance, tuple_tensor
 from mdatrack.errors import ContractError, DegenerateInputError, NumericError
-from mdatrack.oracle import brute_force_mda, finite_diff_grad
+from mdatrack.oracle import (
+    assignment_objective,
+    brute_force_mda,
+    finite_diff_grad,
+)
 from mdatrack.solver import (
     HypothesisTensor,
-    PartialNormMask,
-    assignment_objective,
     bce_loss,
     discretize,
     l1_normalize_backward,
@@ -48,7 +50,7 @@ class TestPowerIterationForward:
         values = np.full((2, 2, 2), 0.1)
         values[0, 0, 0] = values[1, 1, 1] = 1.0
         state = power_iteration_forward(tuple_tensor(values), 20)
-        norm = l1_normalize_forward(state.matrices(), PartialNormMask.empty(2), 10)
+        norm = l1_normalize_forward(state.matrices(), 10)
         binary = discretize(norm.matrices())
         np.testing.assert_array_equal(binary[0], np.eye(2))
         np.testing.assert_array_equal(binary[1], np.eye(2))
@@ -201,18 +203,18 @@ class TestPowerIterationBackward:
 class TestL1Normalization:
     def test_doubly_stochastic_fixed_point(self):
         mat = np.array([[0.5, 0.5], [0.5, 0.5]])
-        state = l1_normalize_forward([mat], PartialNormMask.empty(1), 3)
+        state = l1_normalize_forward([mat], 3)
         np.testing.assert_allclose(state.matrices()[0], mat, atol=1e-15)
 
     def test_diagonal_row_scaling(self):
         mat = np.array([[2.0, 0.0], [0.0, 3.0]])
-        state = l1_normalize_forward([mat], PartialNormMask.empty(1), 1)
+        state = l1_normalize_forward([mat], 1)
         np.testing.assert_allclose(state.matrices()[0], np.eye(2))
 
     def test_positive_matrix_converges(self):
         rng = np.random.default_rng(10)
         mat = rng.uniform(0.1, 1.0, size=(3, 3))
-        state = l1_normalize_forward([mat], PartialNormMask.empty(1), 50)
+        state = l1_normalize_forward([mat], 50)
         out = state.matrices()[0]
         np.testing.assert_allclose(out.sum(axis=0), 1.0, atol=1e-6)
         np.testing.assert_allclose(out.sum(axis=1), 1.0, atol=1e-6)
@@ -220,9 +222,8 @@ class TestL1Normalization:
     def test_masked_virtual_column_left_unconstrained(self):
         rng = np.random.default_rng(11)
         mat = rng.uniform(0.1, 1.0, size=(8, 6))  # 5 real cols + 1 virtual
-        mask = PartialNormMask(rows_column_only=[frozenset()],
-                               cols_row_only=[frozenset({5})])
-        state = l1_normalize_forward([mat], mask, 50)
+        state = l1_normalize_forward([mat], 50, virtual_rows=[False],
+                                     virtual_cols=[True])
         out = state.matrices()[0]
         np.testing.assert_allclose(out.sum(axis=1), 1.0, atol=1e-6)
         np.testing.assert_allclose(out.sum(axis=0)[:5], 1.0, atol=1e-6)
@@ -232,9 +233,8 @@ class TestL1Normalization:
     def test_masked_virtual_row_left_unconstrained(self):
         rng = np.random.default_rng(12)
         mat = rng.uniform(0.1, 1.0, size=(6, 8))
-        mask = PartialNormMask(rows_column_only=[frozenset({5})],
-                               cols_row_only=[frozenset()])
-        state = l1_normalize_forward([mat], mask, 50)
+        state = l1_normalize_forward([mat], 50, virtual_rows=[True],
+                                     virtual_cols=[False])
         out = state.matrices()[0]
         np.testing.assert_allclose(out.sum(axis=0), 1.0, atol=1e-6)
         np.testing.assert_allclose(out.sum(axis=1)[:5], 1.0, atol=1e-6)
@@ -242,28 +242,41 @@ class TestL1Normalization:
 
     def test_zero_lines_excluded_and_reported(self):
         mat = np.array([[0.0, 0.0], [1.0, 3.0]])
-        state = l1_normalize_forward([mat], PartialNormMask.empty(1), 2)
+        state = l1_normalize_forward([mat], 2)
         assert (0, "row", 0) in state.skipped_lines
         out = state.matrices()[0]
         assert np.all(out[0] == 0.0)
 
     def test_negative_entries_rejected(self):
         with pytest.raises(ContractError):
-            l1_normalize_forward([np.array([[1.0, -0.1]])],
-                                 PartialNormMask.empty(1), 1)
+            l1_normalize_forward([np.array([[1.0, -0.1]])], 1)
+
+    @pytest.mark.parametrize("flags", [
+        {"virtual_rows": [True]}, {"virtual_cols": [True, True, True]}])
+    def test_flag_list_of_wrong_length_rejected(self, flags):
+        mats = [np.ones((2, 2)), np.ones((2, 2))]
+        with pytest.raises(ContractError, match="needs 2 flags"):
+            l1_normalize_forward(mats, 1, **flags)
+
+    def test_negative_pair_count_rejected(self):
+        with pytest.raises(ContractError, match="pair count"):
+            l1_normalize_forward([np.ones((2, 2))], -1)
+
+    def test_one_dimensional_input_rejected(self):
+        with pytest.raises(ContractError, match="pair 0 is not a matrix"):
+            l1_normalize_forward([np.ones(4)], 1)
 
 
 class TestL1NormalizationBackward:
     def test_zero_gradient_propagates_zero(self):
         rng = np.random.default_rng(13)
         mats = [rng.uniform(0.1, 1.0, size=(3, 3))]
-        state = l1_normalize_forward(mats, PartialNormMask.empty(1), 2)
+        state = l1_normalize_forward(mats, 2)
         grads = l1_normalize_backward(state, [np.zeros((3, 3))])
         assert np.all(grads[0] == 0)
 
     def test_one_by_one_matrix_is_a_constant_map(self):
-        state = l1_normalize_forward([np.array([[0.4]])],
-                                     PartialNormMask.empty(1), 2)
+        state = l1_normalize_forward([np.array([[0.4]])], 2)
         np.testing.assert_allclose(state.matrices()[0], [[1.0]])
         grads = l1_normalize_backward(state, [np.array([[5.0]])])
         np.testing.assert_allclose(grads[0], [[0.0]], atol=1e-15)
@@ -274,16 +287,15 @@ class TestL1NormalizationBackward:
         pairs = int(rng.integers(1, 4))
         mats = [rng.uniform(0.1, 1.0, size=(3, 3)) for _ in range(2)]
         w = [rng.normal(size=(3, 3)) for _ in range(2)]
-        mask = PartialNormMask.empty(2)
 
-        state = l1_normalize_forward(mats, mask, pairs)
+        state = l1_normalize_forward(mats, pairs)
         analytic = l1_normalize_backward(state, w)
 
         for k in range(2):
             def loss(m, k=k):
                 inputs = [x.copy() for x in mats]
                 inputs[k] = m
-                s = l1_normalize_forward(inputs, mask, pairs)
+                s = l1_normalize_forward(inputs, pairs)
                 return sum(float(np.sum(a * b))
                            for a, b in zip(w, s.matrices()))
 
@@ -293,14 +305,13 @@ class TestL1NormalizationBackward:
     def test_masked_lines_pass_gradient_through(self):
         rng = np.random.default_rng(20)
         mat = rng.uniform(0.1, 1.0, size=(3, 4))
-        mask = PartialNormMask(rows_column_only=[frozenset({2})],
-                               cols_row_only=[frozenset({3})])
+        flags = {"virtual_rows": [True], "virtual_cols": [True]}
         w = [rng.normal(size=(3, 4))]
-        state = l1_normalize_forward([mat], mask, 2)
+        state = l1_normalize_forward([mat], 2, **flags)
         analytic = l1_normalize_backward(state, w)
 
         def loss(m):
-            s = l1_normalize_forward([m], mask, 2)
+            s = l1_normalize_forward([m], 2, **flags)
             return float(np.sum(w[0] * s.matrices()[0]))
 
         numeric = finite_diff_grad(loss, mat)
@@ -385,6 +396,13 @@ class TestDiscretize:
         assert out[0, 0] == 1.0
         assert out[1, 1] == 1.0   # leftover real column claimed by virtual row
         assert out[1, 2] == 0.0   # virtual-virtual cell stays empty
+
+    @pytest.mark.parametrize("flags", [
+        {"virtual_rows": [True]}, {"virtual_cols": [False, True, True]}])
+    def test_flag_list_of_wrong_length_rejected(self, flags):
+        mat = np.eye(2)
+        with pytest.raises(ContractError, match="needs 2 flags"):
+            discretize([mat, mat], **flags)
 
 
 class TestObjectiveHelpers:

@@ -118,7 +118,6 @@ class TestAssociationBatch:
     def test_anchor_is_middle_frame(self):
         cands = tuple((make_candidate(frame=f),) for f in range(3))
         batch = AssociationBatch(K=2, frames=(4, 5, 6), candidates=cands)
-        assert batch.anchor_frame == 5
         assert batch.anchor_position == 1
 
     def test_frames_must_increase(self):
@@ -130,15 +129,6 @@ class TestAssociationBatch:
         cands = tuple((make_candidate(frame=f),) for f in range(2))
         with pytest.raises(ContractError):
             AssociationBatch(K=2, frames=(0, 1), candidates=cands)
-
-    def test_pair_shapes(self):
-        cands = (
-            tuple(make_candidate() for _ in range(2)),
-            tuple(make_candidate() for _ in range(3)),
-            tuple(make_candidate() for _ in range(4)),
-        )
-        batch = AssociationBatch(K=2, frames=(0, 1, 2), candidates=cands)
-        assert batch.pair_shapes() == [(2, 3), (3, 4)]
 
     def test_at_most_one_virtual_per_frame(self):
         virtual = Candidate(frame_index=0, center=None, box=(0, 0, 1, 1),
