@@ -5,7 +5,6 @@ normalization, an online tracking loop with virtual candidates, and CLEAR
 MOT evaluation."""
 
 from .affinity import (
-    AffinityParamGradient,
     AffinityProviderParams,
     AffinityTensorBundle,
     ConnectionGateConfig,
@@ -45,8 +44,9 @@ from .pipeline import (
     track_batch,
 )
 from .solver import (
-    AssignmentState,
     HypothesisTensor,
+    NormalizationState,
+    PowerIterationState,
     bce_loss,
     discretize,
     l1_normalize_backward,

@@ -16,11 +16,11 @@ precomputed descriptors and box geometry:
 * per trajectory: a constant-velocity consistency score weighted by
   size-change smoothness, with its own learnable weight.
 
-The provider returns one affinity per hypothesis, the non-zero entries of
-the solver's pairwise tensor, and records a tape sufficient to map a loss
-gradient on those values back to parameter gradients.  Every term is plain
-array code over the hypotheses (ufuncs, einsum row dots), the same
-operations its backward pass uses.
+The provider returns the solver's pairwise tensor itself: the hypotheses
+with one affinity each, its only non-zero entries.  Beside it come the
+per-hypothesis statistics that map a loss gradient on those values back to
+parameter gradients.  Every term is plain array code over the hypotheses
+(ufuncs, einsum row dots), the same operations its backward pass uses.
 """
 
 from __future__ import annotations
@@ -32,6 +32,7 @@ import numpy as np
 
 from . import kvtext
 from .errors import ContractError, InputValidationError
+from .solver import HypothesisTensor
 from .types import AssociationBatch, FrameArrays
 
 
@@ -68,7 +69,8 @@ class AffinityProviderParams:
 
     ``position_scale`` (pixels) sets both the pairwise Gaussian width and
     the velocity-consistency decay; it is kept strictly positive by
-    projection after each training step.
+    projection after each training step.  The four weights must be finite
+    and nonnegative, so the affinity stays a sum of nonnegative terms.
     """
 
     motion_weight: float = 1.0
@@ -81,8 +83,13 @@ class AffinityProviderParams:
                    "appearance_weight", "long_term_weight")
 
     def __post_init__(self):
+        # written so that NaN fails every bound
         if not 0.0 < self.position_scale < np.inf:
             raise ContractError("position_scale must be positive and finite")
+        for name in ("motion_weight", "size_weight", "appearance_weight",
+                     "long_term_weight"):
+            if not 0.0 <= getattr(self, name) < np.inf:
+                raise ContractError(f"{name} must be nonnegative and finite")
 
     def as_vector(self) -> np.ndarray:
         return np.array([getattr(self, name) for name in self.FIELD_NAMES])
@@ -92,51 +99,23 @@ class AffinityProviderParams:
         return cls(**{name: float(v) for name, v in zip(cls.FIELD_NAMES, vec)})
 
 
-@dataclass(frozen=True)
-class AffinityParamGradient:
-    """Loss gradient with one slot per learnable provider weight."""
-
-    motion_weight: float = 0.0
-    position_scale: float = 0.0
-    size_weight: float = 0.0
-    appearance_weight: float = 0.0
-    long_term_weight: float = 0.0
-
-    def as_vector(self) -> np.ndarray:
-        return np.array([getattr(self, name)
-                         for name in AffinityProviderParams.FIELD_NAMES])
-
-    @classmethod
-    def from_vector(cls, vec) -> "AffinityParamGradient":
-        return cls(**{name: float(v)
-                      for name, v in zip(AffinityProviderParams.FIELD_NAMES, vec)})
-
-
 @dataclass
-class ProviderTape:
-    """Per-hypothesis sufficient statistics for the parameter gradient."""
+class AffinityTensorBundle:
+    """The solver's tensor plus what the provider's backward pass needs.
 
-    entries: np.ndarray                   # (H, K+1) hypotheses, 0-based
+    ``tensor`` holds the hypotheses, one affinity per hypothesis and the
+    frame sizes (:class:`mdatrack.solver.HypothesisTensor`); the columns
+    below are per-hypothesis statistics in the same order.
+    """
+
+    tensor: HypothesisTensor
+    params: AffinityProviderParams
     appearance_edges: np.ndarray          # (H, K) similarity per pair
     squared_distances: np.ndarray         # (H, K) per consecutive pair
     size_sum: np.ndarray                  # (H,)
     acceleration: np.ndarray              # (H,)
     size_smoothness: np.ndarray           # (H,)
     virtual_scale: np.ndarray             # (H,) alpha ** (#virtuals)
-
-
-@dataclass
-class AffinityTensorBundle:
-    """Affinity of every hypothesis plus what its backward pass needs.
-
-    ``values[h]`` scores the tuple ``tape.entries[h]``; together with the
-    frame sizes they are the sparse pairwise tensor the solver runs on
-    (:class:`mdatrack.solver.HypothesisTensor`).
-    """
-
-    values: np.ndarray                    # (H,) affinity c >= 0
-    tape: ProviderTape
-    params: AffinityProviderParams
 
 
 def save_params(params: AffinityProviderParams, path: str | Path) -> None:
@@ -238,9 +217,10 @@ def compute_affinity(batch: AssociationBatch,
                      virtual_scale: float = 1.0,
                      resolved_virtuals: dict[int, np.ndarray] | None = None
                      ) -> AffinityTensorBundle:
-    """Score every hypothesis.
+    """Score every hypothesis into the solver's tensor.
 
-    ``hypotheses`` is the (H, K+1) index array of :func:`generate_hypotheses`.
+    ``hypotheses`` is the (H, K+1) index array of :func:`generate_hypotheses`;
+    it becomes the entries of the returned bundle's ``tensor``.
     ``resolved_virtuals`` maps a frame position to the (I_anchor, 2)
     centers its virtual resolves to, one row per anchor slot; it is
     required whenever a hypothesis contains an adjacent-frame virtual, which
@@ -263,7 +243,7 @@ def compute_affinity(batch: AssociationBatch,
 
     anchor_pos = batch.anchor_position
     anchors = arrays[anchor_pos]
-    # anchor-frame virtual slot: structural, zero affinity and zero tape row
+    # anchor-frame virtual slot: structural, zero affinity and zero statistics
     scored = np.flatnonzero(~anchors.is_virtual[hyps[:, anchor_pos]])
     rows = hyps[scored]
     owner = rows[:, anchor_pos]
@@ -331,8 +311,9 @@ def compute_affinity(batch: AssociationBatch,
         full[scored] = column
         return full
 
-    tape = ProviderTape(
-        entries=hyps,
+    return AffinityTensorBundle(
+        tensor=HypothesisTensor(hyps, per_hypothesis(affinity), batch.sizes),
+        params=params,
         appearance_edges=per_hypothesis(app_edges),
         squared_distances=per_hypothesis(sq_dists),
         size_sum=per_hypothesis(size_sum),
@@ -340,47 +321,41 @@ def compute_affinity(batch: AssociationBatch,
         size_smoothness=per_hypothesis(smooth),
         virtual_scale=per_hypothesis(scale),
     )
-    return AffinityTensorBundle(per_hypothesis(affinity), tape, params)
 
 
 def backprop_affinity(bundle: AffinityTensorBundle,
-                      d_values: np.ndarray) -> AffinityParamGradient:
+                      d_values: np.ndarray) -> np.ndarray:
     """Map a loss gradient on the hypothesis values to parameter gradients.
 
     ``d_values`` holds one entry per hypothesis, in the order of
-    ``bundle.values`` (the value gradient
+    ``bundle.tensor.values`` (the value gradient
     :func:`mdatrack.solver.power_iteration_backward` returns), and is pushed
-    through the provider's tape.  Parameters not touched by any hypothesis
-    get zero gradient.
+    through the bundle's per-hypothesis statistics.  Returns the (5,)
+    gradient in :attr:`AffinityProviderParams.FIELD_NAMES` order.
     """
     incoming = np.asarray(d_values, dtype=float)
-    if incoming.shape != bundle.values.shape:
+    values = bundle.tensor.values
+    if incoming.shape != values.shape:
         raise ContractError(
             f"gradient shape {incoming.shape} does not match the "
-            f"{len(bundle.values)} hypothesis values")
-    tape = bundle.tape
+            f"{len(values)} hypothesis values")
     params = bundle.params
     sigma = params.position_scale
 
-    if len(tape.entries) == 0:
-        return AffinityParamGradient()
-
-    gauss = np.exp(-tape.squared_distances / (2.0 * sigma * sigma))
-    app_gauss = tape.appearance_edges * gauss
-    long_term = np.exp(-tape.acceleration / sigma) * tape.size_smoothness
-    scaled = incoming * tape.virtual_scale
+    gauss = np.exp(-bundle.squared_distances / (2.0 * sigma * sigma))
+    app_gauss = bundle.appearance_edges * gauss
+    long_term = np.exp(-bundle.acceleration / sigma) * bundle.size_smoothness
+    scaled = incoming * bundle.virtual_scale
 
     d_motion = float(np.sum(scaled * gauss.sum(axis=1)))
-    d_size = float(np.sum(scaled * tape.size_sum))
+    d_size = float(np.sum(scaled * bundle.size_sum))
     d_appearance = float(np.sum(scaled * app_gauss.sum(axis=1)))
     d_long = float(np.sum(scaled * long_term))
     # both Gaussian-attenuated terms contribute d(exp(-d2/2s^2))/ds
     d_sigma = float(np.sum(scaled * (
         np.sum((params.motion_weight + params.appearance_weight
-                * tape.appearance_edges)
-               * gauss * tape.squared_distances, axis=1) / sigma ** 3
-        + params.long_term_weight * long_term * tape.acceleration / sigma ** 2)))
+                * bundle.appearance_edges)
+               * gauss * bundle.squared_distances, axis=1) / sigma ** 3
+        + params.long_term_weight * long_term * bundle.acceleration / sigma ** 2)))
 
-    return AffinityParamGradient(
-        motion_weight=d_motion, position_scale=d_sigma, size_weight=d_size,
-        appearance_weight=d_appearance, long_term_weight=d_long)
+    return np.array([d_motion, d_sigma, d_size, d_appearance, d_long])

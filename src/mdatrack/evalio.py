@@ -298,10 +298,25 @@ class ScenarioSpec:
     descriptor_noise: float = 0.05
 
     def __post_init__(self):
+        # written so that NaN fails every bound
         if not 0.0 <= self.miss_probability <= 1.0:
             raise ContractError("miss_probability must be in [0, 1]")
-        if self.noise_sigma < 0 or self.false_positive_rate < 0:
-            raise ContractError("noise parameters must be nonnegative")
+        for name in ("noise_sigma", "false_positive_rate", "descriptor_noise"):
+            if not 0.0 <= getattr(self, name) < math.inf:
+                raise ContractError(f"{name} must be finite and >= 0")
+        low, high = self.velocity_range
+        if not -math.inf < low <= high < math.inf:
+            raise ContractError(
+                "velocity_range (velocity_min, velocity_max) must be finite "
+                f"with low <= high, got {self.velocity_range}")
+        low, high = self.box_size_range
+        if not 0.0 < low <= high < math.inf:
+            raise ContractError(
+                "box_size_range (box_min, box_max) must be finite with "
+                f"0 < low <= high, got {self.box_size_range}")
+        for name in ("frame_width", "frame_height"):
+            if not 0.0 < getattr(self, name) < math.inf:
+                raise ContractError(f"{name} must be finite and > 0")
 
 
 @dataclass

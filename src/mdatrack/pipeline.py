@@ -35,7 +35,6 @@ from .affinity import (
 )
 from .errors import ContractError, InternalInvariantError
 from .solver import (
-    HypothesisTensor,
     discretize,
     l1_normalize_forward,
     power_iteration_forward,
@@ -56,6 +55,11 @@ ACTIVE = "active"
 COASTING = "coasting"
 EXITED = "exited"
 
+#: A box whose estimated quality is at or below this starts no track, and a
+#: partner detection below it that disagrees with the prediction is replaced
+#: by the prediction.
+QUALITY_THRESHOLD = 0.5
+
 
 @dataclass(frozen=True)
 class PipelineConfig:
@@ -65,7 +69,6 @@ class PipelineConfig:
     alpha: float = 0.8
     t_dif: float = 0.5
     t_exit: float = 0.3
-    quality_threshold: float = 0.5
     max_coast_frames: int = 10
     frame_width: float = 640.0
     frame_height: float = 480.0
@@ -262,7 +265,7 @@ def track_batch(frames_store: list[list[Candidate]],
     window_cands = tuple(
         tuple(frames_store[f]) + (_make_virtual_placeholder(f),)
         for f in (f0, f1, f2))
-    batch = AssociationBatch(K=2, frames=(f0, f1, f2), candidates=window_cands)
+    batch = AssociationBatch(frames=(f0, f1, f2), candidates=window_cands)
     anchor_list = window_cands[1]
     real_anchor_slots = [i for i, c in enumerate(anchor_list) if not c.is_virtual]
     if not real_anchor_slots:
@@ -289,13 +292,11 @@ def track_batch(frames_store: list[list[Candidate]],
     bundle = compute_affinity(batch, hypotheses, params,
                               virtual_scale=config.alpha,
                               resolved_virtuals=resolved)
-    if bundle.values.max() <= 0.0:
+    if bundle.tensor.values.max() <= 0.0:
         state.skipped_windows += 1
         return state
 
-    power_state = power_iteration_forward(
-        HypothesisTensor(hypotheses, bundle.values, batch.sizes),
-        config.power_iterations)
+    power_state = power_iteration_forward(bundle.tensor, config.power_iterations)
     norm_state = l1_normalize_forward(power_state.matrices(), config.norm_pairs,
                                       [True, True], [True, True])
     binary = discretize(norm_state.matrices(), [True, True], [True, True])
@@ -320,7 +321,7 @@ def track_batch(frames_store: list[list[Candidate]],
                      else virtual_next_slot)
 
         if track_id is None:
-            if quality.evaluate(anchor) <= config.quality_threshold:
+            if quality.evaluate(anchor) <= QUALITY_THRESHOLD:
                 continue
             track = TrackRecord(
                 id=state.next_id,
@@ -349,7 +350,7 @@ def track_batch(frames_store: list[list[Candidate]],
             claimed_next.add(next_slot)
             partner = window_cands[2][next_slot]
             if (box_iou(prediction, partner.box) < config.t_dif
-                    and quality.evaluate(partner) < config.quality_threshold):
+                    and quality.evaluate(partner) < QUALITY_THRESHOLD):
                 # detection disagrees with the prediction and looks bad:
                 # keep the predicted box, reuse the stored appearance
                 track.boxes[f2] = prediction
@@ -406,7 +407,7 @@ def run_sequence(detection_frames: list[list[Candidate]],
     and return every trajectory (exited ones included)."""
     frames_store = [list(frame) for frame in detection_frames]
     state = TrackState()
-    windows = batch_windows(len(frames_store), K=2, overlap=2)
+    windows = batch_windows(len(frames_store))
     for index, window in enumerate(windows):
         track_batch(frames_store, window, gate, params, config, quality,
                     state, is_first_window=(index == 0))

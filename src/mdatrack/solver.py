@@ -19,8 +19,10 @@ Two layers, each with a forward pass and an analytic backward pass:
 
 Plus the binary cross-entropy training loss and a Hungarian-based
 discretization, which takes the same virtual-line flags as the
-normalization.  All functions are pure with respect to their inputs;
-history needed by the backward passes is returned inside AssignmentState.
+normalization.  All functions are pure with respect to their inputs.  Each
+forward pass returns its own state, :class:`PowerIterationState` or
+:class:`NormalizationState`, which holds the history its backward pass
+reads.
 Nothing here builds the dense tensor: the dense assignment objective the
 checks score against lives in :mod:`mdatrack.oracle`.
 """
@@ -140,39 +142,47 @@ class HypothesisTensor:
 
 
 @dataclass
-class AssignmentState:
-    """Per-pair soft assignments plus the history the backward passes need.
+class PowerIterationState:
+    """The power iteration's run on ``tensor``, as its backward pass needs it.
 
-    The power iteration records its iterates and slices as stacked vectors,
-    every pair's vector end to end; ``x``, ``iterate_history`` and
-    ``slice_history`` are per-pair views into them.
+    Iterates and slices are stacked vectors, every pair's vector end to end
+    at ``tensor.offsets``; ``x``, ``iterate_history`` and ``slice_history``
+    are per-pair views into them.
     """
 
-    x: list[np.ndarray]
-    shapes: list[tuple[int, int]]
-    tensor: HypothesisTensor | None = None
-    iterates: list[np.ndarray] | None = None        # stacked, N+1 of them
-    slices: list[np.ndarray] | None = None          # stacked, N of them
-    contraction_history: list[float] | None = None
-    norm_history: list[NormStep] | None = None
-    skipped_lines: list[tuple[int, str, int]] = field(default_factory=list)
+    tensor: HypothesisTensor
+    iterates: list[np.ndarray]              # stacked, N+1 of them
+    slices: list[np.ndarray]                # stacked, N of them
+    contraction_history: list[float]
+
+    @property
+    def x(self) -> list[np.ndarray]:
+        return _segments(self.iterates[-1], self.tensor.offsets)
 
     def matrices(self) -> list[np.ndarray]:
-        return [v.reshape(shape) for v, shape in zip(self.x, self.shapes)]
-
-    def _per_pair(self, stacked: list[np.ndarray] | None):
-        if stacked is None:
-            return None
-        offsets = _offsets(r * c for r, c in self.shapes)
-        return [_segments(v, offsets) for v in stacked]
+        return [v.reshape(shape)
+                for v, shape in zip(self.x, self.tensor.pair_shapes)]
 
     @property
-    def iterate_history(self) -> list[list[np.ndarray]] | None:
-        return self._per_pair(self.iterates)
+    def iterate_history(self) -> list[list[np.ndarray]]:
+        return [_segments(v, self.tensor.offsets) for v in self.iterates]
 
     @property
-    def slice_history(self) -> list[list[np.ndarray]] | None:
-        return self._per_pair(self.slices)
+    def slice_history(self) -> list[list[np.ndarray]]:
+        return [_segments(v, self.tensor.offsets) for v in self.slices]
+
+
+@dataclass
+class NormalizationState:
+    """The normalized matrices plus the step history their backward pass
+    reads, and the lines left out because they were zero at entry."""
+
+    final: list[np.ndarray]
+    norm_history: list[NormStep]
+    skipped_lines: list[tuple[int, str, int]]
+
+    def matrices(self) -> list[np.ndarray]:
+        return list(self.final)
 
 
 # ---------------------------------------------------------------------------
@@ -201,7 +211,8 @@ def _stacked(vectors: list[np.ndarray], dims, what: str) -> np.ndarray:
 
 def power_iteration_forward(tensor: HypothesisTensor,
                             num_iterations: int,
-                            x0: list[np.ndarray] | None = None) -> AssignmentState:
+                            x0: list[np.ndarray] | None = None
+                            ) -> PowerIterationState:
     """Run the rank-1 power iteration on the pairwise affinity tensor.
 
     Every assignment vector starts at all-ones (or at ``x0``).  One iteration
@@ -256,14 +267,7 @@ def power_iteration_forward(tensor: HypothesisTensor,
         contraction_history.append(norm_const)
         all_slices.append(slices)
 
-    return AssignmentState(
-        x=_segments(x, offsets),
-        shapes=tensor.pair_shapes,
-        tensor=tensor,
-        iterates=iterates,
-        slices=all_slices,
-        contraction_history=contraction_history,
-    )
+    return PowerIterationState(tensor, iterates, all_slices, contraction_history)
 
 
 def _cross_term(tensor: HypothesisTensor, gathered: np.ndarray,
@@ -278,7 +282,7 @@ def _cross_term(tensor: HypothesisTensor, gathered: np.ndarray,
     return np.bincount(tensor.index, weights, minlength=tensor.offsets[-1])
 
 
-def power_iteration_backward(state: AssignmentState,
+def power_iteration_backward(state: PowerIterationState,
                              d_x_final: list[np.ndarray]
                              ) -> tuple[np.ndarray, list[np.ndarray]]:
     """Backward pass of the power iteration layer.
@@ -298,9 +302,6 @@ def power_iteration_backward(state: AssignmentState,
     gradient of the hypothesis values and the gradient at the initial
     vectors.
     """
-    if (state.iterates is None or state.contraction_history is None
-            or state.slices is None or state.tensor is None):
-        raise ContractError("state is missing power-iteration history")
     tensor = state.tensor
     offsets = tensor.offsets
     K, H = len(tensor.shape), len(tensor.values)
@@ -364,7 +365,7 @@ def l1_normalize_forward(matrices: list[np.ndarray],
                          num_pairs: int,
                          virtual_rows: list[bool] | None = None,
                          virtual_cols: list[bool] | None = None
-                         ) -> AssignmentState:
+                         ) -> NormalizationState:
     """Alternating row/column l1 normalization, ``num_pairs`` (row, col)
     passes, starting with rows.
 
@@ -418,15 +419,10 @@ def l1_normalize_forward(matrices: list[np.ndarray],
                     for m, div in zip(pre, divisors)]
             history.append(NormStep(axis, pre, divisors, applied[axis]))
 
-    return AssignmentState(
-        x=[m.reshape(-1) for m in mats],
-        shapes=[m.shape for m in mats],
-        norm_history=history,
-        skipped_lines=skipped,
-    )
+    return NormalizationState(mats, history, skipped)
 
 
-def l1_normalize_backward(state: AssignmentState,
+def l1_normalize_backward(state: NormalizationState,
                           d_x_final: list[np.ndarray]) -> list[np.ndarray]:
     """Backward pass of the normalization layer.
 
@@ -437,21 +433,20 @@ def l1_normalize_backward(state: AssignmentState,
     unchanged.  Each step's output u is read from the history (the next
     step's input, or the final matrices), never recomputed.
     """
-    if state.norm_history is None:
-        raise ContractError("state is missing normalization history")
-    K = len(state.shapes)
+    final = state.final
+    K = len(final)
     if len(d_x_final) != K:
         raise ContractError(f"need {K} gradients, got {len(d_x_final)}")
     g = []
     for k in range(K):
         gk = np.asarray(d_x_final[k], dtype=float)
-        if gk.shape != state.shapes[k]:
+        if gk.shape != final[k].shape:
             raise ContractError(
-                f"gradient {k} has shape {gk.shape}, expected {state.shapes[k]}")
+                f"gradient {k} has shape {gk.shape}, expected {final[k].shape}")
         g.append(gk)
 
     history = state.norm_history
-    outputs = [step.pre for step in history[1:]] + [state.matrices()]
+    outputs = [step.pre for step in history[1:]] + [final]
     for step, post in zip(reversed(history), reversed(outputs)):
         line_axis = 1 if step.axis == "row" else 0
         for k in range(K):

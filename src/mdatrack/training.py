@@ -22,7 +22,6 @@ from .affinity import (
     generate_hypotheses,
 )
 from .solver import (
-    HypothesisTensor,
     bce_loss,
     l1_normalize_backward,
     l1_normalize_forward,
@@ -39,15 +38,8 @@ POSITION_SCALE_FLOOR = 1e-3
 def assignment_ground_truth(ids_per_frame: list[list[int]]) -> list[np.ndarray]:
     """Binary per-pair matrices: entry (i, j) is 1 when the candidates share
     a target id."""
-    matrices = []
-    for prev_ids, next_ids in zip(ids_per_frame, ids_per_frame[1:]):
-        mat = np.zeros((len(prev_ids), len(next_ids)))
-        for i, a in enumerate(prev_ids):
-            for j, b in enumerate(next_ids):
-                if a == b:
-                    mat[i, j] = 1.0
-        matrices.append(mat)
-    return matrices
+    return [np.equal.outer(prev_ids, next_ids).astype(float)
+            for prev_ids, next_ids in zip(ids_per_frame, ids_per_frame[1:])]
 
 
 def project_param_vector(vec: np.ndarray) -> np.ndarray:
@@ -70,19 +62,16 @@ def train_window(frames: tuple[int, ...],
                  ) -> tuple[AffinityProviderParams, float] | None:
     """One training step on one window; None when the window is degenerate
     (no hypotheses or zero affinity mass)."""
-    batch = AssociationBatch(
-        K=len(frames) - 1, frames=tuple(frames),
-        candidates=tuple(tuple(c) for c in candidates))
+    batch = AssociationBatch(frames=tuple(frames),
+                             candidates=tuple(tuple(c) for c in candidates))
     hypotheses = generate_hypotheses(batch, gate)
     if len(hypotheses) == 0:
         return None
     bundle = compute_affinity(batch, hypotheses, params)
-    if bundle.values.max() <= 0.0:
+    if bundle.tensor.values.max() <= 0.0:
         return None
 
-    power_state = power_iteration_forward(
-        HypothesisTensor(hypotheses, bundle.values, batch.sizes),
-        power_iterations)
+    power_state = power_iteration_forward(bundle.tensor, power_iterations)
     norm_state = l1_normalize_forward(power_state.matrices(), norm_pairs)
 
     predicted = norm_state.matrices()
@@ -94,8 +83,7 @@ def train_window(frames: tuple[int, ...],
         power_state, [g.reshape(-1) for g in d_norm_in])
     grads = backprop_affinity(bundle, d_values)
 
-    new_vector = project_param_vector(
-        params.as_vector() - learning_rate * grads.as_vector())
+    new_vector = project_param_vector(params.as_vector() - learning_rate * grads)
     return AffinityProviderParams.from_vector(new_vector), loss
 
 
@@ -110,7 +98,7 @@ def train_provider(gt_frames: list[list[Candidate]],
                    ) -> tuple[AffinityProviderParams, list[float]]:
     """Train over sliding windows of the ground truth; returns the trained
     parameters and the per-epoch mean loss curve."""
-    windows = batch_windows(len(gt_frames), K=2, overlap=2)
+    windows = batch_windows(len(gt_frames))
     losses: list[float] = []
     skipped = 0
     for _ in range(epochs):

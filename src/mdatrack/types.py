@@ -171,24 +171,27 @@ def _window_arrays(candidates: tuple[tuple[Candidate, ...], ...]
 class AssociationBatch:
     """A window of K+1 frames processed as one solver instance."""
 
-    K: int
     frames: tuple[int, ...]
     candidates: tuple[tuple[Candidate, ...], ...]
 
     def __post_init__(self):
-        if self.K < 2:
-            raise RangeError(f"K must be >= 2, got {self.K}")
-        if len(self.frames) != self.K + 1:
-            raise ContractError(
-                f"expected {self.K + 1} frames, got {len(self.frames)}")
+        if len(self.frames) < 3:
+            raise RangeError(f"a window needs at least 3 frames, got {self.frames}")
         if any(b <= a for a, b in zip(self.frames, self.frames[1:])):
             raise ContractError(f"frames must be strictly increasing: {self.frames}")
-        if len(self.candidates) != self.K + 1:
-            raise ContractError("one candidate list per frame required")
+        if len(self.candidates) != len(self.frames):
+            raise ContractError(
+                f"one candidate list per frame required: {len(self.frames)} "
+                f"frames, {len(self.candidates)} lists")
         for pos, frame_cands in enumerate(self.candidates):
             if sum(1 for c in frame_cands if c.is_virtual) > 1:
                 raise ContractError(
                     f"frame position {pos} holds more than one virtual candidate")
+
+    @property
+    def K(self) -> int:
+        """Frame pairs in the window."""
+        return len(self.frames) - 1
 
     @property
     def anchor_position(self) -> int:
@@ -210,26 +213,14 @@ class AssociationBatch:
 # Operations
 # ---------------------------------------------------------------------------
 
-def batch_windows(frame_count: int, K: int = 2, overlap: int = 2) -> list[list[int]]:
-    """Sliding association windows of K+1 frames sharing ``overlap`` frames.
-
-    With the default (K=2, overlap=2) consecutive windows advance one frame:
-    [0,1,2], [1,2,3], ...  A sequence shorter than one window yields an empty
-    schedule with a warning.
+def batch_windows(frame_count: int) -> list[list[int]]:
+    """Sliding three-frame association windows, advancing one frame each:
+    [0,1,2], [1,2,3], ...  A sequence shorter than one window yields an
+    empty schedule with a warning.
     """
-    if K < 1:
-        raise RangeError(f"K must be >= 1, got {K}")
-    if not 0 <= overlap <= K:
-        raise RangeError(f"overlap must be in 0..K, got {overlap}")
-    if frame_count < K + 1:
+    if frame_count < 3:
         warnings.warn(
             f"sequence of {frame_count} frames is shorter than one window "
-            f"of {K + 1}; empty schedule", stacklevel=2)
+            "of 3; empty schedule", stacklevel=2)
         return []
-    step = (K + 1) - overlap
-    windows = []
-    start = 0
-    while start + K <= frame_count - 1:
-        windows.append(list(range(start, start + K + 1)))
-        start += step
-    return windows
+    return [[start, start + 1, start + 2] for start in range(frame_count - 2)]

@@ -25,7 +25,7 @@ from mdatrack.affinity import (
 from mdatrack.errors import ContractError, InputValidationError
 from mdatrack.evalio import load_mot
 from mdatrack.oracle import assignment_objective, finite_diff_grad
-from mdatrack.solver import HypothesisTensor, _pair_flat_indices
+from mdatrack.solver import _pair_flat_indices
 from mdatrack.types import AssociationBatch, Candidate
 
 
@@ -40,8 +40,7 @@ def cand(frame, cx, cy, w=20.0, h=20.0, appearance=None, virtual=False,
 
 
 def make_batch(per_frame):
-    return AssociationBatch(K=len(per_frame) - 1,
-                            frames=tuple(range(len(per_frame))),
+    return AssociationBatch(frames=tuple(range(len(per_frame))),
                             candidates=tuple(tuple(f) for f in per_frame))
 
 
@@ -307,7 +306,7 @@ class TestDescriptorSimilarity:
         batch = make_batch(frames)
         bundle = compute_affinity(batch, generate_hypotheses(
             batch, ConnectionGateConfig()), AffinityProviderParams())
-        assert bundle.tape.appearance_edges.tolist() == [[0.5, 0.5]]
+        assert bundle.appearance_edges.tolist() == [[0.5, 0.5]]
 
 
 class TestComputeAffinity:
@@ -319,7 +318,7 @@ class TestComputeAffinity:
         params = AffinityProviderParams()
         bundle = compute_affinity(batch, generate_hypotheses(
             batch, ConnectionGateConfig()), params)
-        (best,) = bundle.values
+        (best,) = bundle.tensor.values
 
         rng = np.random.default_rng(23)
         for _ in range(30):
@@ -328,7 +327,7 @@ class TestComputeAffinity:
                              appearance=rng.normal(size=8))] for f in range(3)]
             b2 = make_batch(shifted)
             (v,) = compute_affinity(b2, generate_hypotheses(
-                b2, ConnectionGateConfig()), params).values
+                b2, ConnectionGateConfig()), params).tensor.values
             assert v <= best + 1e-12
 
     def test_values_zero_outside_hypothesis_set(self):
@@ -337,14 +336,28 @@ class TestComputeAffinity:
         batch = make_batch(frames)
         hyps = generate_hypotheses(batch, ConnectionGateConfig(max_relaxations=0))
         bundle = compute_affinity(batch, hyps, AffinityProviderParams())
-        assert bundle.values.shape == (len(hyps),)
-        assert np.all(bundle.values >= 0.0)
+        assert bundle.tensor.values.shape == (len(hyps),)
+        assert np.all(bundle.tensor.values >= 0.0)
         # the solver's tensor is non-zero only at the hypotheses
-        dense = pairwise_tensor(
-            HypothesisTensor(hyps, bundle.values, batch.sizes))
+        dense = pairwise_tensor(bundle.tensor)
         outside = np.ones(dense.shape, dtype=bool)
         outside[_pair_flat_indices(hyps, batch.sizes)] = False
         assert np.all(dense[outside] == 0.0)
+
+    def test_tensor_holds_the_hypotheses(self):
+        # the provider hands the solver its tensor: the generated tuples,
+        # the window's frame sizes and one value per hypothesis
+        frames = [[cand(f, 50.0 + f, 50.0), cand(f, 60.0, 52.0 + f),
+                   cand(f, 0, 0, virtual=True)] for f in range(3)]
+        batch = make_batch(frames)
+        hyps = generate_hypotheses(batch, ConnectionGateConfig())
+        resolved = {pos: np.array([[51.0, 50.0], [60.0, 53.0], [np.nan] * 2])
+                    for pos in (0, 2)}
+        tensor = compute_affinity(batch, hyps, AffinityProviderParams(),
+                                  resolved_virtuals=resolved).tensor
+        assert np.array_equal(tensor.entries, hyps)
+        assert tensor.sizes == batch.sizes
+        assert tensor.values.shape == (len(hyps),)
 
     def test_empty_hypotheses_rejected(self):
         frames = [[cand(f, 50.0, 50.0)] for f in range(3)]
@@ -376,13 +389,13 @@ class TestComputeAffinity:
                 position_scale=base.position_scale,
                 size_weight=base.size_weight,
                 long_term_weight=base.long_term_weight)
-            (value,) = compute_affinity(batch, hyps, p).values
+            (value,) = compute_affinity(batch, hyps, p).tensor.values
             return value
 
         numeric = finite_diff_grad(c_of_aw, np.array([base.appearance_weight]))
         bundle = compute_affinity(batch, hyps, base)
-        grads = backprop_affinity(bundle, np.array([1.0]))
-        assert abs(grads.appearance_weight - numeric[0]) <= 1e-5 * abs(numeric[0])
+        _, _, _, d_appearance, _ = backprop_affinity(bundle, np.array([1.0]))
+        assert abs(d_appearance - numeric[0]) <= 1e-5 * abs(numeric[0])
 
 
     def test_random_windows_match_the_scalar_restatement(self):
@@ -406,7 +419,7 @@ class TestComputeAffinity:
                                       resolved_virtuals=resolved)
             expected = [affinity_oracle(frames, row, params, 0.8, resolved)
                         for row in hyps.tolist()]
-            np.testing.assert_allclose(bundle.values, expected,
+            np.testing.assert_allclose(bundle.tensor.values, expected,
                                        rtol=1e-12, atol=0)
 
     def test_missing_resolution_rejected(self):
@@ -427,8 +440,8 @@ class TestBackpropAffinity:
         batch = make_batch(frames)
         bundle = compute_affinity(batch, generate_hypotheses(
             batch, ConnectionGateConfig()), AffinityProviderParams())
-        grads = backprop_affinity(bundle, np.zeros_like(bundle.values))
-        assert np.all(grads.as_vector() == 0.0)
+        grads = backprop_affinity(bundle, np.zeros_like(bundle.tensor.values))
+        assert np.all(grads == 0.0)
 
     def test_single_hypothesis_closed_form(self):
         # one hypothesis: the parameter gradient is the analytic derivative
@@ -442,20 +455,21 @@ class TestBackpropAffinity:
         params = AffinityProviderParams(position_scale=25.0)
         bundle = compute_affinity(batch, hyps, params)
 
-        grads = backprop_affinity(bundle, np.array([1.0]))
+        d_motion, d_sigma, d_size, d_appearance, d_long = backprop_affinity(
+            bundle, np.array([1.0]))
 
         # hand derivative: same appearance (sim 1 per edge), equal boxes
         # (size sim 1), distance 4 per edge, zero acceleration
         sigma = 25.0
         gauss = math.exp(-16.0 / (2 * sigma * sigma))
-        assert grads.appearance_weight == pytest.approx(2 * gauss)
-        assert grads.size_weight == pytest.approx(2.0)
-        assert grads.motion_weight == pytest.approx(2 * gauss)
-        assert grads.long_term_weight == pytest.approx(1.0)
+        assert d_appearance == pytest.approx(2 * gauss)
+        assert d_size == pytest.approx(2.0)
+        assert d_motion == pytest.approx(2 * gauss)
+        assert d_long == pytest.approx(1.0)
         expected_sigma = ((params.motion_weight + params.appearance_weight)
                           * 2 * gauss * 16.0 / sigma ** 3
                           + params.long_term_weight * 1.0 * 0.0 / sigma ** 2)
-        assert grads.position_scale == pytest.approx(expected_sigma)
+        assert d_sigma == pytest.approx(expected_sigma)
 
     @pytest.mark.parametrize("seed", range(6))
     def test_full_chain_matches_finite_differences(self, seed):
@@ -475,12 +489,12 @@ class TestBackpropAffinity:
         w_at = w[_pair_flat_indices(hyps, batch.sizes)]
 
         bundle = compute_affinity(batch, hyps, params)
-        grads = backprop_affinity(bundle, w_at).as_vector()
+        grads = backprop_affinity(bundle, w_at)
 
         def loss(vec):
             p = AffinityProviderParams.from_vector(vec)
             b = compute_affinity(batch, hyps, p)
-            return float(w_at @ b.values)
+            return float(w_at @ b.tensor.values)
 
         numeric = finite_diff_grad(loss, params.as_vector())
         assert np.all(np.abs(grads - numeric) <= 1e-8 + 1e-5 * np.abs(numeric))
@@ -554,6 +568,14 @@ class TestConfigValidation:
     def test_provider_rejects_non_finite_position_scale(self, value):
         with pytest.raises(ContractError, match="position_scale"):
             AffinityProviderParams(position_scale=value)
+
+    @pytest.mark.parametrize("name", ["motion_weight", "size_weight",
+                                      "appearance_weight", "long_term_weight"])
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -0.5])
+    def test_provider_rejects_bad_weights(self, name, value):
+        with pytest.raises(ContractError, match=name):
+            AffinityProviderParams(**{name: value})
+        assert getattr(AffinityProviderParams(**{name: 0.0}), name) == 0.0
 
 
 class TestParamsFile:

@@ -179,7 +179,14 @@ class TestErrors:
 
     @pytest.mark.parametrize("line", ["base_distance_factor = nan",
                                       "relaxation_factor = inf",
-                                      "position_scale = nan"])
+                                      "position_scale = nan",
+                                      "motion_weight = nan",
+                                      "noise_sigma = nan",
+                                      "false_positive_rate = inf",
+                                      "descriptor_noise = nan",
+                                      "velocity_min = nan",
+                                      "box_max = inf",
+                                      "frame_width = inf"])
     def test_non_finite_config_exits_before_tracking(
             self, tmp_path, monkeypatch, capsys, line):
         from mdatrack import cli
@@ -195,7 +202,9 @@ class TestErrors:
         assert main(["--mode", "track", "--config", str(cfg),
                      "--out", str(hyp)]) == 1
         assert not hyp.exists()
-        assert line.split()[0] in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert err.startswith("error:")
+        assert line.split()[0] in err
 
     def test_infinite_frame_in_eval_input_is_a_validation_failure(
             self, tmp_path, capsys):

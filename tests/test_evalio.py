@@ -1,5 +1,7 @@
 """MOT format round-trips, CLEAR MOT metrics, and scenario generation."""
 
+import math
+
 import numpy as np
 import pytest
 
@@ -215,3 +217,25 @@ class TestGenerateScenario:
     def test_invalid_probability_rejected(self):
         with pytest.raises(ContractError):
             ScenarioSpec(miss_probability=1.5)
+
+    @pytest.mark.parametrize("field, value", [
+        ("noise_sigma", math.nan), ("noise_sigma", -1.0),
+        ("noise_sigma", math.inf),
+        ("false_positive_rate", math.inf), ("false_positive_rate", math.nan),
+        ("descriptor_noise", math.nan), ("descriptor_noise", -0.1),
+        ("velocity_range", (math.nan, 4.0)), ("velocity_range", (1.0, math.inf)),
+        ("velocity_range", (5.0, 4.0)),
+        ("box_size_range", (0.0, 40.0)), ("box_size_range", (24.0, math.nan)),
+        ("box_size_range", (40.0, 24.0)),
+        ("frame_width", math.inf), ("frame_width", math.nan),
+        ("frame_height", 0.0),
+    ])
+    def test_invalid_numbers_rejected(self, field, value):
+        with pytest.raises(ContractError, match=field):
+            ScenarioSpec(**{field: value})
+
+    def test_boundary_numbers_accepted(self):
+        spec = ScenarioSpec(noise_sigma=0.0, false_positive_rate=0.0,
+                            descriptor_noise=0.0, velocity_range=(-2.0, -2.0),
+                            box_size_range=(30.0, 30.0))
+        assert spec.velocity_range == (-2.0, -2.0)

@@ -61,8 +61,7 @@ class TestFourFrameAssociation:
                 cand(f, 100.0 + 4.0 * f, 100.0, appearance=descriptors[0]),
                 cand(f, 260.0 - 4.0 * f, 240.0, appearance=descriptors[1]),
             ))
-        return AssociationBatch(K=3, frames=(0, 1, 2, 3),
-                                candidates=tuple(frames))
+        return AssociationBatch(frames=(0, 1, 2, 3), candidates=tuple(frames))
 
     def test_pipeline_of_layers_recovers_both_targets(self):
         batch = self.build()
@@ -76,14 +75,13 @@ class TestFourFrameAssociation:
         hyps = generate_hypotheses(batch, wide)
         assert len(hyps) == 16
         bundle = compute_affinity(batch, hyps, AffinityProviderParams())
-        state = power_iteration_forward(
-            HypothesisTensor(hyps, bundle.values, batch.sizes), 10)
+        state = power_iteration_forward(bundle.tensor, 10)
         norm = l1_normalize_forward(state.matrices(), 10)
         binary = discretize(norm.matrices())
         for mat in binary:
             np.testing.assert_array_equal(mat, np.eye(2))
 
-        values = dense_values(batch, hyps, bundle.values)
+        values = dense_values(batch, hyps, bundle.tensor.values)
         oracle = brute_force_mda(values)
         achieved = assignment_objective(values, binary)
         assert achieved == pytest.approx(oracle.best_value)
@@ -96,12 +94,12 @@ class TestFourFrameAssociation:
                                     max_relaxations=0)
         hyps = generate_hypotheses(batch, wide)
         bundle = compute_affinity(batch, hyps, AffinityProviderParams())
-        tensor = HypothesisTensor(hyps, bundle.values, batch.sizes)
+        tensor = bundle.tensor
         rng = np.random.default_rng(5)
         xs = [rng.uniform(size=d) for d in tensor.shape]
         lhs = power_iteration_forward(tensor, 1, x0=xs).contraction_history[0]
         dense = pairwise_objective(pairwise_tensor(tensor), xs)
-        rhs = assignment_objective(dense_values(batch, hyps, bundle.values),
+        rhs = assignment_objective(dense_values(batch, hyps, tensor.values),
                                    [x.reshape(2, 2) for x in xs])
         assert abs(lhs - rhs) <= 1e-12
         assert abs(lhs - dense) <= 1e-12
@@ -119,20 +117,18 @@ class TestFourFrameAssociation:
         def loss_of(vec):
             p = AffinityProviderParams.from_vector(vec)
             b = compute_affinity(batch, hyps, p)
-            s = power_iteration_forward(
-                HypothesisTensor(hyps, b.values, batch.sizes), 3)
+            s = power_iteration_forward(b.tensor, 3)
             n = l1_normalize_forward(s.matrices(), 2)
             return bce_loss(n.matrices(), target)[0]
 
         bundle = compute_affinity(batch, hyps, params)
-        state = power_iteration_forward(
-            HypothesisTensor(hyps, bundle.values, batch.sizes), 3)
+        state = power_iteration_forward(bundle.tensor, 3)
         norm = l1_normalize_forward(state.matrices(), 2)
         _, d_pred = bce_loss(norm.matrices(), target)
         d_norm_in = l1_normalize_backward(norm, d_pred)
         d_values, _ = power_iteration_backward(
             state, [g.reshape(-1) for g in d_norm_in])
-        analytic = backprop_affinity(bundle, d_values).as_vector()
+        analytic = backprop_affinity(bundle, d_values)
         numeric = finite_diff_grad(loss_of, params.as_vector())
         assert np.all(np.abs(analytic - numeric)
                       <= 1e-7 + 1e-4 * np.abs(numeric))
@@ -182,21 +178,18 @@ class TestSparseSupportGradients:
             (cand(1, 52.0, 50.0), cand(1, 398.0, 300.0)),
             (cand(2, 54.0, 50.0), cand(2, 396.0, 300.0)),
         ]
-        batch = AssociationBatch(K=2, frames=(0, 1, 2),
-                                 candidates=tuple(frames))
+        batch = AssociationBatch(frames=(0, 1, 2), candidates=tuple(frames))
         gate = ConnectionGateConfig(max_relaxations=0)
         hyps = generate_hypotheses(batch, gate)
         assert len(hyps) == 2
         bundle = compute_affinity(batch, hyps, AffinityProviderParams())
         # the tensor holds the two same-target hypotheses and nothing at
         # the cross-target entries
-        dense = pairwise_tensor(
-            HypothesisTensor(hyps, bundle.values, batch.sizes))
+        dense = pairwise_tensor(bundle.tensor)
         assert np.count_nonzero(dense) == 2
         for i0, i1, i2 in hyps.tolist():
             assert dense[i0 * 2 + i1, i1 * 2 + i2] > 0.0
         # the gradient is the sum of the per-hypothesis contributions
         grads = backprop_affinity(bundle, np.ones(2))
-        per_hypothesis = [backprop_affinity(bundle, e).as_vector()
-                          for e in np.eye(2)]
-        np.testing.assert_allclose(grads.as_vector(), sum(per_hypothesis))
+        per_hypothesis = [backprop_affinity(bundle, e) for e in np.eye(2)]
+        np.testing.assert_allclose(grads, sum(per_hypothesis))

@@ -24,7 +24,6 @@ from mdatrack.pipeline import (
     _make_virtual_placeholder,
 )
 from mdatrack.solver import (
-    HypothesisTensor,
     discretize,
     l1_normalize_forward,
     power_iteration_forward,
@@ -44,8 +43,7 @@ def tracking_batch(per_frame, frames=None):
     frames = frames or tuple(range(len(per_frame)))
     cands = tuple(tuple(f) + (_make_virtual_placeholder(fr),)
                   for f, fr in zip(per_frame, frames))
-    return AssociationBatch(K=len(per_frame) - 1, frames=tuple(frames),
-                            candidates=cands)
+    return AssociationBatch(frames=tuple(frames), candidates=cands)
 
 
 class TestResolveVirtuals:
@@ -85,13 +83,11 @@ class TestResolveVirtuals:
         bundle = compute_affinity(batch, hyps, params,
                                   virtual_scale=config.alpha,
                                   resolved_virtuals=resolved)
-        value = dict(zip(map(tuple, hyps.tolist()), bundle.values))
+        value = dict(zip(map(tuple, hyps.tolist()), bundle.tensor.values))
         real = value[0, 0, 0]                # (real, anchor, real)
         virt = value[0, 0, 1]                # (real, anchor, virtual)
         assert real > virt
-        state = power_iteration_forward(
-            HypothesisTensor(hyps, bundle.values, batch.sizes),
-            config.power_iterations)
+        state = power_iteration_forward(bundle.tensor, config.power_iterations)
         norm = l1_normalize_forward(state.matrices(), config.norm_pairs,
                                     [True, True], [True, True])
         binary = discretize(norm.matrices(), [True, True], [True, True])
@@ -443,8 +439,7 @@ class TestAlphaMonotonicity:
                 bundle = compute_affinity(batch, hyps, params,
                                           virtual_scale=alpha,
                                           resolved_virtuals=resolved)
-                state = power_iteration_forward(
-                    HypothesisTensor(hyps, bundle.values, batch.sizes), 10)
+                state = power_iteration_forward(bundle.tensor, 10)
                 norm = l1_normalize_forward(state.matrices(), 10,
                                             [True, True], [True, True])
                 binary = discretize(norm.matrices(), [True, True],

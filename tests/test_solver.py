@@ -193,12 +193,6 @@ class TestPowerIterationBackward:
         numeric = finite_diff_grad(loss, tensor.values)
         assert grad_close(analytic, numeric)
 
-    def test_missing_history_rejected(self):
-        from mdatrack.solver import AssignmentState
-        state = AssignmentState(x=[np.ones(4)], shapes=[(2, 2)])
-        with pytest.raises(ContractError):
-            power_iteration_backward(state, [np.zeros(4)])
-
 
 class TestL1Normalization:
     def test_doubly_stochastic_fixed_point(self):
@@ -316,12 +310,6 @@ class TestL1NormalizationBackward:
 
         numeric = finite_diff_grad(loss, mat)
         assert grad_close(analytic[0], numeric)
-
-    def test_missing_history_rejected(self):
-        from mdatrack.solver import AssignmentState
-        state = AssignmentState(x=[np.ones(4)], shapes=[(2, 2)])
-        with pytest.raises(ContractError):
-            l1_normalize_backward(state, [np.zeros((2, 2))])
 
 
 class TestBceLoss:

@@ -22,6 +22,11 @@ class TestAssignmentGroundTruth:
         mats = assignment_ground_truth([[1], [2], [3]])
         assert all(np.all(m == 0) for m in mats)
 
+    def test_empty_frame_gives_empty_matrices(self):
+        mats = assignment_ground_truth([[1, 2], [], [2]])
+        assert [m.shape for m in mats] == [(2, 0), (0, 1)]
+        assert all(m.dtype == float for m in mats)
+
 
 class TestProjection:
     def test_negative_weights_clip_to_zero(self):

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from mdatrack.solver import _pair_flat_indices
-from mdatrack.errors import ContractError, InputValidationError
+from mdatrack.errors import ContractError, InputValidationError, RangeError
 from mdatrack.types import (
     AssociationBatch,
     Candidate,
@@ -64,23 +64,23 @@ class TestFlattenPair:
 
 class TestBatchWindows:
     def test_overlap_convention(self):
-        assert batch_windows(5, 2, 2) == [[0, 1, 2], [1, 2, 3], [2, 3, 4]]
+        assert batch_windows(5) == [[0, 1, 2], [1, 2, 3], [2, 3, 4]]
 
     def test_single_window(self):
-        assert batch_windows(3, 2, 2) == [[0, 1, 2]]
+        assert batch_windows(3) == [[0, 1, 2]]
 
     def test_window_count(self):
-        windows = batch_windows(10, 2, 2)
+        windows = batch_windows(10)
         assert len(windows) == 8
         assert [w[0] for w in windows] == list(range(8))
 
     def test_short_sequence_warns_empty(self):
         with pytest.warns(UserWarning):
-            assert batch_windows(2, 2, 2) == []
+            assert batch_windows(2) == []
 
     def test_windows_tile_the_sequence(self):
         for frame_count in range(3, 12):
-            windows = batch_windows(frame_count, 2, 2)
+            windows = batch_windows(frame_count)
             covered = set()
             for w in windows:
                 covered.update(w)
@@ -88,7 +88,7 @@ class TestBatchWindows:
 
     def test_every_interior_frame_anchors_exactly_one_window(self):
         for frame_count in range(3, 12):
-            windows = batch_windows(frame_count, 2, 2)
+            windows = batch_windows(frame_count)
             anchors = [w[1] for w in windows]
             assert anchors == list(range(1, frame_count - 1))
             # anchor is the window start plus one
@@ -117,18 +117,26 @@ class TestCandidate:
 class TestAssociationBatch:
     def test_anchor_is_middle_frame(self):
         cands = tuple((make_candidate(frame=f),) for f in range(3))
-        batch = AssociationBatch(K=2, frames=(4, 5, 6), candidates=cands)
+        batch = AssociationBatch(frames=(4, 5, 6), candidates=cands)
         assert batch.anchor_position == 1
 
     def test_frames_must_increase(self):
         cands = tuple((make_candidate(frame=f),) for f in range(3))
         with pytest.raises(ContractError):
-            AssociationBatch(K=2, frames=(4, 4, 6), candidates=cands)
+            AssociationBatch(frames=(4, 4, 6), candidates=cands)
 
     def test_frame_count_must_match_order(self):
+        # the order K is the frame count minus one, and must be at least 2
         cands = tuple((make_candidate(frame=f),) for f in range(2))
-        with pytest.raises(ContractError):
-            AssociationBatch(K=2, frames=(0, 1), candidates=cands)
+        with pytest.raises(RangeError):
+            AssociationBatch(frames=(0, 1), candidates=cands)
+        cands = tuple((make_candidate(frame=f),) for f in range(4))
+        assert AssociationBatch(frames=(0, 1, 2, 3), candidates=cands).K == 3
+
+    def test_candidate_lists_must_match_frames(self):
+        cands = tuple((make_candidate(frame=f),) for f in range(2))
+        with pytest.raises(ContractError, match="3 frames, 2 lists"):
+            AssociationBatch(frames=(0, 1, 2), candidates=cands)
 
     def test_at_most_one_virtual_per_frame(self):
         virtual = Candidate(frame_index=0, center=None, box=(0, 0, 1, 1),
@@ -136,7 +144,7 @@ class TestAssociationBatch:
         cands = ((make_candidate(), virtual, virtual),
                  (make_candidate(),), (make_candidate(),))
         with pytest.raises(ContractError):
-            AssociationBatch(K=2, frames=(0, 1, 2), candidates=cands)
+            AssociationBatch(frames=(0, 1, 2), candidates=cands)
 
     def test_arrays_follow_candidate_order(self):
         virtual = Candidate(frame_index=1, center=None, box=(0, 0, 1, 1),
@@ -144,7 +152,7 @@ class TestAssociationBatch:
         cands = ((make_candidate(center=(1.0, 2.0), box=(0.0, 0.0, 6.0, 8.0)),),
                  (make_candidate(frame=1), virtual),
                  (make_candidate(frame=2, appearance=np.full(24, 2.0)),))
-        arrays = AssociationBatch(K=2, frames=(0, 1, 2), candidates=cands).arrays
+        arrays = AssociationBatch(frames=(0, 1, 2), candidates=cands).arrays
         assert [len(fa.is_virtual) for fa in arrays] == [1, 2, 1]
         assert arrays[0].centers.tolist() == [[1.0, 2.0]]
         assert arrays[0].diagonals.tolist() == [10.0]
@@ -157,6 +165,6 @@ class TestAssociationBatch:
         cands = ((make_candidate(appearance=np.ones(8)),),
                  (make_candidate(frame=1, appearance=np.ones(6)),),
                  (make_candidate(frame=2, appearance=np.ones(8)),))
-        batch = AssociationBatch(K=2, frames=(0, 1, 2), candidates=cands)
+        batch = AssociationBatch(frames=(0, 1, 2), candidates=cands)
         with pytest.raises(InputValidationError):
             batch.arrays

@@ -61,7 +61,7 @@ def cand(frame, cx, cy, w, h, appearance):
 def window(per_frame):
     cands = tuple(tuple(f) + (_make_virtual_placeholder(fr),)
                   for fr, f in enumerate(per_frame))
-    return AssociationBatch(K=2, frames=(0, 1, 2), candidates=cands)
+    return AssociationBatch(frames=(0, 1, 2), candidates=cands)
 
 
 def random_window(rng, counts, appearance):
