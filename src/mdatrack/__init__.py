@@ -12,6 +12,7 @@ from .affinity import (
     compute_affinity,
     generate_hypotheses,
     load_params,
+    rescore_affinity,
     save_params,
 )
 from .evalio import (

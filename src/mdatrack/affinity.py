@@ -19,13 +19,16 @@ precomputed descriptors and box geometry:
 The provider returns the solver's pairwise tensor itself: the hypotheses
 with one affinity each, its only non-zero entries.  Beside it come the
 per-hypothesis statistics that map a loss gradient on those values back to
-parameter gradients.  Every term is plain array code over the hypotheses
-(ufuncs, einsum row dots), the same operations its backward pass uses.
+parameter gradients.  The statistics do not depend on the parameters: one
+scoring step turns them into the values, and :func:`rescore_affinity`
+reruns that step alone under new parameters.  Every term is plain array
+code over the hypotheses (ufuncs, einsum row dots), the same operations its
+backward pass uses.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from pathlib import Path
 
 import numpy as np
@@ -211,6 +214,27 @@ def descriptor_similarity(a: np.ndarray, norm_a: np.ndarray,
     return np.where(neutral, 0.5, np.maximum(cos, 0.0) ** 2)
 
 
+# the per-hypothesis statistic fields of a bundle, the names _affinity takes
+_STATISTICS = ("appearance_edges", "squared_distances", "size_sum",
+               "acceleration", "size_smoothness", "virtual_scale")
+
+
+def _affinity(params: AffinityProviderParams, *, appearance_edges,
+              squared_distances, size_sum, acceleration, size_smoothness,
+              virtual_scale) -> np.ndarray:
+    """The affinity of every hypothesis from its statistics (the fields of
+    :class:`AffinityTensorBundle`).  A hypothesis with zero ``virtual_scale``
+    scores exactly zero."""
+    sigma = params.position_scale
+    gauss = np.exp(-squared_distances / (2.0 * sigma * sigma))
+    appearance = np.einsum("...d,...d->...", appearance_edges, gauss)
+    decay = np.exp(-acceleration / sigma)
+    return virtual_scale * (params.appearance_weight * appearance
+                            + params.motion_weight * gauss.sum(axis=1)
+                            + params.size_weight * size_sum
+                            + params.long_term_weight * decay * size_smoothness)
+
+
 def compute_affinity(batch: AssociationBatch,
                      hypotheses: np.ndarray,
                      params: AffinityProviderParams,
@@ -228,6 +252,10 @@ def compute_affinity(batch: AssociationBatch,
     descriptor.  Hypotheses passing through the anchor-frame virtual slot
     score exactly zero (that slot has no geometry of its own).  Each virtual
     member of a hypothesis scales its affinity by ``virtual_scale``.
+
+    The per-hypothesis statistics depend on the window alone; only their
+    scoring reads ``params``, so :func:`rescore_affinity` can score the
+    returned bundle under other parameters without recomputing them.
     """
     K = batch.K
     hyps = np.asarray(hypotheses, dtype=np.intp)
@@ -285,7 +313,6 @@ def compute_affinity(batch: AssociationBatch,
         (wa, ha), (wb, hb) = box_sizes[e].T, box_sizes[e + 1].T
         size_sims[:, e] = ((np.minimum(wa, wb) / np.maximum(wa, wb))
                            * (np.minimum(ha, hb) / np.maximum(ha, hb)))
-    size_sum = size_sims.sum(axis=1)
     accel = np.zeros(n)
     for t in range(1, K):
         turn = (centers[t + 1] - centers[t]) - (centers[t] - centers[t - 1])
@@ -293,18 +320,12 @@ def compute_affinity(batch: AssociationBatch,
     size_prod = size_sims[:, 0]
     for e in range(1, K):
         size_prod = size_prod * size_sims[:, e]
-    sigma = params.position_scale
-    smooth = size_prod ** (1.0 / K)
-    decay = np.exp(-accel / sigma)
     powers = np.array([virtual_scale ** v for v in range(K + 2)])
-    scale = powers[virtual_count]
-
-    gauss = np.exp(-sq_dists / (2.0 * sigma * sigma))
-    appearance = np.einsum("...d,...d->...", app_edges, gauss)
-    affinity = scale * (params.appearance_weight * appearance
-                        + params.motion_weight * gauss.sum(axis=1)
-                        + params.size_weight * size_sum
-                        + params.long_term_weight * decay * smooth)
+    statistics = dict(appearance_edges=app_edges, squared_distances=sq_dists,
+                      size_sum=size_sims.sum(axis=1), acceleration=accel,
+                      size_smoothness=size_prod ** (1.0 / K),
+                      virtual_scale=powers[virtual_count])
+    affinity = _affinity(params, **statistics)
 
     def per_hypothesis(column: np.ndarray) -> np.ndarray:
         full = np.zeros((len(hyps),) + column.shape[1:])
@@ -314,13 +335,23 @@ def compute_affinity(batch: AssociationBatch,
     return AffinityTensorBundle(
         tensor=HypothesisTensor(hyps, per_hypothesis(affinity), batch.sizes),
         params=params,
-        appearance_edges=per_hypothesis(app_edges),
-        squared_distances=per_hypothesis(sq_dists),
-        size_sum=per_hypothesis(size_sum),
-        acceleration=per_hypothesis(accel),
-        size_smoothness=per_hypothesis(smooth),
-        virtual_scale=per_hypothesis(scale),
-    )
+        **{name: per_hypothesis(column) for name, column in statistics.items()})
+
+
+def rescore_affinity(bundle: AffinityTensorBundle,
+                     params: AffinityProviderParams) -> AffinityTensorBundle:
+    """The bundle's hypotheses scored under ``params``.
+
+    Returns a new bundle on the same per-hypothesis statistics, whose
+    tensor shares the hypotheses and the stacked layout of
+    ``bundle.tensor`` (:meth:`HypothesisTensor.with_values`); ``bundle``
+    itself is left as it is.  The values equal those
+    :func:`compute_affinity` gives for ``params`` exactly.
+    """
+    statistics = {name: getattr(bundle, name) for name in _STATISTICS}
+    return replace(
+        bundle, params=params,
+        tensor=bundle.tensor.with_values(_affinity(params, **statistics)))
 
 
 def backprop_affinity(bundle: AffinityTensorBundle,

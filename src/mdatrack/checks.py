@@ -111,7 +111,7 @@ def check_power_iteration_gradients(seeds=range(50), max_iters: int = 3) -> Chec
 
         def loss(values):
             st = power_iteration_forward(
-                HypothesisTensor(tensor.entries, values, tensor.sizes), n_iter)
+                tensor.with_values(values), n_iter)
             return sum(float(wk @ xk) for wk, xk in zip(w, st.x))
 
         numeric = finite_diff_grad(loss, tensor.values)

@@ -299,6 +299,11 @@ class ScenarioSpec:
 
     def __post_init__(self):
         # written so that NaN fails every bound
+        for name, least in (("frame_count", 1), ("target_count", 0),
+                            ("descriptor_length", 1)):
+            value = getattr(self, name)
+            if not value >= least:
+                raise ContractError(f"{name} must be >= {least}, got {value}")
         if not 0.0 <= self.miss_probability <= 1.0:
             raise ContractError("miss_probability must be in [0, 1]")
         for name in ("noise_sigma", "false_positive_rate", "descriptor_noise"):

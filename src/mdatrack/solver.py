@@ -29,6 +29,7 @@ checks score against lives in :mod:`mdatrack.oracle`.
 
 from __future__ import annotations
 
+import copy
 from dataclasses import dataclass, field
 from itertools import accumulate
 
@@ -73,6 +74,15 @@ def _offsets(dims) -> tuple[int, ...]:
     return tuple(accumulate(dims, initial=0))
 
 
+def _hypothesis_values(values, count: int) -> np.ndarray:
+    """One float per hypothesis."""
+    values = np.asarray(values, dtype=float)
+    if values.shape != (count,):
+        raise ContractError(
+            f"{count} hypotheses but values of shape {values.shape}")
+    return values
+
+
 @dataclass(frozen=True, eq=False)
 class HypothesisTensor:
     """The K-order pairwise affinity tensor, held as its hypothesis list.
@@ -104,7 +114,6 @@ class HypothesisTensor:
 
     def __post_init__(self):
         entries = np.asarray(self.entries, dtype=np.intp)
-        values = np.asarray(self.values, dtype=float)
         sizes = tuple(int(s) for s in self.sizes)
         if len(sizes) < 2:
             raise ContractError(f"need at least two frames, got sizes {sizes}")
@@ -112,9 +121,7 @@ class HypothesisTensor:
             raise ContractError(
                 f"entries must be an (H, {len(sizes)}) index array, "
                 f"got {entries.shape}")
-        if values.shape != (len(entries),):
-            raise ContractError(
-                f"{len(entries)} hypotheses but values of shape {values.shape}")
+        values = _hypothesis_values(self.values, len(entries))
         if np.any(entries < 0) or np.any(entries >= np.array(sizes)):
             raise ContractError(f"hypothesis index outside frame sizes {sizes}")
         H, K = len(entries), len(sizes) - 1
@@ -134,6 +141,17 @@ class HypothesisTensor:
                             ("factor_index", tuple(index[r] for r in factor_rows)),
                             ("factor_rows", factor_rows)):
             object.__setattr__(self, name, value)
+
+    def with_values(self, values) -> "HypothesisTensor":
+        """The same hypotheses holding ``values``: the new tensor shares
+        ``entries``, ``sizes`` and the stacked layout with this one and
+        rebuilds only ``stacked_values``."""
+        values = _hypothesis_values(values, len(self.entries))
+        tensor = copy.copy(self)
+        object.__setattr__(tensor, "values", values)
+        object.__setattr__(tensor, "stacked_values",
+                           np.concatenate([values] * len(self.shape)))
+        return tensor
 
     @property
     def pair_shapes(self) -> list[tuple[int, int]]:

@@ -6,21 +6,34 @@ normalized soft assignments and the ground-truth assignment matrices; its
 gradient flows through the normalization layer and the power iteration to
 the hypothesis affinities, and from there into the provider parameters,
 which take a plain projected gradient-descent step per window.
+
+Only the parameters change during a run, so each window's parameter-free
+part is built once per :func:`train_provider` call, by the first step on
+that window: the batch with its frame arrays, the gated hypotheses, their
+affinity statistics with the solver tensor's stacked layout, and the
+ground-truth assignment matrices (:class:`TrainingWindow`).  Every later
+step rescores the cached statistics under the current parameters
+(:func:`mdatrack.affinity.rescore_affinity`), then runs the solver layers
+and the gradient step.
 """
 
 from __future__ import annotations
 
 import logging
+from dataclasses import dataclass, field
 
 import numpy as np
 
 from .affinity import (
     AffinityProviderParams,
+    AffinityTensorBundle,
     ConnectionGateConfig,
     backprop_affinity,
     compute_affinity,
     generate_hypotheses,
+    rescore_affinity,
 )
+from .errors import ContractError
 from .solver import (
     bce_loss,
     l1_normalize_backward,
@@ -51,32 +64,62 @@ def project_param_vector(vec: np.ndarray) -> np.ndarray:
     return vec
 
 
-def train_window(frames: tuple[int, ...],
-                 candidates: list[list[Candidate]],
-                 ids: list[list[int]],
-                 gate: ConnectionGateConfig,
+@dataclass(eq=False)
+class TrainingWindow:
+    """One entry of the training schedule: the ground-truth candidates and
+    target ids of its frames.
+
+    The first :meth:`scored` call builds the window's parameter-free part
+    and keeps it; a window without hypotheses is kept as degenerate.
+    """
+
+    frames: tuple[int, ...]
+    candidates: tuple[tuple[Candidate, ...], ...]
+    ids: tuple[tuple[int, ...], ...]
+    gate: ConnectionGateConfig
+    built: bool = field(default=False, init=False)
+    bundle: AffinityTensorBundle | None = field(default=None, init=False)
+    target: list[np.ndarray] = field(default_factory=list, init=False)
+
+    def scored(self, params: AffinityProviderParams
+               ) -> AffinityTensorBundle | None:
+        """The window's affinity bundle under ``params``, or None when the
+        gate leaves it without hypotheses.
+
+        The first call builds the batch, the hypotheses, their statistics
+        and the ground-truth matrices and scores them under ``params``;
+        later calls rescore the kept statistics, which stay as built.
+        """
+        if self.built:
+            return (None if self.bundle is None
+                    else rescore_affinity(self.bundle, params))
+        self.built = True
+        batch = AssociationBatch(frames=self.frames, candidates=self.candidates)
+        hypotheses = generate_hypotheses(batch, self.gate)
+        if len(hypotheses) == 0:
+            return None
+        self.bundle = compute_affinity(batch, hypotheses, params)
+        self.target = assignment_ground_truth(self.ids)
+        return self.bundle
+
+
+def train_window(window: TrainingWindow,
                  params: AffinityProviderParams,
                  power_iterations: int,
                  norm_pairs: int,
                  learning_rate: float
                  ) -> tuple[AffinityProviderParams, float] | None:
     """One training step on one window; None when the window is degenerate
-    (no hypotheses or zero affinity mass)."""
-    batch = AssociationBatch(frames=tuple(frames),
-                             candidates=tuple(tuple(c) for c in candidates))
-    hypotheses = generate_hypotheses(batch, gate)
-    if len(hypotheses) == 0:
-        return None
-    bundle = compute_affinity(batch, hypotheses, params)
-    if bundle.tensor.values.max() <= 0.0:
+    (no hypotheses, or zero affinity mass under ``params``)."""
+    bundle = window.scored(params)
+    if bundle is None or bundle.tensor.values.max() <= 0.0:
         return None
 
     power_state = power_iteration_forward(bundle.tensor, power_iterations)
     norm_state = l1_normalize_forward(power_state.matrices(), norm_pairs)
 
     predicted = norm_state.matrices()
-    target = assignment_ground_truth(ids)
-    loss, d_pred = bce_loss(predicted, target)
+    loss, d_pred = bce_loss(predicted, window.target)
 
     d_norm_in = l1_normalize_backward(norm_state, d_pred)
     d_values, _ = power_iteration_backward(
@@ -97,19 +140,39 @@ def train_provider(gt_frames: list[list[Candidate]],
                    norm_pairs: int = 10,
                    ) -> tuple[AffinityProviderParams, list[float]]:
     """Train over sliding windows of the ground truth; returns the trained
-    parameters and the per-epoch mean loss curve."""
-    windows = batch_windows(len(gt_frames))
+    parameters and the per-epoch mean loss curve.
+
+    The arguments are checked before any window runs; each window's
+    parameter-free part is built by its first step and reused by the
+    steps of every later epoch.
+    """
+    # written so that NaN fails every bound
+    if not epochs >= 1:
+        raise ContractError(f"epochs must be >= 1, got {epochs}")
+    if not 0.0 <= learning_rate < np.inf:
+        raise ContractError(
+            f"learning_rate must be finite and >= 0, got {learning_rate}")
+    if not power_iterations >= 1:
+        raise ContractError(
+            f"power_iterations must be >= 1, got {power_iterations}")
+    if not norm_pairs >= 0:
+        raise ContractError(f"norm_pairs must be >= 0, got {norm_pairs}")
+    windows = [TrainingWindow(frames=tuple(window),
+                              candidates=tuple(tuple(gt_frames[f]) for f in window),
+                              ids=tuple(tuple(gt_frame_ids[f]) for f in window),
+                              gate=gate)
+               for window in batch_windows(len(gt_frames))]
+    if not windows:
+        raise ContractError(
+            f"training needs at least one window of 3 frames, got "
+            f"{len(gt_frames)} frames")
     losses: list[float] = []
     skipped = 0
     for _ in range(epochs):
         epoch_losses = []
         for window in windows:
-            frames = tuple(window)
-            result = train_window(
-                frames,
-                [gt_frames[f] for f in window],
-                [gt_frame_ids[f] for f in window],
-                gate, params, power_iterations, norm_pairs, learning_rate)
+            result = train_window(window, params, power_iterations,
+                                  norm_pairs, learning_rate)
             if result is None:
                 skipped += 1
                 continue

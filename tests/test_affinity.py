@@ -20,13 +20,15 @@ from mdatrack.affinity import (
     descriptor_similarity,
     generate_hypotheses,
     load_params,
+    rescore_affinity,
     save_params,
 )
 from mdatrack.errors import ContractError, InputValidationError
-from mdatrack.evalio import load_mot
+from mdatrack import pipeline
+from mdatrack.evalio import ScenarioSpec, generate_scenario, load_mot
 from mdatrack.oracle import assignment_objective, finite_diff_grad
 from mdatrack.solver import _pair_flat_indices
-from mdatrack.types import AssociationBatch, Candidate
+from mdatrack.types import AssociationBatch, Candidate, batch_windows
 
 
 def cand(frame, cx, cy, w=20.0, h=20.0, appearance=None, virtual=False,
@@ -432,6 +434,98 @@ class TestComputeAffinity:
         with pytest.raises(ContractError):
             compute_affinity(batch, hyps, AffinityProviderParams(),
                              resolved_virtuals={0: np.zeros((2, 2))})
+
+
+STATISTICS = ("appearance_edges", "squared_distances", "size_sum",
+              "acceleration", "size_smoothness", "virtual_scale")
+RESCORE_PARAMS = [AffinityProviderParams(),
+                  AffinityProviderParams(motion_weight=0.3, position_scale=15.0,
+                                         size_weight=1.0, appearance_weight=0.3,
+                                         long_term_weight=0.5),
+                  AffinityProviderParams(motion_weight=0.0, size_weight=0.0,
+                                         appearance_weight=0.0,
+                                         long_term_weight=0.0)]
+
+
+def assert_bundles_equal(a, b):
+    assert a.params == b.params
+    assert a.tensor.sizes == b.tensor.sizes
+    assert np.array_equal(a.tensor.entries, b.tensor.entries)
+    assert np.array_equal(a.tensor.values, b.tensor.values)
+    assert np.array_equal(a.tensor.stacked_values, b.tensor.stacked_values)
+    for name in STATISTICS:
+        assert np.array_equal(getattr(a, name), getattr(b, name)), name
+
+
+def assert_rescoring_is_exact(batch, hyps, **kwargs):
+    """Scoring a bundle built under one parameter set again under each other
+    set gives exactly the bundle built under that set."""
+    for first, then in itertools.permutations(RESCORE_PARAMS, 2):
+        built = compute_affinity(batch, hyps, first, **kwargs)
+        values = built.tensor.values.copy()
+        rescored = rescore_affinity(built, then)
+        assert_bundles_equal(rescored,
+                             compute_affinity(batch, hyps, then, **kwargs))
+        # the layout is shared and the bundle scored first is left as it is
+        assert rescored.tensor.index is built.tensor.index
+        assert built.params == first
+        assert np.array_equal(built.tensor.values, values)
+
+
+class TestRescoreAffinity:
+    def test_tracking_windows(self):
+        scenario = generate_scenario(ScenarioSpec(
+            frame_count=12, target_count=10, seed=0, noise_sigma=1.0,
+            miss_probability=0.1, false_positive_rate=0.2))
+        calls = []
+        compute = pipeline.compute_affinity
+
+        def record(*args, **kwargs):
+            calls.append((args, kwargs))
+            return compute(*args, **kwargs)
+
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(pipeline, "compute_affinity", record)
+            pipeline.run_sequence(
+                scenario.detection_frames, ConnectionGateConfig(),
+                AffinityProviderParams(), pipeline.PipelineConfig(),
+                pipeline.GroundTruthQuality(scenario.gt_tracks))
+        assert len(calls) == 10
+        scales = set()
+        for (batch, hyps, _), kwargs in calls:
+            assert_rescoring_is_exact(batch, hyps, **kwargs)
+            scales.update(compute(batch, hyps, AffinityProviderParams(),
+                                  **kwargs).virtual_scale.tolist())
+        # anchor-virtual rows (scale 0) and resolved virtual members
+        assert {0.0, 1.0, 0.8, 0.8 * 0.8} <= scales
+
+    def test_random_tracking_shaped_windows(self):
+        rng = np.random.default_rng(59)
+        for _ in range(20):
+            frames = [[cand(f, *rng.uniform(0, 80, 2), w=rng.uniform(15, 30),
+                            h=rng.uniform(15, 30), appearance=rng.normal(size=8))
+                       for _ in range(int(rng.integers(1, 4)))]
+                      + [cand(f, 0, 0, virtual=True)] for f in range(3)]
+            batch = make_batch(frames)
+            resolved = {pos: rng.uniform(0, 80, size=(len(frames[1]), 2))
+                        for pos in (0, 2)}
+            for table in resolved.values():
+                table[-1] = np.nan                  # the virtual anchor slot
+            hyps = generate_hypotheses(batch, ConnectionGateConfig())
+            assert_rescoring_is_exact(batch, hyps, virtual_scale=0.8,
+                                      resolved_virtuals=resolved)
+
+    def test_training_windows(self):
+        scenario = generate_scenario(ScenarioSpec(
+            frame_count=8, target_count=3, seed=0, noise_sigma=1.0))
+        gate = ConnectionGateConfig(base_distance_factor=4.0)
+        for window in batch_windows(len(scenario.gt_frames)):
+            batch = AssociationBatch(
+                frames=tuple(window),
+                candidates=tuple(tuple(scenario.gt_frames[f]) for f in window))
+            hyps = generate_hypotheses(batch, gate)
+            assert len(hyps) > 3
+            assert_rescoring_is_exact(batch, hyps)
 
 
 class TestBackpropAffinity:

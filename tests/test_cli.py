@@ -206,6 +206,46 @@ class TestErrors:
         assert err.startswith("error:")
         assert line.split()[0] in err
 
+    @pytest.mark.parametrize("line", ["target_count = -1", "frame_count = 0",
+                                      "descriptor_length = 0"])
+    def test_bad_scene_count_exits_before_generating(
+            self, tmp_path, monkeypatch, capsys, line):
+        from mdatrack import cli
+
+        def no_work(*args, **kwargs):
+            raise AssertionError("work started")
+
+        monkeypatch.setattr(cli, "generate_scenario", no_work)
+        monkeypatch.setattr(cli, "train_provider", no_work)
+        cfg = tmp_path / "bad.cfg"
+        cfg.write_text(f"{line}\n")
+        out = tmp_path / "params.txt"
+        assert main(["--mode", "train", "--config", str(cfg),
+                     "--out", str(out)]) == 1
+        assert not out.exists()
+        err = capsys.readouterr().err
+        assert err.startswith("error:")
+        assert line.split()[0] in err
+
+    @pytest.mark.filterwarnings("ignore:sequence of 2 frames")
+    @pytest.mark.parametrize("line, name", [
+        ("learning_rate = nan", "learning_rate"),
+        ("learning_rate = -0.5", "learning_rate"),
+        ("epochs = -1", "epochs"), ("epochs = 0", "epochs"),
+        ("frame_count = 2", "3 frames"),
+    ])
+    def test_bad_training_setting_exits_without_training(
+            self, tmp_path, capsys, line, name):
+        cfg = tmp_path / "bad.cfg"
+        cfg.write_text(f"target_count = 2\n{line}\n")
+        out = tmp_path / "params.txt"
+        assert main(["--mode", "train", "--config", str(cfg),
+                     "--out", str(out)]) == 1
+        assert not out.exists()
+        err = capsys.readouterr().err
+        assert err.startswith("error:")
+        assert name in err
+
     def test_infinite_frame_in_eval_input_is_a_validation_failure(
             self, tmp_path, capsys):
         gt = tmp_path / "gt.txt"

@@ -229,6 +229,8 @@ class TestGenerateScenario:
         ("box_size_range", (40.0, 24.0)),
         ("frame_width", math.inf), ("frame_width", math.nan),
         ("frame_height", 0.0),
+        ("frame_count", 0), ("frame_count", -3), ("target_count", -1),
+        ("descriptor_length", 0), ("frame_count", math.nan),
     ])
     def test_invalid_numbers_rejected(self, field, value):
         with pytest.raises(ContractError, match=field):
@@ -239,3 +241,13 @@ class TestGenerateScenario:
                             descriptor_noise=0.0, velocity_range=(-2.0, -2.0),
                             box_size_range=(30.0, 30.0))
         assert spec.velocity_range == (-2.0, -2.0)
+
+    def test_smallest_counts_accepted(self):
+        # one frame, one descriptor entry, and a clutter-only scene
+        scenario = generate_scenario(ScenarioSpec(
+            frame_count=1, target_count=0, descriptor_length=1,
+            false_positive_rate=2.0, seed=3))
+        assert scenario.gt_frames == [[]]
+        assert scenario.gt_tracks == {}
+        assert all(len(c.appearance) == 1
+                   for c in scenario.detection_frames[0])

@@ -113,6 +113,40 @@ class TestPowerIterationForward:
             power_iteration_forward(tuple_tensor(np.ones((2, 2, 2))), 3,
                                     x0=[np.ones(4), np.ones(3)])
 
+    def test_new_values_on_the_same_layout(self):
+        tensor = random_solver_instance(np.random.default_rng(8))
+        values = tensor.values[::-1] * 2.0
+        moved = tensor.with_values(values)
+        for name in ("entries", "sizes", "shape", "offsets", "index",
+                     "factor_index", "factor_rows"):
+            assert getattr(moved, name) is getattr(tensor, name)
+        fresh = HypothesisTensor(tensor.entries, values, tensor.sizes)
+        assert np.array_equal(moved.values, values)
+        assert np.array_equal(moved.stacked_values, fresh.stacked_values)
+        assert not np.array_equal(tensor.values, values)
+        a = power_iteration_forward(moved, 4)
+        b = power_iteration_forward(fresh, 4)
+        assert all(np.array_equal(x, y) for x, y in zip(a.iterates, b.iterates))
+
+    @pytest.mark.parametrize("shape", ["short", "long", "column"])
+    def test_new_values_need_one_float_per_hypothesis(self, shape):
+        tensor = random_solver_instance(np.random.default_rng(8))
+        count = len(tensor.values)
+        values = {"short": np.ones(count - 1), "long": np.ones(count + 1),
+                  "column": np.ones((count, 1))}[shape]
+        with pytest.raises(ContractError, match="hypotheses but values"):
+            tensor.with_values(values)
+
+    def test_new_values_keep_the_forward_checks(self):
+        tensor = random_solver_instance(np.random.default_rng(8))
+        bad = tensor.values.copy()
+        bad[0] = -1.0
+        with pytest.raises(ContractError):
+            power_iteration_forward(tensor.with_values(bad), 3)
+        bad[0] = np.inf
+        with pytest.raises(NumericError):
+            power_iteration_forward(tensor.with_values(bad), 3)
+
     def test_determinism_bit_identical(self):
         rng = np.random.default_rng(6)
         values = rng.uniform(0.1, 1.0, size=(3, 3, 3))

@@ -1,15 +1,35 @@
 """Training loop: ground-truth assignments, projection, convergence."""
 
+import math
+
 import numpy as np
 import pytest
 
-from mdatrack.affinity import AffinityProviderParams, ConnectionGateConfig
+from mdatrack import training
+from mdatrack.affinity import (
+    AffinityProviderParams,
+    ConnectionGateConfig,
+    backprop_affinity,
+    compute_affinity,
+    generate_hypotheses,
+)
+from mdatrack.errors import ContractError
 from mdatrack.evalio import ScenarioSpec, generate_scenario
+from mdatrack.solver import (
+    bce_loss,
+    l1_normalize_backward,
+    l1_normalize_forward,
+    power_iteration_backward,
+    power_iteration_forward,
+)
 from mdatrack.training import (
+    TrainingWindow,
     assignment_ground_truth,
     project_param_vector,
     train_provider,
+    train_window,
 )
+from mdatrack.types import AssociationBatch, batch_windows
 
 
 class TestAssignmentGroundTruth:
@@ -95,3 +115,167 @@ class TestTrainProvider:
                 epochs=4, learning_rate=0.05)
             runs.append((params, tuple(losses)))
         assert runs[0] == runs[1]
+
+
+def rebuilt_every_step(gt_frames, gt_frame_ids, gate, params, epochs,
+                       learning_rate, power_iterations=10, norm_pairs=10):
+    """The training loop restated without any reuse: every step builds the
+    batch, its hypotheses, their affinity and the ground truth afresh."""
+    losses = []
+    for _ in range(epochs):
+        epoch_losses = []
+        for window in batch_windows(len(gt_frames)):
+            batch = AssociationBatch(
+                frames=tuple(window),
+                candidates=tuple(tuple(gt_frames[f]) for f in window))
+            hypotheses = generate_hypotheses(batch, gate)
+            if len(hypotheses) == 0:
+                continue
+            bundle = compute_affinity(batch, hypotheses, params)
+            if bundle.tensor.values.max() <= 0.0:
+                continue
+            power_state = power_iteration_forward(bundle.tensor,
+                                                  power_iterations)
+            norm_state = l1_normalize_forward(power_state.matrices(),
+                                              norm_pairs)
+            target = assignment_ground_truth([gt_frame_ids[f] for f in window])
+            loss, d_pred = bce_loss(norm_state.matrices(), target)
+            d_norm_in = l1_normalize_backward(norm_state, d_pred)
+            d_values, _ = power_iteration_backward(
+                power_state, [g.reshape(-1) for g in d_norm_in])
+            grads = backprop_affinity(bundle, d_values)
+            params = AffinityProviderParams.from_vector(project_param_vector(
+                params.as_vector() - learning_rate * grads))
+            epoch_losses.append(loss)
+        losses.append(float(np.mean(epoch_losses)) if epoch_losses else 0.0)
+    return params, losses
+
+
+NOISE = {"noise_sigma": 1.0, "miss_probability": 0.1,
+         "false_positive_rate": 0.2}
+WIDE_GATE = ConnectionGateConfig(base_distance_factor=4.0)
+OFF_DEFAULT = AffinityProviderParams(motion_weight=0.3, position_scale=15.0,
+                                     size_weight=1.0, appearance_weight=0.3,
+                                     long_term_weight=0.5)
+
+
+def scene_with_empty_frame():
+    scenario = generate_scenario(ScenarioSpec(frame_count=8, target_count=3,
+                                              seed=0, **NOISE))
+    frames = [list(f) for f in scenario.gt_frames]
+    ids = [list(i) for i in scenario.gt_frame_ids]
+    frames[4], ids[4] = [], []       # three windows without hypotheses
+    return frames, ids
+
+
+class TestWindowReuse:
+    @pytest.mark.parametrize("case", ["default gate", "wide gate",
+                                      "empty frame"])
+    def test_matches_rebuilding_every_step(self, case):
+        if case == "empty frame":
+            frames, ids = scene_with_empty_frame()
+            gate, start = WIDE_GATE, OFF_DEFAULT
+        else:
+            scenario = generate_scenario(ScenarioSpec(
+                frame_count=12, target_count=3, seed=0, **NOISE))
+            frames, ids = scenario.gt_frames, scenario.gt_frame_ids
+            gate, start = ((ConnectionGateConfig(), AffinityProviderParams())
+                           if case == "default gate" else (WIDE_GATE, OFF_DEFAULT))
+        expected = rebuilt_every_step(frames, ids, gate, start, epochs=4,
+                                      learning_rate=0.05)
+        params, losses = train_provider(frames, ids, gate, start, epochs=4,
+                                        learning_rate=0.05)
+        assert np.array_equal(params.as_vector(), expected[0].as_vector())
+        assert np.array_equal(losses, expected[1])
+        if case != "default gate":
+            assert params != start       # the steps did move the parameters
+
+    @pytest.mark.parametrize("empty_frame", [False, True])
+    def test_front_end_runs_once_per_window(self, monkeypatch, empty_frame):
+        if empty_frame:
+            frames, ids = scene_with_empty_frame()
+        else:
+            scenario = generate_scenario(ScenarioSpec(
+                frame_count=9, target_count=3, seed=1, **NOISE))
+            frames, ids = scenario.gt_frames, scenario.gt_frame_ids
+        calls = {"generate_hypotheses": [], "compute_affinity": [],
+                 "power_iteration_forward": []}
+        for name, record in calls.items():
+            def counted(*args, _fn=getattr(training, name), _record=record,
+                        **kwargs):
+                result = _fn(*args, **kwargs)
+                _record.append(result)
+                return result
+            monkeypatch.setattr(training, name, counted)
+        epochs, windows = 3, len(frames) - 2
+        train_provider(frames, ids, WIDE_GATE, OFF_DEFAULT, epochs=epochs,
+                       learning_rate=0.05)
+        with_hypotheses = sum(
+            len(h) > 0 for h in calls["generate_hypotheses"])
+        assert len(calls["generate_hypotheses"]) == windows
+        assert len(calls["compute_affinity"]) == with_hypotheses
+        assert len(calls["power_iteration_forward"]) == epochs * with_hypotheses
+        assert with_hypotheses == (windows - 3 if empty_frame else windows)
+
+    def test_parameters_decide_degeneracy_on_every_step(self):
+        scenario = generate_scenario(ScenarioSpec(
+            frame_count=3, target_count=3, seed=0, **NOISE))
+        zero = AffinityProviderParams(motion_weight=0.0, size_weight=0.0,
+                                      appearance_weight=0.0,
+                                      long_term_weight=0.0)
+        for first in (AffinityProviderParams(), zero):
+            window = TrainingWindow(
+                frames=(0, 1, 2),
+                candidates=tuple(map(tuple, scenario.gt_frames)),
+                ids=tuple(map(tuple, scenario.gt_frame_ids)),
+                gate=ConnectionGateConfig())
+            steps = [train_window(window, p, 10, 10, 0.05)
+                     for p in (first, zero, AffinityProviderParams())]
+            assert steps[1] is None
+            assert steps[2] is not None
+            assert (steps[0] is None) == (first is zero)
+
+    def test_kept_bundle_is_never_rescored_in_place(self):
+        scenario = generate_scenario(ScenarioSpec(
+            frame_count=3, target_count=3, seed=0, **NOISE))
+        window = TrainingWindow(
+            frames=(0, 1, 2), candidates=tuple(map(tuple, scenario.gt_frames)),
+            ids=tuple(map(tuple, scenario.gt_frame_ids)), gate=WIDE_GATE)
+        first = window.scored(AffinityProviderParams())
+        values = first.tensor.values.copy()
+        later = window.scored(OFF_DEFAULT)
+        assert window.bundle is first
+        assert first.params == AffinityProviderParams()
+        assert np.array_equal(first.tensor.values, values)
+        assert later.params == OFF_DEFAULT
+        assert later.tensor.index is first.tensor.index
+
+
+class TestArguments:
+    @pytest.mark.parametrize("name, value", [
+        ("epochs", 0), ("epochs", -1), ("epochs", math.nan),
+        ("learning_rate", math.nan), ("learning_rate", math.inf),
+        ("learning_rate", -0.01),
+        ("power_iterations", 0), ("norm_pairs", -1),
+    ])
+    def test_bad_argument_rejected_before_any_window(self, monkeypatch,
+                                                     name, value):
+        def no_window(*args, **kwargs):
+            raise AssertionError("a window ran")
+
+        monkeypatch.setattr(training, "train_window", no_window)
+        scenario = generate_scenario(ScenarioSpec(frame_count=6,
+                                                  target_count=2, seed=0))
+        with pytest.raises(ContractError, match=name):
+            train_provider(scenario.gt_frames, scenario.gt_frame_ids,
+                           ConnectionGateConfig(), AffinityProviderParams(),
+                           **{name: value})
+
+    @pytest.mark.parametrize("frame_count", [1, 2])
+    def test_scene_without_a_window_rejected(self, frame_count):
+        scenario = generate_scenario(ScenarioSpec(frame_count=frame_count,
+                                                  target_count=2, seed=0))
+        with pytest.warns(UserWarning), pytest.raises(ContractError,
+                                                      match="3 frames"):
+            train_provider(scenario.gt_frames, scenario.gt_frame_ids,
+                           ConnectionGateConfig(), AffinityProviderParams())
