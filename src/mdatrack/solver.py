@@ -13,9 +13,13 @@ Two layers, each with a forward pass and an analytic backward pass:
 * an alternating row/column l1 normalization that pushes the soft
   assignment matrices toward the doubly-stochastic constraint set; a pair
   whose last row (column) is flagged as a virtual slot leaves that line
-  unconstrained in its own direction.  Its history references each
-  step's input; the backward pass reads each step's output from it
-  instead of recomputing it.
+  unconstrained in its own direction.  The matrices are likewise kept as
+  one stacked vector (:class:`MatrixLayout`), so each step's exemptions,
+  zero check and divide, and each backward step's update, are one call
+  for all pairs.  Only the line sums run pair by pair, one reduction over
+  each pair's matrix: numpy sums long lines pairwise, and a grouped sum
+  over all pairs would round differently.  Every step's output is kept in
+  one buffer, which the backward pass reads instead of recomputing it.
 
 Plus the binary cross-entropy training loss and a Hungarian-based
 discretization, which takes the same virtual-line flags as the
@@ -65,8 +69,14 @@ def _pair_flat_indices(tuples: np.ndarray, sizes) -> tuple[np.ndarray, ...]:
 
 
 def _segments(stacked: np.ndarray, offsets) -> list[np.ndarray]:
-    """Per-pair views into a stacked vector."""
-    return [stacked[a:b] for a, b in zip(offsets, offsets[1:])]
+    """Per-pair views into the last axis of a stacked array."""
+    return [stacked[..., a:b] for a, b in zip(offsets, offsets[1:])]
+
+
+def _locate(offsets, position: int) -> tuple[int, int]:
+    """The pair a stacked position belongs to, and its index within it."""
+    k = int(np.searchsorted(offsets, position, side="right")) - 1
+    return k, int(position) - offsets[k]
 
 
 def _offsets(dims) -> tuple[int, ...]:
@@ -278,8 +288,7 @@ def power_iteration_forward(tensor: HypothesisTensor,
                 "has no mass on the current support")
         x = x * slices / norm_const
         if not np.all(np.isfinite(x)):
-            first_bad = int(np.flatnonzero(~np.isfinite(x))[0])
-            pair = int(np.searchsorted(offsets, first_bad, side="right")) - 1
+            pair, _ = _locate(offsets, np.flatnonzero(~np.isfinite(x))[0])
             raise NumericError(f"non-finite iterate for pair {pair} at iteration {n}")
         iterates.append(x)
         contraction_history.append(norm_const)
@@ -360,23 +369,152 @@ def power_iteration_backward(state: PowerIterationState,
 # l1 normalization layer
 # ---------------------------------------------------------------------------
 
-def _virtual_flags(flags: list[bool] | None, K: int, what: str) -> list[bool]:
+def _pair_matrices(matrices) -> list[np.ndarray]:
+    """One float matrix per pair."""
+    mats = [np.asarray(m, dtype=float) for m in matrices]
+    for k, m in enumerate(mats):
+        if m.ndim != 2:
+            raise ContractError(f"pair {k} is not a matrix")
+    return mats
+
+
+def _virtual_flags(flags: list[bool] | None, counts: list[int],
+                   what: str) -> list[bool]:
     """One flag per pair, all False when omitted: is the last row (or
-    column) of that pair a virtual slot."""
+    column) of that pair a virtual slot.  ``counts`` holds each pair's
+    number of lines in that direction; a flagged pair needs a last line."""
     if flags is None:
-        return [False] * K
-    if len(flags) != K:
-        raise ContractError(f"{what} needs {K} flags, got {len(flags)}")
+        return [False] * len(counts)
+    if len(flags) != len(counts):
+        raise ContractError(f"{what} needs {len(counts)} flags, got {len(flags)}")
+    for k, (flag, count) in enumerate(zip(flags, counts)):
+        if flag and count == 0:
+            raise ContractError(
+                f"{what}[{k}] flags a virtual last line, but pair {k} has none")
     return flags
 
 
-def _exempt_lines(sums: np.ndarray, virtual_last: bool) -> np.ndarray:
-    """Lines a normalization direction never divides: a virtual last line
-    and those whose sum is zero at entry."""
-    exempt = sums == 0.0
-    if virtual_last:
-        exempt[-1] = True
-    return exempt
+_AXES = ("row", "col")
+_REDUCE_AXIS = {"row": 1, "col": 0}
+
+
+@dataclass(frozen=True, eq=False)
+class MatrixLayout:
+    """K matrices stored row-major end to end in one stacked vector.
+
+    Pair k's entries sit at ``offsets[k]:offsets[k + 1]``.  The lines of one
+    direction are stacked the same way: ``lines["row"]`` (``lines["col"]``)
+    holds the start of each pair's rows (columns) in a stacked per-line
+    vector, then their total, and ``line_of[axis][e]`` is the stacked line
+    of entry e.
+    """
+
+    shapes: tuple[tuple[int, int], ...]
+    offsets: tuple[int, ...] = field(init=False)
+    lines: dict[str, tuple[int, ...]] = field(init=False)
+    line_of: dict[str, np.ndarray] = field(init=False, repr=False)
+
+    def __post_init__(self):
+        offsets = _offsets(r * c for r, c in self.shapes)
+        lines = {"row": _offsets(r for r, _ in self.shapes),
+                 "col": _offsets(c for _, c in self.shapes)}
+        # each pair's entries, row-major: (row, column) = divmod(entry, columns)
+        local = [np.divmod(np.arange(r * c), c) for r, c in self.shapes]
+        line_of = {axis: np.concatenate(
+                       [np.empty(0, dtype=np.intp)]
+                       + [index[d] + start for index, start in zip(local, lines[axis])])
+                   for d, axis in enumerate(_AXES)}
+        for name, value in (("offsets", offsets), ("lines", lines),
+                            ("line_of", line_of)):
+            object.__setattr__(self, name, value)
+
+    def matrices(self, stacked: np.ndarray) -> list[np.ndarray]:
+        """Per-pair matrix views into the last axis of a stacked array."""
+        lead = stacked.shape[:-1]
+        return [v.reshape(lead + shape)
+                for v, shape in zip(_segments(stacked, self.offsets),
+                                    self.shapes)]
+
+
+def _line_sums(mats: list[np.ndarray], outs: list[np.ndarray],
+               axis: str) -> None:
+    """Write each pair's line sums in direction ``axis`` into its ``outs``
+    view.
+
+    One reduction per pair over its 2-D matrix, never one grouped sum over
+    all pairs: numpy sums a contiguous line of eight or more entries
+    pairwise (so the rows of a wide matrix and the column of a one-column
+    matrix), while a grouped sum (bincount, reduceat) adds sequentially and
+    rounds differently.
+    """
+    reduce_axis = _REDUCE_AXIS[axis]
+    for m, out in zip(mats, outs):
+        np.add.reduce(m, reduce_axis, None, out)
+
+
+@dataclass
+class NormStep:
+    """One row or column normalization step, with what backward needs.
+
+    The fields are stacked over all pairs; ``pre``, ``divisors`` and
+    ``applied`` are per-pair views into them.
+    """
+
+    axis: str                       # 'row' or 'col'
+    layout: MatrixLayout
+    stacked_pre: np.ndarray         # entries entering the step (the previous output)
+    stacked_divisors: np.ndarray    # per-line sums actually divided by (1 where skipped)
+    stacked_applied: np.ndarray     # bool per line: was this line normalized
+
+    @property
+    def pre(self) -> list[np.ndarray]:
+        return self.layout.matrices(self.stacked_pre)
+
+    @property
+    def divisors(self) -> list[np.ndarray]:
+        return _segments(self.stacked_divisors, self.layout.lines[self.axis])
+
+    @property
+    def applied(self) -> list[np.ndarray]:
+        return _segments(self.stacked_applied, self.layout.lines[self.axis])
+
+
+@dataclass
+class NormalizationState:
+    """The normalization's run, stacked over all pairs as ``layout`` lays
+    them out.
+
+    ``stages[0]`` is the input and ``stages[s + 1]`` the output of step s,
+    rows and columns alternating; ``divisors[axis][n]`` holds the line sums
+    the n-th step of that direction divided by, and ``exempt[axis]`` indexes
+    the lines it never divides.  ``skipped_lines`` lists the lines left out
+    because they were zero at entry.  ``final`` and ``norm_history`` are
+    per-pair views into these arrays.
+    """
+
+    layout: MatrixLayout
+    stages: np.ndarray
+    divisors: dict[str, np.ndarray]
+    exempt: dict[str, np.ndarray]
+    skipped_lines: list[tuple[int, str, int]]
+
+    @property
+    def final(self) -> list[np.ndarray]:
+        return self.layout.matrices(self.stages[-1])
+
+    def matrices(self) -> list[np.ndarray]:
+        return self.final
+
+    @property
+    def norm_history(self) -> list[NormStep]:
+        applied = {}
+        for axis, exempt in self.exempt.items():
+            applied[axis] = np.ones(self.layout.lines[axis][-1], dtype=bool)
+            applied[axis][exempt] = False
+        return [NormStep(_AXES[s % 2], self.layout, self.stages[s],
+                         self.divisors[_AXES[s % 2]][s // 2],
+                         applied[_AXES[s % 2]])
+                for s in range(len(self.stages) - 1)]
 
 
 def l1_normalize_forward(matrices: list[np.ndarray],
@@ -392,52 +530,71 @@ def l1_normalize_forward(matrices: list[np.ndarray],
     column normalization), and symmetrically for ``virtual_cols``; these
     are the flags :func:`discretize` takes.  Lines that are identically
     zero at entry are excluded from normalization throughout and reported
-    in ``skipped_lines``; a zero sum on any other line raises.  Each step
-    divides every matrix into a new one, so the history references the
-    matrices entering each step instead of copying them.
+    in ``skipped_lines``; a zero sum on any other line raises, and so does
+    a non-finite or negative entry.
+
+    The matrices are copied once into one stacked vector
+    (:class:`MatrixLayout`), and every step works on all pairs at once: the
+    line sums (one reduction per pair, see :func:`_line_sums`), the exempt
+    lines' divisors set to 1, one zero check, and one divide by the divisor
+    gathered at each entry's line.  Step s writes its output to row s + 1
+    of the ``stages`` buffer, which is the history the backward pass reads.
     """
-    K = len(matrices)
-    virtual_rows = _virtual_flags(virtual_rows, K, "virtual_rows")
-    virtual_cols = _virtual_flags(virtual_cols, K, "virtual_cols")
+    mats = _pair_matrices(matrices)
+    shapes = tuple(m.shape for m in mats)
+    virtual = {"row": _virtual_flags(virtual_rows, [r for r, _ in shapes],
+                                     "virtual_rows"),
+               "col": _virtual_flags(virtual_cols, [c for _, c in shapes],
+                                     "virtual_cols")}
     if num_pairs < 0:
         raise ContractError("iteration pair count must be >= 0")
-    mats = []
-    for k, m in enumerate(matrices):
-        arr = np.asarray(m, dtype=float).copy()
-        if arr.ndim != 2:
-            raise ContractError(f"pair {k} is not a matrix")
-        if np.any(arr < 0):
-            raise ContractError(f"pair {k} carries negative entries")
-        mats.append(arr)
+    layout = MatrixLayout(shapes)
+    stages = np.empty((2 * num_pairs + 1, layout.offsets[-1]))
+    stage_mats = layout.matrices(stages)
+    for m, stage in zip(mats, stage_mats):
+        stage[0] = m
+    entry = stages[0]
+    if not np.isfinite(entry).all():
+        k, _ = _locate(layout.offsets, np.flatnonzero(~np.isfinite(entry))[0])
+        raise NumericError(f"pair {k} carries non-finite entries")
+    if (entry < 0).any():
+        k, _ = _locate(layout.offsets, np.flatnonzero(entry < 0)[0])
+        raise ContractError(f"pair {k} carries negative entries")
 
-    skipped: list[tuple[int, str, int]] = []
-    applied = {"row": [], "col": []}
-    for k, m in enumerate(mats):
-        row_sums, col_sums = m.sum(axis=1), m.sum(axis=0)
-        skipped.extend((k, "row", int(i)) for i in np.flatnonzero(row_sums == 0.0))
-        skipped.extend((k, "col", int(j)) for j in np.flatnonzero(col_sums == 0.0))
-        applied["row"].append(~_exempt_lines(row_sums, virtual_rows[k]))
-        applied["col"].append(~_exempt_lines(col_sums, virtual_cols[k]))
+    divisors, exempt, skipped = {}, {}, []
+    for axis in _AXES:
+        lines = layout.lines[axis]
+        # only whether a sum is zero matters here, and with nonnegative
+        # finite entries it is exactly when every entry is zero, whatever
+        # the summation order
+        exempt_lines = np.bincount(layout.line_of[axis], entry,
+                                   minlength=lines[-1]) == 0.0
+        skipped += [(k, axis, i) for k, i in
+                    (_locate(lines, line) for line in np.flatnonzero(exempt_lines))]
+        exempt_lines[[hi - 1 for hi, flag in zip(lines[1:], virtual[axis])
+                      if flag]] = True
+        exempt[axis] = np.flatnonzero(exempt_lines)
+        divisors[axis] = np.empty((num_pairs, lines[-1]))
+    skipped.sort(key=lambda line: (line[0], line[1] == "col"))  # pair by pair
 
-    history: list[NormStep] = []
-    for _ in range(num_pairs):
-        for axis, line_axis in (("row", 1), ("col", 0)):
-            pre = mats
-            divisors = [np.where(lines, m.sum(axis=line_axis), 1.0)
-                        for m, lines in zip(pre, applied[axis])]
-            for k, div in enumerate(divisors):
-                # entries stay nonnegative, so only an exact zero sum is
-                # degenerate; tiny positive sums normalize fine (entries
-                # never exceed their sum)
-                if np.count_nonzero(div) < div.size:
-                    raise DegenerateInputError(
-                        f"pair {k}: {axis} {int(np.flatnonzero(div == 0.0)[0])} "
-                        "lost all mass during normalization")
-            mats = [m / (div[:, None] if line_axis else div)
-                    for m, div in zip(pre, divisors)]
-            history.append(NormStep(axis, pre, divisors, applied[axis]))
+    div_views = {axis: _segments(divisors[axis], layout.lines[axis])
+                 for axis in _AXES}
+    for s in range(2 * num_pairs):
+        axis, n = _AXES[s % 2], s // 2
+        div = divisors[axis][n]
+        _line_sums([m[s] for m in stage_mats],
+                   [d[n] for d in div_views[axis]], axis)
+        div[exempt[axis]] = 1.0
+        # entries stay nonnegative, so only an exact zero sum is
+        # degenerate; tiny positive sums normalize fine (entries never
+        # exceed their sum)
+        if np.count_nonzero(div) < div.size:
+            k, line = _locate(layout.lines[axis], np.flatnonzero(div == 0.0)[0])
+            raise DegenerateInputError(
+                f"pair {k}: {axis} {line} lost all mass during normalization")
+        np.divide(stages[s], div[layout.line_of[axis]], out=stages[s + 1])
 
-    return NormalizationState(mats, history, skipped)
+    return NormalizationState(layout, stages, divisors, exempt, skipped)
 
 
 def l1_normalize_backward(state: NormalizationState,
@@ -447,35 +604,40 @@ def l1_normalize_backward(state: NormalizationState,
     Walks the recorded steps in reverse.  For a normalized line with
     post-step values u and pre-step sum s, the gradient maps as
     g_pre = g_post / s - <u, g_post> / s; skipped lines, whose divisor is 1
-    and whose inner product is taken as zero, pass the gradient through
-    unchanged.  Each step's output u is read from the history (the next
-    step's input, or the final matrices), never recomputed.
+    and whose inner product is set to zero, pass the gradient through
+    unchanged.  Each step's output u is read from the recorded stages, never
+    recomputed.  The gradient is one stacked vector laid out like the
+    stages, so a step is one product, the line inner products (one
+    reduction per pair, as in the forward pass) and one update for all
+    pairs; the result is returned as per-pair views.
     """
-    final = state.final
-    K = len(final)
+    layout = state.layout
+    K = len(layout.shapes)
     if len(d_x_final) != K:
         raise ContractError(f"need {K} gradients, got {len(d_x_final)}")
-    g = []
-    for k in range(K):
-        gk = np.asarray(d_x_final[k], dtype=float)
-        if gk.shape != final[k].shape:
+    g = np.empty(layout.offsets[-1])
+    for k, (gk, view) in enumerate(zip(d_x_final, layout.matrices(g))):
+        gk = np.asarray(gk, dtype=float)
+        if gk.shape != view.shape:
             raise ContractError(
-                f"gradient {k} has shape {gk.shape}, expected {final[k].shape}")
-        g.append(gk)
+                f"gradient {k} has shape {gk.shape}, expected {view.shape}")
+        view[...] = gk
 
-    history = state.norm_history
-    outputs = [step.pre for step in history[1:]] + [final]
-    for step, post in zip(reversed(history), reversed(outputs)):
-        line_axis = 1 if step.axis == "row" else 0
-        for k in range(K):
-            div = step.divisors[k]
-            inner = np.where(step.applied[k],
-                             (post[k] * g[k]).sum(axis=line_axis), 0.0)
-            if line_axis:
-                g[k] = g[k] / div[:, None] - (inner / div)[:, None]
-            else:
-                g[k] = g[k] / div - inner / div
-    return g
+    product = np.empty_like(g)
+    product_mats = layout.matrices(product)
+    inner = {axis: np.empty(layout.lines[axis][-1]) for axis in _AXES}
+    inner_views = {axis: _segments(inner[axis], layout.lines[axis])
+                   for axis in _AXES}
+    for s in reversed(range(len(state.stages) - 1)):
+        axis = _AXES[s % 2]
+        div = state.divisors[axis][s // 2]
+        line_of = layout.line_of[axis]
+        np.multiply(state.stages[s + 1], g, out=product)
+        _line_sums(product_mats, inner_views[axis], axis)
+        # assigned, not masked: an exempt line's inner product may be inf
+        inner[axis][state.exempt[axis]] = 0.0
+        g = g / div[line_of] - (inner[axis] / div)[line_of]
+    return layout.matrices(g)
 
 
 # ---------------------------------------------------------------------------
@@ -488,7 +650,7 @@ def bce_loss(predicted: list[np.ndarray],
 
     Predictions are clamped to [eps, 1-eps] before the logs; the returned
     gradient is that of the clamped expression, i.e. exactly zero where the
-    clamp is active.
+    clamp is active.  A non-finite prediction raises instead of clamping.
     """
     if len(predicted) != len(target):
         raise ContractError("prediction/target pair counts differ")
@@ -500,6 +662,8 @@ def bce_loss(predicted: list[np.ndarray],
         if p.shape != t.shape:
             raise ContractError(
                 f"pair {k}: prediction shape {p.shape} vs target {t.shape}")
+        if not np.all(np.isfinite(p)):
+            raise NumericError(f"pair {k} carries non-finite predictions")
         clamped = np.clip(p, PROB_EPS, 1.0 - PROB_EPS)
         loss -= float(np.sum(t * np.log(clamped) + (1.0 - t) * np.log1p(-clamped)))
         inside = (p >= PROB_EPS) & (p <= 1.0 - PROB_EPS)
@@ -519,12 +683,15 @@ def discretize(matrices: list[np.ndarray],
     rows go there too; symmetrically, real columns left without a partner are
     attached to the virtual row.  Virtual slots may absorb several partners.
     """
-    K = len(matrices)
-    virtual_rows = _virtual_flags(virtual_rows, K, "virtual_rows")
-    virtual_cols = _virtual_flags(virtual_cols, K, "virtual_cols")
+    mats = _pair_matrices(matrices)
+    virtual_rows = _virtual_flags(virtual_rows, [m.shape[0] for m in mats],
+                                  "virtual_rows")
+    virtual_cols = _virtual_flags(virtual_cols, [m.shape[1] for m in mats],
+                                  "virtual_cols")
     result = []
-    for k, m in enumerate(matrices):
-        m = np.asarray(m, dtype=float)
+    for k, m in enumerate(mats):
+        if not np.all(np.isfinite(m)):
+            raise NumericError(f"pair {k} carries non-finite entries")
         n_rows, n_cols = m.shape
         real_rows = n_rows - 1 if virtual_rows[k] else n_rows
         real_cols = n_cols - 1 if virtual_cols[k] else n_cols

@@ -157,15 +157,16 @@ def train_provider(gt_frames: list[list[Candidate]],
             f"power_iterations must be >= 1, got {power_iterations}")
     if not norm_pairs >= 0:
         raise ContractError(f"norm_pairs must be >= 0, got {norm_pairs}")
+    # checked here, before batch_windows would also warn about it
+    if len(gt_frames) < 3:
+        raise ContractError(
+            f"training needs at least one window of 3 frames, got "
+            f"{len(gt_frames)} frames")
     windows = [TrainingWindow(frames=tuple(window),
                               candidates=tuple(tuple(gt_frames[f]) for f in window),
                               ids=tuple(tuple(gt_frame_ids[f]) for f in window),
                               gate=gate)
                for window in batch_windows(len(gt_frames))]
-    if not windows:
-        raise ContractError(
-            f"training needs at least one window of 3 frames, got "
-            f"{len(gt_frames)} frames")
     losses: list[float] = []
     skipped = 0
     for _ in range(epochs):

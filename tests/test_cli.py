@@ -227,7 +227,8 @@ class TestErrors:
         assert err.startswith("error:")
         assert line.split()[0] in err
 
-    @pytest.mark.filterwarnings("ignore:sequence of 2 frames")
+    # each bad setting is reported once, by the error line alone
+    @pytest.mark.filterwarnings("error")
     @pytest.mark.parametrize("line, name", [
         ("learning_rate = nan", "learning_rate"),
         ("learning_rate = -0.5", "learning_rate"),

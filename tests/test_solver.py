@@ -294,6 +294,29 @@ class TestL1Normalization:
         with pytest.raises(ContractError, match="pair 0 is not a matrix"):
             l1_normalize_forward([np.ones(4)], 1)
 
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_entry_rejected(self, bad):
+        mats = [np.ones((2, 2)), np.ones((2, 3))]
+        mats[1][1, 2] = bad
+        with pytest.raises(NumericError,
+                           match=r"^pair 1 carries non-finite entries$"):
+            l1_normalize_forward(mats, 1)
+
+    @pytest.mark.parametrize("shape, name", [
+        ((0, 3), "virtual_rows"), ((3, 0), "virtual_cols")])
+    def test_virtual_flag_on_pair_without_lines_rejected(self, shape, name):
+        with pytest.raises(ContractError, match=rf"^{name}\[1\] .* pair 1 "):
+            l1_normalize_forward([np.ones((2, 2)), np.zeros(shape)], 2,
+                                 **{name: [False, True]})
+
+    def test_virtual_flag_across_a_pair_without_lines_accepted(self):
+        # three empty rows: the virtual last row exists, its columns do not
+        state = l1_normalize_forward([np.zeros((3, 0))], 2, virtual_rows=[True])
+        assert state.matrices()[0].shape == (3, 0)
+        assert state.skipped_lines == [(0, "row", 0), (0, "row", 1),
+                                       (0, "row", 2)]
+
 
 class TestL1NormalizationBackward:
     def test_zero_gradient_propagates_zero(self):
@@ -377,6 +400,14 @@ class TestBceLoss:
         with pytest.raises(ContractError):
             bce_loss([np.zeros((2, 2))], [np.zeros((2, 3))])
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_prediction_rejected(self, bad):
+        pred = [np.full((2, 2), 0.5), np.full((2, 2), 0.5)]
+        pred[1][0, 1] = bad
+        with pytest.raises(NumericError,
+                           match=r"^pair 1 carries non-finite predictions$"):
+            bce_loss(pred, [np.eye(2), np.eye(2)])
+
 
 class TestDiscretize:
     def test_dominant_diagonal(self):
@@ -425,6 +456,23 @@ class TestDiscretize:
         mat = np.eye(2)
         with pytest.raises(ContractError, match="needs 2 flags"):
             discretize([mat, mat], **flags)
+
+    def test_one_dimensional_input_rejected(self):
+        with pytest.raises(ContractError, match=r"^pair 0 is not a matrix$"):
+            discretize([np.ones(3)])
+
+    def test_non_finite_input_rejected(self):
+        mat = np.eye(3)
+        mat[2, 0] = np.nan
+        with pytest.raises(NumericError,
+                           match=r"^pair 1 carries non-finite entries$"):
+            discretize([np.eye(3), mat])
+
+    @pytest.mark.parametrize("shape, name", [
+        ((0, 3), "virtual_rows"), ((3, 0), "virtual_cols")])
+    def test_virtual_flag_on_pair_without_lines_rejected(self, shape, name):
+        with pytest.raises(ContractError, match=rf"^{name}\[0\] .* pair 0 "):
+            discretize([np.zeros(shape)], **{name: [True]})
 
 
 class TestObjectiveHelpers:

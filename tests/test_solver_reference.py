@@ -1,7 +1,9 @@
 """The stacked solver equals the per-mode restatement in
 ``solver_reference.py`` bit for bit: iterates, slices, contraction
 constants, both gradients of the power iteration, and the normalized
-matrices, divisors, exemptions and gradients of the l1 normalization."""
+matrices, divisors, exemptions and gradients of the l1 normalization,
+including on matrices whose lines are long enough for numpy to sum them
+pairwise."""
 
 import numpy as np
 import pytest
@@ -112,6 +114,36 @@ def test_masked_matrices_with_zero_lines(seed):
     matrices[1][:, int(rng.integers(shapes[1][1] - 1))] = 0.0
     assert_norm_matches(matrices, int(rng.integers(1, 11)), rng,
                         [True, seed % 2 == 0], [True, seed % 3 == 0])
+
+
+@pytest.mark.parametrize("sizes", [
+    (1, 9, 1), (9, 1, 12), (8, 10, 9),      # K = 2
+    (1, 9, 9, 1), (10, 1, 8, 11),           # K = 3
+])
+@pytest.mark.parametrize("seed", range(8))
+def test_long_lines(sizes, seed):
+    # pairs shaped (1, >=8), (>=8, 1) and (>=8, >=8): numpy sums a line of
+    # eight or more entries pairwise, a row of a wide matrix as much as the
+    # column of a one-column matrix, so a line sum that adds sequentially
+    # (one bincount for all pairs) rounds differently here.  Normalizing a
+    # one-entry line makes it exactly 1 and cuts its gradient, so a
+    # one-column pair gets a virtual last row and a one-row pair a virtual
+    # last column, whose values the long line then sums and passes back
+    rng = np.random.default_rng(100 * len(sizes) + seed)
+    matrices = [rng.uniform(0.0, 1.0, size=shape)
+                for shape in zip(sizes, sizes[1:])]
+    virtual_rows, virtual_cols = [], []
+    for m in matrices:
+        rows, cols = m.shape
+        virtual_rows.append(cols == 1 or (rows > 1 and bool(rng.integers(2))))
+        virtual_cols.append(rows == 1 or (cols > 1 and bool(rng.integers(2))))
+        # zero-at-entry lines other than the virtual ones
+        if rows > 1:
+            m[int(rng.integers(rows - 1))] = 0.0
+        if cols > 1:
+            m[:, int(rng.integers(cols - 1))] = 0.0
+    assert_norm_matches(matrices, int(rng.integers(1, 6)), rng,
+                        virtual_rows, virtual_cols)
 
 
 @pytest.fixture(scope="module")
