@@ -27,6 +27,7 @@ from .errors import ContractError, InternalInvariantError, TrackingError
 from .evalio import (
     MotRecord,
     ScenarioSpec,
+    check_track_records,
     clear_mot,
     generate_scenario,
     load_mot,
@@ -129,6 +130,7 @@ def _gt_file_to_training_input(path: str):
     records = load_mot_records(path)
     if not records:
         raise ContractError(f"ground-truth file {path} is empty")
+    check_track_records(records)
     frame_count = max(r.frame for r in records)
     gt_frames = [[] for _ in range(frame_count)]
     gt_ids = [[] for _ in range(frame_count)]

@@ -135,7 +135,21 @@ def tracks_to_records(tracks: dict[int, dict[int, Box]],
     return records
 
 
+def check_track_records(records: list[MotRecord]) -> None:
+    """Reject records that are not one box per target and frame: a negative
+    id (detections carry -1) or an id repeated on a frame."""
+    seen: set[tuple[int, int]] = set()
+    for rec in records:
+        if rec.id < 0:
+            raise ContractError(
+                f"frame {rec.frame}: id {rec.id} is negative, not a target id")
+        if (rec.frame, rec.id) in seen:
+            raise ContractError(f"frame {rec.frame}: id {rec.id} appears twice")
+        seen.add((rec.frame, rec.id))
+
+
 def records_to_tracks(records: list[MotRecord]) -> dict[int, dict[int, Box]]:
+    check_track_records(records)
     tracks: dict[int, dict[int, Box]] = {}
     for rec in records:
         tracks.setdefault(rec.id, {})[rec.frame - 1] = rec.box

@@ -2,7 +2,7 @@
 
 The same grammar backs provider-parameter files, run configs and scenario
 specs.  Floats are written with ``repr`` so that load/save round-trips are
-bit-exact; comments start with '#'.
+bit-exact; comments start with '#'.  A key may be set once per file.
 """
 
 from __future__ import annotations
@@ -25,6 +25,7 @@ def format_kv(items: dict[str, object]) -> str:
 
 def parse_kv(text: str) -> dict[str, str]:
     items: dict[str, str] = {}
+    first_line: dict[str, int] = {}
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.strip()
         if not line or line.startswith("#"):
@@ -35,6 +36,11 @@ def parse_kv(text: str) -> dict[str, str]:
         name = name.strip()
         if not name:
             raise ParseError("empty key", lineno)
+        if name in items:
+            raise ParseError(
+                f"key {name!r} repeated, first set on line {first_line[name]}",
+                lineno)
+        first_line[name] = lineno
         items[name] = value.strip()
     return items
 

@@ -50,16 +50,6 @@ DEGENERACY_FLOOR = 1e-30
 PROB_EPS = 1e-7
 
 
-@dataclass
-class NormStep:
-    """One row or column normalization step, with what backward needs."""
-
-    axis: str                      # 'row' or 'col'
-    pre: list[np.ndarray]          # matrices entering the step (the previous output)
-    divisors: list[np.ndarray]     # per-line sums actually divided by (1 where skipped)
-    applied: list[np.ndarray]      # bool per line: was this line normalized
-
-
 def _pair_flat_indices(tuples: np.ndarray, sizes) -> tuple[np.ndarray, ...]:
     """Flat pair indices of (N, K+1) 0-based candidate tuples: for each
     frame pair k, ``i_{k-1} * I_k + i_k`` (row-major over the I_{k-1} x I_k
@@ -174,8 +164,7 @@ class PowerIterationState:
     """The power iteration's run on ``tensor``, as its backward pass needs it.
 
     Iterates and slices are stacked vectors, every pair's vector end to end
-    at ``tensor.offsets``; ``x``, ``iterate_history`` and ``slice_history``
-    are per-pair views into them.
+    at ``tensor.offsets``; ``x`` holds per-pair views into the last iterate.
     """
 
     tensor: HypothesisTensor
@@ -190,27 +179,6 @@ class PowerIterationState:
     def matrices(self) -> list[np.ndarray]:
         return [v.reshape(shape)
                 for v, shape in zip(self.x, self.tensor.pair_shapes)]
-
-    @property
-    def iterate_history(self) -> list[list[np.ndarray]]:
-        return [_segments(v, self.tensor.offsets) for v in self.iterates]
-
-    @property
-    def slice_history(self) -> list[list[np.ndarray]]:
-        return [_segments(v, self.tensor.offsets) for v in self.slices]
-
-
-@dataclass
-class NormalizationState:
-    """The normalized matrices plus the step history their backward pass
-    reads, and the lines left out because they were zero at entry."""
-
-    final: list[np.ndarray]
-    norm_history: list[NormStep]
-    skipped_lines: list[tuple[int, str, int]]
-
-    def matrices(self) -> list[np.ndarray]:
-        return list(self.final)
 
 
 # ---------------------------------------------------------------------------
@@ -453,33 +421,6 @@ def _line_sums(mats: list[np.ndarray], outs: list[np.ndarray],
 
 
 @dataclass
-class NormStep:
-    """One row or column normalization step, with what backward needs.
-
-    The fields are stacked over all pairs; ``pre``, ``divisors`` and
-    ``applied`` are per-pair views into them.
-    """
-
-    axis: str                       # 'row' or 'col'
-    layout: MatrixLayout
-    stacked_pre: np.ndarray         # entries entering the step (the previous output)
-    stacked_divisors: np.ndarray    # per-line sums actually divided by (1 where skipped)
-    stacked_applied: np.ndarray     # bool per line: was this line normalized
-
-    @property
-    def pre(self) -> list[np.ndarray]:
-        return self.layout.matrices(self.stacked_pre)
-
-    @property
-    def divisors(self) -> list[np.ndarray]:
-        return _segments(self.stacked_divisors, self.layout.lines[self.axis])
-
-    @property
-    def applied(self) -> list[np.ndarray]:
-        return _segments(self.stacked_applied, self.layout.lines[self.axis])
-
-
-@dataclass
 class NormalizationState:
     """The normalization's run, stacked over all pairs as ``layout`` lays
     them out.
@@ -488,8 +429,8 @@ class NormalizationState:
     rows and columns alternating; ``divisors[axis][n]`` holds the line sums
     the n-th step of that direction divided by, and ``exempt[axis]`` indexes
     the lines it never divides.  ``skipped_lines`` lists the lines left out
-    because they were zero at entry.  ``final`` and ``norm_history`` are
-    per-pair views into these arrays.
+    because they were zero at entry.  ``matrices()`` gives per-pair views
+    into the last stage.
     """
 
     layout: MatrixLayout
@@ -498,23 +439,8 @@ class NormalizationState:
     exempt: dict[str, np.ndarray]
     skipped_lines: list[tuple[int, str, int]]
 
-    @property
-    def final(self) -> list[np.ndarray]:
-        return self.layout.matrices(self.stages[-1])
-
     def matrices(self) -> list[np.ndarray]:
-        return self.final
-
-    @property
-    def norm_history(self) -> list[NormStep]:
-        applied = {}
-        for axis, exempt in self.exempt.items():
-            applied[axis] = np.ones(self.layout.lines[axis][-1], dtype=bool)
-            applied[axis][exempt] = False
-        return [NormStep(_AXES[s % 2], self.layout, self.stages[s],
-                         self.divisors[_AXES[s % 2]][s // 2],
-                         applied[_AXES[s % 2]])
-                for s in range(len(self.stages) - 1)]
+        return self.layout.matrices(self.stages[-1])
 
 
 def l1_normalize_forward(matrices: list[np.ndarray],

@@ -33,7 +33,7 @@ from .affinity import (
     generate_hypotheses,
     rescore_affinity,
 )
-from .errors import ContractError
+from .errors import ContractError, NumericError
 from .solver import (
     bce_loss,
     l1_normalize_backward,
@@ -110,7 +110,9 @@ def train_window(window: TrainingWindow,
                  learning_rate: float
                  ) -> tuple[AffinityProviderParams, float] | None:
     """One training step on one window; None when the window is degenerate
-    (no hypotheses, or zero affinity mass under ``params``)."""
+    (no hypotheses, or zero affinity mass under ``params``).  A non-finite
+    parameter gradient raises, naming the window and the first backward
+    layer whose output is non-finite."""
     bundle = window.scored(params)
     if bundle is None or bundle.tensor.values.max() <= 0.0:
         return None
@@ -125,6 +127,14 @@ def train_window(window: TrainingWindow,
     d_values, _ = power_iteration_backward(
         power_state, [g.reshape(-1) for g in d_norm_in])
     grads = backprop_affinity(bundle, d_values)
+    if not np.isfinite(grads).all():
+        layer = next(name for name, arrays in (
+            ("l1_normalize_backward", d_norm_in),
+            ("power_iteration_backward", [d_values]),
+            ("backprop_affinity", [grads]))
+            if not all(np.isfinite(a).all() for a in arrays))
+        raise NumericError(f"non-finite gradient on the window of frames "
+                           f"{window.frames}, first from {layer}")
 
     new_vector = project_param_vector(params.as_vector() - learning_rate * grads)
     return AffinityProviderParams.from_vector(new_vector), loss

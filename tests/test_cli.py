@@ -3,7 +3,7 @@
 import pytest
 
 from mdatrack.cli import build_run_config, main
-from mdatrack.errors import ContractError
+from mdatrack.errors import ContractError, ParseError
 
 
 def read_losses(path):
@@ -32,6 +32,14 @@ class TestConfig:
         path = tmp_path / "run.cfg"
         path.write_text("frames = 12\n")
         with pytest.raises(ContractError):
+            build_run_config(str(path), None)
+
+    def test_repeated_key_rejected(self, tmp_path):
+        path = tmp_path / "run.cfg"
+        path.write_text("epochs = 1\n# more\nepochs = 2\n")
+        with pytest.raises(
+                ParseError,
+                match=r"^line 3: key 'epochs' repeated, first set on line 1$"):
             build_run_config(str(path), None)
 
     def test_seed_flag_overrides_scenario_seed(self):
@@ -256,6 +264,38 @@ class TestErrors:
         assert main(["--mode", "eval", "--gt", str(gt),
                      "--input", str(hyp)]) == 1
         assert "line 1: field 1 is not finite" in capsys.readouterr().err
+
+    def test_repeated_id_in_eval_ground_truth_is_a_validation_failure(
+            self, tmp_path, capsys):
+        gt = tmp_path / "gt.txt"
+        gt.write_text("1,1,10,20,30,40,1\n1,1,50,20,30,40,1\n"
+                      "2,1,12,20,30,40,1\n")
+        assert main(["--mode", "eval", "--gt", str(gt),
+                     "--input", str(gt)]) == 1
+        assert "frame 1: id 1 appears twice" in capsys.readouterr().err
+
+    def test_repeated_id_in_training_ground_truth_exits_before_training(
+            self, tmp_path, capsys):
+        gt = tmp_path / "gt.txt"
+        gt.write_text("".join(f"{f},0,{10 + f},20,30,40,1\n"
+                              for f in (1, 2, 3, 3)))
+        out = tmp_path / "params.txt"
+        assert main(["--mode", "train", "--gt", str(gt),
+                     "--out", str(out)]) == 1
+        assert not out.exists()
+        assert "frame 3: id 0 appears twice" in capsys.readouterr().err
+
+    def test_detection_file_as_training_ground_truth_is_rejected(
+            self, tmp_path, small_cfg, capsys):
+        gt = tmp_path / "gt.txt"
+        det = tmp_path / "det.txt"
+        assert main(["--mode", "synth", "--config", small_cfg,
+                     "--gt", str(gt), "--out", str(det)]) == 0
+        out = tmp_path / "params.txt"
+        assert main(["--mode", "train", "--config", small_cfg,
+                     "--gt", str(det), "--out", str(out)]) == 1
+        assert not out.exists()
+        assert "frame 1: id -1 is negative" in capsys.readouterr().err
 
     def test_bad_input_file(self, tmp_path):
         bad = tmp_path / "bad.txt"

@@ -90,6 +90,25 @@ class TestMotFormat:
                   4: {0: (9.0, 9.0, 2.0, 2.0)}}
         assert records_to_tracks(tracks_to_records(tracks)) == tracks
 
+    def test_repeated_frame_and_id_rejected(self):
+        records = [MotRecord(1, 1, 0.0, 0.0, 5.0, 5.0, 1.0),
+                   MotRecord(1, 1, 9.0, 9.0, 5.0, 5.0, 1.0)]
+        with pytest.raises(ContractError,
+                           match=r"^frame 1: id 1 appears twice$"):
+            records_to_tracks(records)
+
+    def test_negative_id_rejected(self):
+        records = [MotRecord(2, -1, 0.0, 0.0, 5.0, 5.0, 1.0)]
+        with pytest.raises(ContractError,
+                           match=r"^frame 2: id -1 is negative"):
+            records_to_tracks(records)
+
+    def test_id_zero_accepted(self):
+        records = [MotRecord(1, 0, 0.0, 0.0, 5.0, 5.0, 1.0),
+                   MotRecord(2, 0, 1.0, 0.0, 5.0, 5.0, 1.0)]
+        assert records_to_tracks(records) == {
+            0: {0: (0.0, 0.0, 5.0, 5.0), 1: (1.0, 0.0, 5.0, 5.0)}}
+
     def test_stream_round_trip(self):
         import io
         tracks = {2: {0: (1.5, 2.5, 3.0, 4.0), 3: (2.0, 3.0, 3.0, 4.0)}}

@@ -42,8 +42,8 @@ class TestPowerIterationForward:
     def test_single_hypothesis_pins_to_one(self):
         values = np.array([[[0.37]]])
         state = power_iteration_forward(tuple_tensor(values), 5)
-        for iterate in state.iterate_history:
-            for vec in iterate:
+        for iterate in state.iterates:
+            for vec in np.split(iterate, state.tensor.offsets[1:-1]):
                 np.testing.assert_allclose(vec, [1.0])
 
     def test_identity_dominant_instance_recovers_identity(self):
@@ -62,16 +62,16 @@ class TestPowerIterationForward:
     def test_uniform_instance_stays_uniform(self):
         values = np.full((2, 2, 2), 0.3)
         state = power_iteration_forward(tuple_tensor(values), 6)
-        for iterate in state.iterate_history:
-            for vec in iterate:
+        for iterate in state.iterates:
+            for vec in np.split(iterate, state.tensor.offsets[1:-1]):
                 assert np.ptp(vec) == 0.0
 
     def test_every_updated_vector_sums_to_one(self):
         rng = np.random.default_rng(2)
         values = rng.uniform(0.1, 1.0, size=(3, 3, 3))
         state = power_iteration_forward(tuple_tensor(values), 4)
-        for iterate in state.iterate_history[1:]:
-            for vec in iterate:
+        for iterate in state.iterates[1:]:
+            for vec in np.split(iterate, state.tensor.offsets[1:-1]):
                 assert vec.sum() == pytest.approx(1.0)
                 assert np.all(vec >= 0)
 

@@ -29,16 +29,19 @@ def assert_equal_lists(actual, reference):
         assert np.array_equal(a, b, equal_nan=True)
 
 
+def stacked(arrays):
+    """Per-pair arrays raveled end to end, as the solver stacks them."""
+    return np.concatenate([np.empty(0)] + [np.ravel(a) for a in arrays])
+
+
 def assert_power_matches(tensor, iterations, rng, x0=None):
     state = power_iteration_forward(tensor, iterations, x0=x0)
     expected = ref.power_iteration_forward(tensor, iterations, x0=x0)
     assert state.contraction_history == expected.contraction_history
-    for actual, reference in zip(state.iterate_history,
-                                 expected.iterate_history, strict=True):
-        assert_equal_lists(actual, reference)
-    for actual, reference in zip(state.slice_history,
-                                 expected.slice_history, strict=True):
-        assert_equal_lists(actual, reference)
+    assert_equal_lists(state.iterates,
+                       [stacked(x) for x in expected.iterate_history])
+    assert_equal_lists(state.slices,
+                       [stacked(s) for s in expected.slice_history])
     assert_equal_lists(state.x, expected.x)
 
     w = [rng.normal(size=d) for d in tensor.shape]
@@ -56,12 +59,18 @@ def assert_norm_matches(matrices, pairs, rng, virtual_rows=None,
                                         virtual_cols)
     assert_equal_lists(state.matrices(), expected.matrices())
     assert state.skipped_lines == expected.skipped_lines
-    assert len(state.norm_history) == len(expected.norm_history)
-    for step, reference in zip(state.norm_history, expected.norm_history):
-        assert step.axis == reference.axis
-        assert_equal_lists(step.pre, reference.pre)
-        assert_equal_lists(step.divisors, reference.divisors)
-        assert_equal_lists(step.applied, reference.applied)
+    assert len(state.stages) - 1 == len(expected.norm_history)
+    for s, reference in enumerate(expected.norm_history):
+        axis = ("row", "col")[s % 2]
+        assert axis == reference.axis
+        assert np.array_equal(state.stages[s], stacked(reference.pre),
+                              equal_nan=True)
+        assert np.array_equal(state.divisors[axis][s // 2],
+                              stacked(reference.divisors), equal_nan=True)
+        applied = np.ones(state.layout.lines[axis][-1], dtype=bool)
+        applied[state.exempt[axis]] = False
+        assert np.array_equal(applied, stacked(reference.applied),
+                              equal_nan=True)
 
     w = [rng.normal(size=m.shape) for m in state.matrices()]
     assert_equal_lists(l1_normalize_backward(state, w),

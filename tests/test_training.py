@@ -14,7 +14,7 @@ from mdatrack.affinity import (
     compute_affinity,
     generate_hypotheses,
 )
-from mdatrack.errors import ContractError
+from mdatrack.errors import ContractError, NumericError
 from mdatrack.evalio import ScenarioSpec, generate_scenario
 from mdatrack.solver import (
     bce_loss,
@@ -104,6 +104,19 @@ class TestTrainProvider:
             epochs=2, learning_rate=0.01)
         assert len(losses) == 2
         assert all(np.isfinite(l) for l in losses)
+
+    def test_non_finite_gradient_names_its_window_and_layer(self):
+        # one window's normalization backward pass overflows on this scene
+        scenario = generate_scenario(ScenarioSpec(
+            frame_count=12, target_count=10, seed=8, noise_sigma=1.0,
+            miss_probability=0.1, false_positive_rate=0.2))
+        with np.errstate(over="ignore", invalid="ignore"), pytest.raises(
+                NumericError,
+                match=r"^non-finite gradient on the window of frames "
+                      r"\(6, 7, 8\), first from l1_normalize_backward$"):
+            train_provider(scenario.gt_frames, scenario.gt_frame_ids,
+                           ConnectionGateConfig(), AffinityProviderParams(),
+                           epochs=1)
 
     def test_training_is_deterministic(self):
         spec = ScenarioSpec(frame_count=10, target_count=3, seed=5)
