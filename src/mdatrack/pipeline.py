@@ -14,10 +14,16 @@ never carries geometry of its own.
 
 Target management follows the assignment of each real anchor in the
 anchor-to-last-frame pair: untracked anchors with good boxes start
-trajectories, real partners update them (with the predicted box overriding
-a disagreeing low-quality detection), and virtual partners either coast the
+trajectories (a track born in the first window also takes its frame-0
+partner), real partners update them (with the predicted box overriding a
+disagreeing low-quality detection), and virtual partners either coast the
 track on its prediction or, when the prediction leaves the frame or the
 coast budget is exhausted, exit it.
+
+The caller's detections are read-only.  A track continued on its predicted
+box carries that box onto the window's last frame as a candidate of the
+track state, so the next two windows can anchor on it; the state drops it
+once no window can read it.
 """
 
 from __future__ import annotations
@@ -153,24 +159,19 @@ class TrackRecord:
 
 @dataclass
 class TrackState:
-    """Live targets plus the head bookkeeping that links windows.
+    """Live targets plus what links one window to the next.
 
-    ``heads`` maps (frame index, slot in that frame's candidate list) to the
-    track owning that candidate.  Ids run 1, 2, ... in creation order and
-    records are only appended, so track ``i`` is ``targets[i - 1]``.
+    ``heads`` maps (frame index, slot in that frame's window candidates) to
+    the track owning that candidate.  ``carried`` maps a frame to the
+    predicted boxes carried onto it, as candidates; in a window they follow
+    the frame's detections and precede its virtual placeholder.  Ids run
+    1, 2, ... in creation order.
     """
 
     targets: list[TrackRecord] = field(default_factory=list)
-    next_id: int = 1
-    heads: dict[tuple[int, int], int] = field(default_factory=dict)
+    heads: dict[tuple[int, int], TrackRecord] = field(default_factory=dict)
+    carried: dict[int, list[Candidate]] = field(default_factory=dict)
     skipped_windows: int = 0
-
-    def by_id(self, track_id: int) -> TrackRecord:
-        if 1 <= track_id <= len(self.targets):
-            track = self.targets[track_id - 1]
-            if track.id == track_id:
-                return track
-        raise InternalInvariantError(f"unknown track id {track_id}")
 
 
 def _make_virtual_placeholder(frame_index: int) -> Candidate:
@@ -243,56 +244,51 @@ def resolve_virtuals(batch: AssociationBatch,
     return resolved
 
 
-def track_batch(frames_store: list[list[Candidate]],
+def track_batch(detection_frames: list[list[Candidate]],
                 window: list[int],
                 gate: ConnectionGateConfig,
                 params: AffinityProviderParams,
                 config: PipelineConfig,
                 quality,
-                state: TrackState,
-                is_first_window: bool = False) -> TrackState:
+                state: TrackState) -> TrackState:
     """Process one K=2 association window and update the track state.
 
-    ``frames_store`` holds the per-frame candidate lists shared across
-    windows; prediction pseudo-candidates for coasting tracks are appended
-    to it so later windows see them.  Windows that produce no usable
-    hypotheses are skipped and counted.
+    ``detection_frames`` holds the per-frame detections and is only read;
+    the predictions of continued tracks are carried in ``state``.  Windows
+    with no real anchor, no hypothesis or no affinity mass are skipped and
+    counted.
     """
     if len(window) != 3:
         raise ContractError("tracking windows must span exactly three frames")
     f0, f1, f2 = window
 
     window_cands = tuple(
-        tuple(frames_store[f]) + (_make_virtual_placeholder(f),)
-        for f in (f0, f1, f2))
+        (*detection_frames[f], *state.carried.get(f, ()),
+         _make_virtual_placeholder(f))
+        for f in window)
+    # later windows start at f1 or after: drop what only this one reads
+    state.carried = {f: c for f, c in state.carried.items() if f >= f1}
     batch = AssociationBatch(frames=(f0, f1, f2), candidates=window_cands)
     anchor_list = window_cands[1]
     real_anchor_slots = [i for i, c in enumerate(anchor_list) if not c.is_virtual]
-    if not real_anchor_slots:
-        state.skipped_windows += 1
-        return state
 
-    velocities: dict[int, tuple[float, float]] = {}
-    for slot in real_anchor_slots:
-        track_id = state.heads.get((f1, slot))
-        if track_id is not None:
-            track = state.by_id(track_id)
-            prev_box = track.boxes.get(f0)
+    hypotheses = ()
+    if real_anchor_slots:
+        velocities: dict[int, tuple[float, float]] = {}
+        for slot in real_anchor_slots:
+            track = state.heads.get((f1, slot))
+            prev_box = None if track is None else track.boxes.get(f0)
             if prev_box is not None:
                 cx, cy = require_center(anchor_list[slot])
                 px, py = box_center(prev_box)
                 velocities[slot] = (cx - px, cy - py)
-
-    resolved = resolve_virtuals(batch, params, velocities)
-
-    hypotheses = generate_hypotheses(batch, gate)
-    if len(hypotheses) == 0:
-        state.skipped_windows += 1
-        return state
-    bundle = compute_affinity(batch, hypotheses, params,
-                              virtual_scale=config.alpha,
-                              resolved_virtuals=resolved)
-    if bundle.tensor.values.max() <= 0.0:
+        resolved = resolve_virtuals(batch, params, velocities)
+        hypotheses = generate_hypotheses(batch, gate)
+    bundle = (compute_affinity(batch, hypotheses, params,
+                               virtual_scale=config.alpha,
+                               resolved_virtuals=resolved)
+              if len(hypotheses) else None)
+    if bundle is None or bundle.tensor.values.max() <= 0.0:
         state.skipped_windows += 1
         return state
 
@@ -307,12 +303,15 @@ def track_batch(frames_store: list[list[Candidate]],
     # first 1 of each binary anchor row, or none for an unassigned row
     partners = x_next.argmax(axis=1)
     has_partner = x_next.any(axis=1)
-    new_heads: dict[tuple[int, int], int] = {}
-    claimed_next: set[int] = set()
+    new_heads: dict[tuple[int, int], TrackRecord] = {}
+    # slots of newly carried predictions start at f2's virtual slot, past
+    # every real partner's slot
+    carried_next = state.carried.setdefault(f2, [])
+    first_carried_slot = len(detection_frames[f2])
 
     for slot in real_anchor_slots:
         anchor = anchor_list[slot]
-        track_id = state.heads.get((f1, slot))
+        track = state.heads.get((f1, slot))
         cx, cy = resolved[2][slot].tolist()
         w, h = anchor.box[2], anchor.box[3]
         prediction = (cx - w / 2.0, cy - h / 2.0, w, h)
@@ -320,51 +319,42 @@ def track_batch(frames_store: list[list[Candidate]],
         next_slot = (int(partners[slot]) if has_partner[slot]
                      else virtual_next_slot)
 
-        if track_id is None:
+        if track is None:
             if quality.evaluate(anchor) <= QUALITY_THRESHOLD:
                 continue
             track = TrackRecord(
-                id=state.next_id,
+                id=len(state.targets) + 1,
                 boxes={f1: anchor.box},
                 descriptor=anchor.appearance.copy(),
                 score=anchor.score,
             )
-            state.next_id += 1
             state.targets.append(track)
-            track_id = track.id
-            if is_first_window:
+            # frame 0 is never an anchor: backfill a track's partner there
+            if f0 == 0:
                 preds = np.flatnonzero(x_prev[:, slot])
                 if preds.size == 1 and int(preds[0]) != virtual_pred_slot:
                     pred_cand = window_cands[0][int(preds[0])]
                     track.boxes[f0] = pred_cand.box
-        else:
-            track = state.by_id(track_id)
         if track.status == EXITED:
             raise InternalInvariantError(
-                f"exited track {track_id} referenced by an anchor")
+                f"exited track {track.id} referenced by an anchor")
 
         if next_slot != virtual_next_slot:
-            if next_slot in claimed_next:
+            if (f2, next_slot) in new_heads:
                 raise InternalInvariantError(
                     f"candidate {next_slot} on frame {f2} claimed twice")
-            claimed_next.add(next_slot)
             partner = window_cands[2][next_slot]
-            if (box_iou(prediction, partner.box) < config.t_dif
+            track.status = ACTIVE
+            if not (box_iou(prediction, partner.box) < config.t_dif
                     and quality.evaluate(partner) < QUALITY_THRESHOLD):
-                # detection disagrees with the prediction and looks bad:
-                # keep the predicted box, reuse the stored appearance
-                track.boxes[f2] = prediction
-                track.status = ACTIVE
-                pseudo_slot = _append_prediction(frames_store, f2,
-                                                 prediction, track)
-                new_heads[(f2, pseudo_slot)] = track_id
-            else:
                 track.boxes[f2] = partner.box
-                track.status = ACTIVE
                 track.frames_coasting = 0
                 track.descriptor = partner.appearance.copy()
                 track.score = partner.score
-                new_heads[(f2, next_slot)] = track_id
+                new_heads[(f2, next_slot)] = track
+                continue
+            # the detection disagrees with the prediction and looks bad:
+            # keep the predicted box, reuse the stored appearance
         else:
             if box_visible_fraction(prediction, config.frame_box) < config.t_exit:
                 track.status = EXITED
@@ -373,29 +363,15 @@ def track_batch(frames_store: list[list[Candidate]],
             if track.frames_coasting > config.max_coast_frames:
                 track.status = EXITED
                 continue
-            track.boxes[f2] = prediction
             track.status = COASTING
-            pseudo_slot = _append_prediction(frames_store, f2,
-                                             prediction, track)
-            new_heads[(f2, pseudo_slot)] = track_id
+        track.boxes[f2] = prediction
+        new_heads[(f2, first_carried_slot + len(carried_next))] = track
+        carried_next.append(Candidate(
+            frame_index=f2, center=box_center(prediction), box=prediction,
+            score=track.score, appearance=track.descriptor.copy()))
 
     state.heads = new_heads
     return state
-
-
-def _append_prediction(frames_store: list[list[Candidate]], frame: int,
-                       box: Box, track: TrackRecord) -> int:
-    """Inject a coasting track's predicted box as a candidate so the next
-    window can anchor on it; the track's stored appearance is reused."""
-    cand = Candidate(
-        frame_index=frame,
-        center=box_center(box),
-        box=box,
-        score=track.score,
-        appearance=track.descriptor.copy(),
-    )
-    frames_store[frame].append(cand)
-    return len(frames_store[frame]) - 1
 
 
 def run_sequence(detection_frames: list[list[Candidate]],
@@ -405,10 +381,8 @@ def run_sequence(detection_frames: list[list[Candidate]],
                  quality) -> list[TrackRecord]:
     """Track a whole sequence: slide the windows, thread the state through,
     and return every trajectory (exited ones included)."""
-    frames_store = [list(frame) for frame in detection_frames]
     state = TrackState()
-    windows = batch_windows(len(frames_store))
-    for index, window in enumerate(windows):
-        track_batch(frames_store, window, gate, params, config, quality,
-                    state, is_first_window=(index == 0))
+    for window in batch_windows(len(detection_frames)):
+        track_batch(detection_frames, window, gate, params, config, quality,
+                    state)
     return state.targets

@@ -112,7 +112,8 @@ def train_window(window: TrainingWindow,
     """One training step on one window; None when the window is degenerate
     (no hypotheses, or zero affinity mass under ``params``).  A non-finite
     parameter gradient raises, naming the window and the first backward
-    layer whose output is non-finite."""
+    layer whose output is non-finite; the backward passes raise no numpy
+    floating-point warning before it."""
     bundle = window.scored(params)
     if bundle is None or bundle.tensor.values.max() <= 0.0:
         return None
@@ -123,10 +124,11 @@ def train_window(window: TrainingWindow,
     predicted = norm_state.matrices()
     loss, d_pred = bce_loss(predicted, window.target)
 
-    d_norm_in = l1_normalize_backward(norm_state, d_pred)
-    d_values, _ = power_iteration_backward(
-        power_state, [g.reshape(-1) for g in d_norm_in])
-    grads = backprop_affinity(bundle, d_values)
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        d_norm_in = l1_normalize_backward(norm_state, d_pred)
+        d_values, _ = power_iteration_backward(
+            power_state, [g.reshape(-1) for g in d_norm_in])
+        grads = backprop_affinity(bundle, d_values)
     if not np.isfinite(grads).all():
         layer = next(name for name, arrays in (
             ("l1_normalize_backward", d_norm_in),

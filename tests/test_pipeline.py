@@ -5,6 +5,7 @@ import math
 import numpy as np
 import pytest
 
+from mdatrack import pipeline
 from mdatrack.affinity import (
     AffinityProviderParams,
     ConnectionGateConfig,
@@ -12,15 +13,16 @@ from mdatrack.affinity import (
     generate_hypotheses,
 )
 from mdatrack.evalio import ScenarioSpec, clear_mot, generate_scenario
-from mdatrack.errors import ContractError, InternalInvariantError
+from mdatrack.errors import ContractError
 from mdatrack.pipeline import (
+    EXITED,
     ConfidenceQuality,
     GroundTruthQuality,
     PipelineConfig,
-    TrackRecord,
     TrackState,
     resolve_virtuals,
     run_sequence,
+    track_batch,
     _make_virtual_placeholder,
 )
 from mdatrack.solver import (
@@ -28,7 +30,7 @@ from mdatrack.solver import (
     l1_normalize_forward,
     power_iteration_forward,
 )
-from mdatrack.types import AssociationBatch, Candidate, box_iou
+from mdatrack.types import AssociationBatch, Candidate, batch_windows, box_iou
 
 
 def cand(frame, cx, cy, w=24.0, h=24.0, appearance=None, score=1.0):
@@ -146,25 +148,6 @@ class TestResolveVirtuals:
                                                rtol=0, atol=1e-9)
 
 
-class TestTrackState:
-    def test_by_id_finds_each_record(self):
-        state = TrackState(targets=[TrackRecord(id=i) for i in (1, 2, 3)],
-                           next_id=4)
-        assert [state.by_id(i).id for i in (3, 1, 2)] == [3, 1, 2]
-
-    def test_unknown_id_raises(self):
-        state = TrackState(targets=[TrackRecord(id=1), TrackRecord(id=2)],
-                           next_id=3)
-        for unknown in (0, -1, 3):
-            with pytest.raises(InternalInvariantError):
-                state.by_id(unknown)
-
-    def test_record_out_of_creation_order_raises(self):
-        state = TrackState(targets=[TrackRecord(id=2)], next_id=3)
-        with pytest.raises(InternalInvariantError):
-            state.by_id(1)
-
-
 class TestPipelineConfig:
     @pytest.mark.parametrize("field, value", [
         ("power_iterations", 0), ("power_iterations", -3),
@@ -262,6 +245,29 @@ def run_clean_scenario(frame_count=12, target_count=3, seed=2, **spec_kw):
     return scenario, tracks
 
 
+def gap_scenario():
+    """Two targets; target 0 is missed on frame 6, so its track coasts."""
+    spec = ScenarioSpec(frame_count=12, target_count=2, seed=5)
+    scenario = generate_scenario(spec)
+    detections = [list(f) for f in scenario.detection_frames]
+    victim = scenario.gt_tracks[0][6]
+    detections[6] = [c for c in detections[6]
+                     if abs(c.box[0] - victim[0]) > 1e-9]
+    assert len(detections[6]) == 1
+    return scenario, detections
+
+
+def track_windows(scenario, detections):
+    """Drive track_batch window by window; yields (window, state) after
+    each."""
+    state = TrackState()
+    quality = GroundTruthQuality(scenario.gt_tracks)
+    for window in batch_windows(len(detections)):
+        track_batch(detections, window, ConnectionGateConfig(),
+                    AffinityProviderParams(), PipelineConfig(), quality, state)
+        yield window, state
+
+
 class TestTrackBatch:
     def test_clean_scene_zero_switches(self):
         scenario, tracks = run_clean_scenario()
@@ -270,13 +276,7 @@ class TestTrackBatch:
         assert report.mota == 1.0
 
     def test_gap_is_bridged_by_coasting(self):
-        spec = ScenarioSpec(frame_count=12, target_count=2, seed=5)
-        scenario = generate_scenario(spec)
-        detections = [list(f) for f in scenario.detection_frames]
-        victim = scenario.gt_tracks[0][6]
-        detections[6] = [c for c in detections[6]
-                         if abs(c.box[0] - victim[0]) > 1e-9]
-        assert len(detections[6]) == 1
+        scenario, detections = gap_scenario()
         tracks = run_sequence(detections, ConnectionGateConfig(),
                               AffinityProviderParams(), PipelineConfig(),
                               GroundTruthQuality(scenario.gt_tracks))
@@ -285,6 +285,36 @@ class TestTrackBatch:
         assert len(tracks) == 2
         # the gap frame is filled by the prediction
         assert all(6 in t.boxes for t in tracks)
+
+    def test_detections_are_read_only(self):
+        # a continued track's prediction is carried by the state, never
+        # appended to the caller's frames
+        scenario, detections = gap_scenario()
+        before = [list(frame) for frame in detections]
+        carried = 0
+        for _, state in track_windows(scenario, detections):
+            carried += sum(map(len, state.carried.values()))
+        assert carried > 0
+        for frame, kept in zip(detections, before):
+            assert len(frame) == len(kept)
+            assert all(a is b for a, b in zip(frame, kept))
+
+    def test_live_state_stays_bounded(self):
+        # clean 10-target scene over 300 frames: the state keeps the heads
+        # of live tracks and the predictions the next window can read
+        scenario = generate_scenario(ScenarioSpec(frame_count=300,
+                                                  target_count=10, seed=0))
+        sizes = []
+        for window, state in track_windows(scenario,
+                                           scenario.detection_frames):
+            assert len(state.carried) <= 2
+            assert all(frame > window[0] for frame in state.carried)
+            live = sum(1 for t in state.targets if t.status != EXITED)
+            assert len(state.heads) <= live
+            sizes.append(len(state.heads)
+                         + sum(map(len, state.carried.values())))
+        assert len(sizes) == 298
+        assert sizes[-1] <= sizes[28]
 
     def test_two_simultaneous_misses_both_coast(self):
         # multiple anchors may resolve to virtual partners in the same frame
@@ -405,6 +435,37 @@ class TestRunSequence:
         ids = [t.id for t in tracks]
         assert ids == sorted(ids)
         assert len(set(ids)) == len(ids)
+
+    def test_track_batch_is_called_once_per_window(self, monkeypatch):
+        # perfbench times and checks each window by wrapping the module
+        # global track_batch; when that hook breaks, its counters only read
+        # as unavailable
+        scenario = generate_scenario(ScenarioSpec(
+            frame_count=12, target_count=3, seed=21, noise_sigma=1.0,
+            miss_probability=0.15, false_positive_rate=0.3))
+
+        def digest():
+            tracks = run_sequence(scenario.detection_frames,
+                                  ConnectionGateConfig(),
+                                  AffinityProviderParams(), PipelineConfig(),
+                                  GroundTruthQuality(scenario.gt_tracks))
+            return [(t.id, t.status, t.boxes) for t in tracks]
+
+        expected = digest()
+        calls = []
+
+        def recording(*args, **kwargs):
+            result = unwrapped(*args, **kwargs)
+            calls.append((args, result))
+            return result
+
+        unwrapped = pipeline.track_batch
+        monkeypatch.setattr(pipeline, "track_batch", recording)
+        assert digest() == expected
+        assert [args[1] for args, _ in calls] == batch_windows(12)
+        for _, result in calls:
+            assert type(result.skipped_windows) is int
+            assert isinstance(result.targets, list)
 
     def test_bit_reproducible_runs(self):
         spec = ScenarioSpec(frame_count=12, target_count=3, seed=21,

@@ -118,6 +118,21 @@ class TestTrainProvider:
                            ConnectionGateConfig(), AffinityProviderParams(),
                            epochs=1)
 
+    def test_non_finite_gradient_raises_without_numpy_warnings(self):
+        # the error alone reports the overflow: no RuntimeWarning comes first
+        scenario = generate_scenario(ScenarioSpec(
+            frame_count=30, target_count=10, seed=8, noise_sigma=1.0,
+            miss_probability=0.1, false_positive_rate=0.2))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(
+                    NumericError,
+                    match=r"^non-finite gradient on the window of frames "
+                          r"\(6, 7, 8\), first from l1_normalize_backward$"):
+                train_provider(scenario.gt_frames, scenario.gt_frame_ids,
+                               ConnectionGateConfig(),
+                               AffinityProviderParams(), epochs=5)
+
     def test_training_is_deterministic(self):
         spec = ScenarioSpec(frame_count=10, target_count=3, seed=5)
         scenario = generate_scenario(spec)
