@@ -4,7 +4,8 @@ Candidates from consecutive frames are connected when they are spatially
 close (relative to box size) and similar in size; a candidate that finds no
 partner retries with progressively relaxed distance thresholds.  Valid
 hypothesis trajectories are all index tuples whose consecutive pairs pass
-the gate; virtual candidates connect unconditionally.
+the gate; virtual candidates connect unconditionally, but no hypothesis
+passes through the anchor frame's virtual, which has no geometry.
 
 The affinity of a valid trajectory is a two-level differentiable score on
 precomputed descriptors and box geometry:
@@ -128,11 +129,13 @@ def save_params(params: AffinityProviderParams, path: str | Path) -> None:
 
 def load_params(path: str | Path) -> AffinityProviderParams:
     raw = kvtext.load_kv(path)
-    missing = [n for n in AffinityProviderParams.FIELD_NAMES if n not in raw]
-    if missing:
-        raise ContractError(f"parameter file is missing {missing}")
-    return AffinityProviderParams(
-        **{n: float(raw[n]) for n in AffinityProviderParams.FIELD_NAMES})
+    names = AffinityProviderParams.FIELD_NAMES
+    values = kvtext.take(raw, dict.fromkeys(names, float))
+    missing = [n for n in names if n not in values]
+    if missing or raw:
+        raise ContractError(f"parameter file: missing keys {missing}, "
+                            f"unknown keys {sorted(raw)}")
+    return AffinityProviderParams(**values)
 
 
 # ---------------------------------------------------------------------------
@@ -184,13 +187,16 @@ def generate_hypotheses(batch: AssociationBatch,
     Returns an (H, K+1) integer array of 0-based candidate indices, one
     column per frame, rows in lexicographic order; scoring happens in
     :func:`compute_affinity`.  A candidate with no connection even after
-    relaxation simply appears in no hypothesis.
+    relaxation simply appears in no hypothesis, and so does the anchor
+    frame's virtual, which only keeps the gate's lines from relaxing.
     """
     arrays = batch.arrays
     valid = _pair_mask(arrays[0], arrays[1], gate)
     for k in range(2, batch.K + 1):
         # extend every partial tuple by the partners of its last member
         valid = valid[..., None] & _pair_mask(arrays[k - 1], arrays[k], gate)
+    anchor = batch.anchor_position
+    np.moveaxis(valid, anchor, 0)[arrays[anchor].is_virtual] = False
     return np.argwhere(valid)                   # row-major: lexicographic
 
 
@@ -223,8 +229,7 @@ def _affinity(params: AffinityProviderParams, *, appearance_edges,
               squared_distances, size_sum, acceleration, size_smoothness,
               virtual_scale) -> np.ndarray:
     """The affinity of every hypothesis from its statistics (the fields of
-    :class:`AffinityTensorBundle`).  A hypothesis with zero ``virtual_scale``
-    scores exactly zero."""
+    :class:`AffinityTensorBundle`)."""
     sigma = params.position_scale
     gauss = np.exp(-squared_distances / (2.0 * sigma * sigma))
     appearance = np.einsum("...d,...d->...", appearance_edges, gauss)
@@ -249,9 +254,9 @@ def compute_affinity(batch: AssociationBatch,
     centers its virtual resolves to, one row per anchor slot; it is
     required whenever a hypothesis contains an adjacent-frame virtual, which
     then takes the center of its anchor's row and the anchor's box size and
-    descriptor.  Hypotheses passing through the anchor-frame virtual slot
-    score exactly zero (that slot has no geometry of its own).  Each virtual
-    member of a hypothesis scales its affinity by ``virtual_scale``.
+    descriptor.  A hypothesis through the anchor-frame virtual, which has no
+    geometry, is rejected.  Each virtual member of a hypothesis scales its
+    affinity by ``virtual_scale``.
 
     The per-hypothesis statistics depend on the window alone; only their
     scoring reads ``params``, so :func:`rescore_affinity` can score the
@@ -271,20 +276,21 @@ def compute_affinity(batch: AssociationBatch,
 
     anchor_pos = batch.anchor_position
     anchors = arrays[anchor_pos]
-    # anchor-frame virtual slot: structural, zero affinity and zero statistics
-    scored = np.flatnonzero(~anchors.is_virtual[hyps[:, anchor_pos]])
-    rows = hyps[scored]
-    owner = rows[:, anchor_pos]
+    owner = hyps[:, anchor_pos]
+    through = np.flatnonzero(anchors.is_virtual[owner])
+    if len(through):
+        raise ContractError(f"hypothesis {hyps[through[0]].tolist()} passes "
+                            "through the anchor-frame virtual slot")
 
-    virtual_count = np.zeros(len(rows), dtype=np.intp)
+    virtual_count = np.zeros(len(hyps), dtype=np.intp)
     centers, box_sizes, descriptors, norms = [], [], [], []
     for pos, fa in enumerate(arrays):
-        idx = rows[:, pos]
+        idx = hyps[:, pos]
         virtual = fa.is_virtual[idx]
         virtual_count += virtual
         center, size = fa.centers[idx], fa.boxes[idx, 2:]
         descriptor, norm = fa.descriptors[idx], fa.norms[idx]
-        if pos != anchor_pos and virtual.any():
+        if virtual.any():
             table = (resolved_virtuals or {}).get(pos)
             who = owner[virtual]
             if (table is None or len(table) != len(anchors.is_virtual)
@@ -301,7 +307,7 @@ def compute_affinity(batch: AssociationBatch,
         descriptors.append(descriptor)
         norms.append(norm)
 
-    n = len(rows)
+    n = len(hyps)
     app_edges = np.empty((n, K))
     sq_dists = np.empty((n, K))
     size_sims = np.empty((n, K))
@@ -325,17 +331,10 @@ def compute_affinity(batch: AssociationBatch,
                       size_sum=size_sims.sum(axis=1), acceleration=accel,
                       size_smoothness=size_prod ** (1.0 / K),
                       virtual_scale=powers[virtual_count])
-    affinity = _affinity(params, **statistics)
-
-    def per_hypothesis(column: np.ndarray) -> np.ndarray:
-        full = np.zeros((len(hyps),) + column.shape[1:])
-        full[scored] = column
-        return full
-
     return AffinityTensorBundle(
-        tensor=HypothesisTensor(hyps, per_hypothesis(affinity), batch.sizes),
-        params=params,
-        **{name: per_hypothesis(column) for name, column in statistics.items()})
+        tensor=HypothesisTensor(hyps, _affinity(params, **statistics),
+                                batch.sizes),
+        params=params, **statistics)
 
 
 def rescore_affinity(bundle: AffinityTensorBundle,

@@ -86,27 +86,20 @@ def build_run_config(config_path: str | None, seed: int | None) -> RunConfig:
     if config_path:
         raw = kvtext.load_kv(config_path)
 
-    def take(keys):
-        out = {}
-        for name, conv in keys.items():
-            if name in raw:
-                out[name] = conv(raw.pop(name))
-        return out
-
-    scen = take(_SCENARIO_KEYS)
+    scen = kvtext.take(raw, _SCENARIO_KEYS)
     if "velocity_min" in scen or "velocity_max" in scen:
         scen["velocity_range"] = (scen.pop("velocity_min", 1.0),
                                   scen.pop("velocity_max", 4.0))
     if "box_min" in scen or "box_max" in scen:
         scen["box_size_range"] = (scen.pop("box_min", 24.0),
                                   scen.pop("box_max", 40.0))
-    gate = take(_GATE_KEYS)
+    gate = kvtext.take(raw, _GATE_KEYS)
     if "size_ratio_low" in gate or "size_ratio_high" in gate:
         gate["size_ratio_bounds"] = (gate.pop("size_ratio_low", 0.5),
                                      gate.pop("size_ratio_high", 2.0))
-    provider = take(_PROVIDER_KEYS)
-    pipe = take(_PIPELINE_KEYS)
-    train = take(_TRAIN_KEYS)
+    provider = kvtext.take(raw, _PROVIDER_KEYS)
+    pipe = kvtext.take(raw, _PIPELINE_KEYS)
+    train = kvtext.take(raw, _TRAIN_KEYS)
     if raw:
         raise ContractError(f"unknown config keys: {sorted(raw)}")
     if seed is None:

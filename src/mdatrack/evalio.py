@@ -314,7 +314,7 @@ class ScenarioSpec:
     def __post_init__(self):
         # written so that NaN fails every bound
         for name, least in (("frame_count", 1), ("target_count", 0),
-                            ("descriptor_length", 1)):
+                            ("descriptor_length", 1), ("seed", 0)):
             value = getattr(self, name)
             if not value >= least:
                 raise ContractError(f"{name} must be >= {least}, got {value}")

@@ -9,7 +9,7 @@ from __future__ import annotations
 
 from pathlib import Path
 
-from .errors import ParseError
+from .errors import ContractError, ParseError
 
 
 def format_kv(items: dict[str, object]) -> str:
@@ -43,6 +43,21 @@ def parse_kv(text: str) -> dict[str, str]:
         first_line[name] = lineno
         items[name] = value.strip()
     return items
+
+
+def take(raw: dict[str, str], keys: dict[str, type]) -> dict[str, object]:
+    """Pop the ``keys`` that ``raw`` sets, each read by its type; a value the
+    type cannot read raises a ContractError naming the key and the value."""
+    out = {}
+    for name, kind in keys.items():
+        if name in raw:
+            text = raw.pop(name)
+            try:
+                out[name] = kind(text)
+            except ValueError:
+                raise ContractError(
+                    f"{name} = {text!r} is not a valid {kind.__name__}") from None
+    return out
 
 
 def save_kv(items: dict[str, object], path: str | Path) -> None:

@@ -8,9 +8,9 @@ takes any K, at memory linear in the hypothesis count.  Each window
 appends one virtual candidate to every frame (always the last slot).  The
 two adjacent-frame virtuals are resolved per anchor to the location
 maximizing a search score built from the anchor's motion prediction and
-appearance-weighted attraction to nearby detections; the anchor-frame
-virtual is a structural slot that absorbs candidates with no partner and
-never carries geometry of its own.
+appearance-weighted attraction to nearby detections.  The anchor-frame
+virtual has no geometry: no hypothesis passes through it, so a window
+without a real anchor has no hypotheses.
 
 Target management follows the assignment of each real anchor in the
 anchor-to-last-frame pair: untracked anchors with good boxes start
@@ -255,8 +255,7 @@ def track_batch(detection_frames: list[list[Candidate]],
 
     ``detection_frames`` holds the per-frame detections and is only read;
     the predictions of continued tracks are carried in ``state``.  Windows
-    with no real anchor, no hypothesis or no affinity mass are skipped and
-    counted.
+    with no hypothesis or no affinity mass are skipped and counted.
     """
     if len(window) != 3:
         raise ContractError("tracking windows must span exactly three frames")
@@ -272,18 +271,16 @@ def track_batch(detection_frames: list[list[Candidate]],
     anchor_list = window_cands[1]
     real_anchor_slots = [i for i, c in enumerate(anchor_list) if not c.is_virtual]
 
-    hypotheses = ()
-    if real_anchor_slots:
-        velocities: dict[int, tuple[float, float]] = {}
-        for slot in real_anchor_slots:
-            track = state.heads.get((f1, slot))
-            prev_box = None if track is None else track.boxes.get(f0)
-            if prev_box is not None:
-                cx, cy = require_center(anchor_list[slot])
-                px, py = box_center(prev_box)
-                velocities[slot] = (cx - px, cy - py)
-        resolved = resolve_virtuals(batch, params, velocities)
-        hypotheses = generate_hypotheses(batch, gate)
+    velocities: dict[int, tuple[float, float]] = {}
+    for slot in real_anchor_slots:
+        track = state.heads.get((f1, slot))
+        prev_box = None if track is None else track.boxes.get(f0)
+        if prev_box is not None:
+            cx, cy = require_center(anchor_list[slot])
+            px, py = box_center(prev_box)
+            velocities[slot] = (cx - px, cy - py)
+    resolved = resolve_virtuals(batch, params, velocities)
+    hypotheses = generate_hypotheses(batch, gate)
     bundle = (compute_affinity(batch, hypotheses, params,
                                virtual_scale=config.alpha,
                                resolved_virtuals=resolved)

@@ -90,11 +90,13 @@ def edges_oracle(prev, nxt, gate):
 
 def hypotheses_oracle(frames, gate):
     """Every index tuple, in lexicographic order, whose consecutive pairs
-    are gate edges."""
+    are gate edges and whose anchor member (frame K // 2) is real."""
     edges = [edges_oracle(frames[k], frames[k + 1], gate)
              for k in range(len(frames) - 1)]
+    anchor = (len(frames) - 1) // 2
     return [list(t) for t in itertools.product(*(range(len(f)) for f in frames))
-            if all((t[k], t[k + 1]) in edges[k] for k in range(len(edges)))]
+            if all((t[k], t[k + 1]) in edges[k] for k in range(len(edges)))
+            and not frames[anchor][t[anchor]].is_virtual]
 
 
 def affinity_oracle(frames, row, params, virtual_scale, resolved):
@@ -102,8 +104,6 @@ def affinity_oracle(frames, row, params, virtual_scale, resolved):
     K = len(row) - 1
     anchor_pos = K // 2
     anchor = frames[anchor_pos][row[anchor_pos]]
-    if anchor.is_virtual:
-        return 0.0
     members = []
     for pos, i in enumerate(row):
         c = frames[pos][i]
@@ -424,6 +424,24 @@ class TestComputeAffinity:
             np.testing.assert_allclose(bundle.tensor.values, expected,
                                        rtol=1e-12, atol=0)
 
+    def test_row_through_the_anchor_virtual_rejected(self):
+        # the anchor-frame virtual has no geometry: the gate emits no row
+        # through it, and a row passed in by hand is refused, not scored
+        frames = [[cand(f, 50.0, 50.0), cand(f, 0, 0, virtual=True)]
+                  for f in range(3)]
+        batch = make_batch(frames)
+        resolved = {pos: np.array([[50.0, 50.0], [np.nan] * 2])
+                    for pos in (0, 2)}
+        hyps = generate_hypotheses(batch, ConnectionGateConfig())
+        assert hyps.tolist() == [[0, 0, 0], [0, 0, 1], [1, 0, 0], [1, 0, 1]]
+        compute_affinity(batch, hyps, AffinityProviderParams(),
+                         resolved_virtuals=resolved)
+        with pytest.raises(ContractError, match=r"^hypothesis \[1, 1, 0\] "
+                           r"passes through the anchor-frame virtual slot$"):
+            compute_affinity(batch, np.array([[0, 0, 0], [1, 1, 0]]),
+                             AffinityProviderParams(),
+                             resolved_virtuals=resolved)
+
     def test_missing_resolution_rejected(self):
         frames = [[cand(f, 50.0, 50.0), cand(f, 0, 0, virtual=True)]
                   for f in range(3)]
@@ -496,8 +514,9 @@ class TestRescoreAffinity:
             assert_rescoring_is_exact(batch, hyps, **kwargs)
             scales.update(compute(batch, hyps, AffinityProviderParams(),
                                   **kwargs).virtual_scale.tolist())
-        # anchor-virtual rows (scale 0) and resolved virtual members
-        assert {0.0, 1.0, 0.8, 0.8 * 0.8} <= scales
+        # resolved virtual members; no row passes the anchor virtual
+        assert {1.0, 0.8, 0.8 * 0.8} <= scales
+        assert 0.0 not in scales
 
     def test_random_tracking_shaped_windows(self):
         rng = np.random.default_rng(59)
@@ -691,4 +710,20 @@ class TestParamsFile:
         path = tmp_path / "params.txt"
         path.write_text("motion_weight = 1.0\n")
         with pytest.raises(ContractError):
+            load_params(path)
+
+    def test_unknown_key_rejected(self, tmp_path):
+        path = tmp_path / "params.txt"
+        save_params(AffinityProviderParams(), path)
+        path.write_text(path.read_text() + "bogus = 3\n")
+        with pytest.raises(ContractError, match=r"unknown keys \['bogus'\]"):
+            load_params(path)
+
+    def test_unreadable_value_names_its_key(self, tmp_path):
+        path = tmp_path / "params.txt"
+        save_params(AffinityProviderParams(), path)
+        path.write_text(path.read_text().replace("motion_weight = 1.0",
+                                                 "motion_weight = abc"))
+        with pytest.raises(ContractError,
+                           match=r"^motion_weight = 'abc' is not a valid float$"):
             load_params(path)

@@ -2,6 +2,7 @@
 
 import pytest
 
+from mdatrack.affinity import AffinityProviderParams, save_params
 from mdatrack.cli import build_run_config, main
 from mdatrack.errors import ContractError, ParseError
 
@@ -234,6 +235,60 @@ class TestErrors:
         err = capsys.readouterr().err
         assert err.startswith("error:")
         assert line.split()[0] in err
+
+    @pytest.mark.parametrize("line, kind", [
+        ("frame_count = 1.5", "int"), ("epochs = 2.0", "int"),
+        ("max_relaxations = two", "int"), ("alpha = abc", "float"),
+        ("motion_weight = 1,0", "float"),
+    ])
+    def test_unreadable_config_value_names_its_key(
+            self, tmp_path, capsys, line, kind):
+        cfg = tmp_path / "bad.cfg"
+        cfg.write_text(f"{line}\n")
+        out = tmp_path / "gt.txt"
+        assert main(["--mode", "synth", "--config", str(cfg), "--gt", str(out),
+                     "--out", str(tmp_path / "det.txt")]) == 1
+        assert not out.exists()
+        key, _, value = line.partition(" = ")
+        assert capsys.readouterr().err == (
+            f"error: {key} = {value!r} is not a valid {kind}\n")
+
+    @pytest.mark.parametrize("edit, name", [
+        (("motion_weight = 1.0", "motion_weight = abc"), "motion_weight"),
+        (("size_weight = 0.5", "size_weight = 0.5\nbogus = 3"), "bogus"),
+    ])
+    def test_bad_parameter_file_exits_before_tracking(
+            self, tmp_path, monkeypatch, capsys, small_cfg, edit, name):
+        from mdatrack import cli
+
+        def no_work(*args, **kwargs):
+            raise AssertionError("work started")
+
+        monkeypatch.setattr(cli, "run_sequence", no_work)
+        params = tmp_path / "params.txt"
+        save_params(AffinityProviderParams(), params)
+        params.write_text(params.read_text().replace(*edit))
+        hyp = tmp_path / "hyp.txt"
+        assert main(["--mode", "track", "--config", small_cfg,
+                     "--params", str(params), "--out", str(hyp)]) == 1
+        assert not hyp.exists()
+        err = capsys.readouterr().err
+        assert err.startswith("error:")
+        assert name in err
+
+    def test_negative_seed_exits_before_generating(
+            self, tmp_path, monkeypatch, capsys):
+        from mdatrack import cli
+
+        def no_work(*args, **kwargs):
+            raise AssertionError("work started")
+
+        monkeypatch.setattr(cli, "generate_scenario", no_work)
+        gt = tmp_path / "gt.txt"
+        assert main(["--mode", "synth", "--seed", "-1", "--gt", str(gt),
+                     "--out", str(tmp_path / "det.txt")]) == 1
+        assert not gt.exists()
+        assert capsys.readouterr().err == "error: seed must be >= 0, got -1\n"
 
     # each bad setting is reported once, by the error line alone
     @pytest.mark.filterwarnings("error")

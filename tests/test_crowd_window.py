@@ -82,11 +82,12 @@ def test_forward_peak_memory_stays_under_a_megabyte(crowd_window):
 
 
 def test_no_array_of_dense_size(crowd_window):
-    # every array the window keeps is sized by the hypotheses or by one
-    # frame pair, never by the product of the pairs
+    # every array the window keeps is sized by the hypotheses or by the
+    # stacked iterates (one vector per frame pair), never by the product of
+    # the pairs
     bundle, tensor, state = crowd_window
     H, columns = tensor.entries.shape
-    bound = max(H * columns, max(tensor.shape))
+    bound = max(H * columns, tensor.offsets[-1])
     kept = list(arrays(bundle)) + list(arrays(state))
     assert any(a is tensor.values for a in arrays(state))
     assert max(a.size for a in kept) <= bound < int(np.prod(tensor.shape)) // 100

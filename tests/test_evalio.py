@@ -249,7 +249,7 @@ class TestGenerateScenario:
         ("frame_width", math.inf), ("frame_width", math.nan),
         ("frame_height", 0.0),
         ("frame_count", 0), ("frame_count", -3), ("target_count", -1),
-        ("descriptor_length", 0), ("frame_count", math.nan),
+        ("descriptor_length", 0), ("frame_count", math.nan), ("seed", -1),
     ])
     def test_invalid_numbers_rejected(self, field, value):
         with pytest.raises(ContractError, match=field):

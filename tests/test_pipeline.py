@@ -367,6 +367,24 @@ class TestTrackBatch:
                               GroundTruthQuality(scenario.gt_tracks))
         assert len(tracks) == 2   # the false positive never enters
 
+    @pytest.mark.parametrize("weights, skipped, spans", [
+        ({}, 1, [[2, 3, 4]]),
+        ({"motion_weight": 0.0, "size_weight": 0.0, "appearance_weight": 0.0,
+          "long_term_weight": 0.0}, 3, []),
+    ])
+    def test_skipped_windows_are_counted(self, weights, skipped, spans):
+        # frame 1 is empty: the first window has no real anchor, so no
+        # hypothesis; with every weight at 0 no window has affinity mass
+        detections = [[cand(0, 100.0, 100.0)], [], [cand(2, 104.0, 100.0)],
+                      [cand(3, 106.0, 100.0)], [cand(4, 108.0, 100.0)]]
+        state = TrackState()
+        for window in batch_windows(len(detections)):
+            track_batch(detections, window, ConnectionGateConfig(),
+                        AffinityProviderParams(**weights), PipelineConfig(),
+                        ConfidenceQuality(), state)
+        assert state.skipped_windows == skipped
+        assert [sorted(t.boxes) for t in state.targets] == spans
+
     def test_coast_budget_exhaustion_exits(self):
         spec = ScenarioSpec(frame_count=20, target_count=2, seed=9)
         scenario = generate_scenario(spec)

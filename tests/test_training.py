@@ -311,3 +311,33 @@ class TestArguments:
             with pytest.raises(ContractError, match="3 frames"):
                 train_provider(scenario.gt_frames, scenario.gt_frame_ids,
                                ConnectionGateConfig(), AffinityProviderParams())
+
+
+def permuted(frames, ids, seed):
+    """Each frame's candidates and ids under the same permutation, one
+    fixed permutation per frame."""
+    rng = np.random.default_rng(seed)
+    orders = [rng.permutation(len(cands)) for cands in frames]
+    return ([[cands[i] for i in order] for cands, order in zip(frames, orders)],
+            [[tids[i] for i in order] for tids, order in zip(ids, orders)])
+
+
+class TestCandidateOrder:
+    @pytest.mark.parametrize("targets, seed",
+                             [(3, s) for s in range(4)] + [(10, s) for s in range(3)])
+    def test_training_ignores_candidate_order(self, targets, seed):
+        scenario = generate_scenario(ScenarioSpec(
+            frame_count=30, target_count=targets, seed=seed, noise_sigma=1.0,
+            miss_probability=0.1, false_positive_rate=0.2))
+
+        def trained(frames, ids):
+            params, losses = train_provider(
+                frames, ids, ConnectionGateConfig(), AffinityProviderParams(),
+                epochs=5)
+            return np.concatenate([params.as_vector(), losses])
+
+        expected = trained(scenario.gt_frames, scenario.gt_frame_ids)
+        for k in range(3):
+            np.testing.assert_allclose(
+                trained(*permuted(scenario.gt_frames, scenario.gt_frame_ids, k)),
+                expected, rtol=1e-12, atol=0)
