@@ -150,7 +150,9 @@ def _pair_mask(prev: FrameArrays, nxt: FrameArrays,
     without a partner, then each real column still without one, retries at
     successively relaxed distance factors and keeps every partner found at
     the first level that finds any.  The relaxed masks are built only when
-    some line is left without a partner.
+    some line is left without a partner, so never while tracking, where
+    every frame ends in a virtual slot that partners every line: only
+    training windows, which have none, relax.
     """
     offset = prev.centers[:, None, :] - nxt.centers[None, :, :]
     dist = np.hypot(offset[..., 0], offset[..., 1])

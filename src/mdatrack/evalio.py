@@ -215,10 +215,9 @@ def clear_mot(gt: dict[int, dict[int, Box]],
         hyps = sorted(hyp_frames.get(frame, []))
         gt_ids = [g[0] for g in gts]
         hyp_ids = [h[0] for h in hyps]
-        iou = np.zeros((len(gts), len(hyps)))
-        for i, (_, gbox) in enumerate(gts):
-            for j, (_, hbox) in enumerate(hyps):
-                iou[i, j] = box_iou(gbox, hbox)
+        gt_boxes = np.array([g[1] for g in gts], dtype=float).reshape(-1, 4)
+        hyp_boxes = np.array([h[1] for h in hyps], dtype=float).reshape(-1, 4)
+        iou = box_iou(gt_boxes[:, None], hyp_boxes)
 
         pairs: list[tuple[int, int]] = []
         used_g: set[int] = set()
@@ -264,7 +263,7 @@ def clear_mot(gt: dict[int, dict[int, Box]],
         current = new_current
 
     mota = 1.0 - (fp + fn + ids) / total_gt if total_gt else 1.0
-    motp = iou_sum / match_count if match_count else 0.0
+    motp = float(iou_sum / match_count) if match_count else 0.0
 
     mt = ml = 0
     for ident, traj in gt.items():

@@ -16,7 +16,8 @@ def format_kv(items: dict[str, object]) -> str:
     lines = []
     for name, value in items.items():
         if isinstance(value, float):
-            text = repr(value)
+            # a numpy float64 is a float whose repr names its type
+            text = repr(float(value))
         else:
             text = str(value)
         lines.append(f"{name} = {text}")

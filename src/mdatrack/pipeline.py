@@ -28,6 +28,7 @@ once no window can read it.
 
 from __future__ import annotations
 
+from collections.abc import Sequence
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -111,38 +112,27 @@ class GroundTruthQuality:
         for traj in gt_tracks.values():
             for frame, box in traj.items():
                 per_frame.setdefault(frame, []).append(box)
-        # per frame: (n, 4) corners (left, top, right, bottom), (n,) areas
-        self._per_frame: dict[int, tuple[np.ndarray, np.ndarray]] = {}
-        for frame, boxes in per_frame.items():
-            ltwh = np.array(boxes, dtype=float)
-            corners = np.concatenate([ltwh[:, :2], ltwh[:, :2] + ltwh[:, 2:]],
-                                     axis=1)
-            self._per_frame[frame] = (corners, ltwh[:, 2] * ltwh[:, 3])
+        self._boxes = {frame: np.array(boxes, dtype=float)
+                       for frame, boxes in per_frame.items()}
 
-    def evaluate(self, candidate: Candidate) -> float:
-        best = 0.0
-        gt = self._per_frame.get(candidate.frame_index)
-        if gt is not None:
-            # box_iou against every ground-truth box, operation for operation
-            corners, areas = gt
-            x0, y0, w, h = candidate.box
-            extent = (np.minimum((x0 + w, y0 + h), corners[:, 2:])
-                      - np.maximum((x0, y0), corners[:, :2]))
-            np.maximum(extent, 0.0, out=extent)
-            inter = extent[:, 0] * extent[:, 1]
-            union = w * h + areas - inter
-            iou = np.divide(inter, union, out=np.zeros_like(inter),
-                            where=union > 0.0)
-            best = float(iou.max())
-        return 1.0 if best >= self.iou_threshold else 0.0
+    def evaluate(self, candidates: Sequence[Candidate]) -> np.ndarray:
+        """1.0 or 0.0 for each of one frame's candidates."""
+        frames = {c.frame_index for c in candidates}
+        if len(frames) > 1:
+            raise ContractError(
+                f"one frame per call, got frames {sorted(frames)}")
+        gt = self._boxes.get(next(iter(frames), None), np.empty((0, 4)))
+        boxes = np.array([c.box for c in candidates], dtype=float).reshape(-1, 4)
+        best = box_iou(boxes[:, None], gt).max(axis=1, initial=0.0)
+        return np.where(best >= self.iou_threshold, 1.0, 0.0)
 
 
 class ConfidenceQuality:
     """Box-quality estimator for file-based runs: the detector confidence
     squashed into [0, 1]."""
 
-    def evaluate(self, candidate: Candidate) -> float:
-        return min(max(candidate.score, 0.0), 1.0)
+    def evaluate(self, candidates: Sequence[Candidate]) -> np.ndarray:
+        return np.clip([c.score for c in candidates], 0.0, 1.0)
 
 
 @dataclass
@@ -269,10 +259,11 @@ def track_batch(detection_frames: list[list[Candidate]],
     state.carried = {f: c for f, c in state.carried.items() if f >= f1}
     batch = AssociationBatch(frames=(f0, f1, f2), candidates=window_cands)
     anchor_list = window_cands[1]
-    real_anchor_slots = [i for i, c in enumerate(anchor_list) if not c.is_virtual]
+    # every anchor slot but the last, the virtual placeholder, is real
+    real = len(anchor_list) - 1
 
     velocities: dict[int, tuple[float, float]] = {}
-    for slot in real_anchor_slots:
+    for slot in range(real):
         track = state.heads.get((f1, slot))
         prev_box = None if track is None else track.boxes.get(f0)
         if prev_box is not None:
@@ -290,34 +281,38 @@ def track_batch(detection_frames: list[list[Candidate]],
         return state
 
     power_state = power_iteration_forward(bundle.tensor, config.power_iterations)
-    norm_state = l1_normalize_forward(power_state.matrices(), config.norm_pairs,
-                                      [True, True], [True, True])
-    binary = discretize(norm_state.matrices(), [True, True], [True, True])
-    x_prev, x_next = binary[0], binary[1]
-    virtual_pred_slot = len(window_cands[0]) - 1
+    # only the first window reads the (f0, f1) pair, for frame 0's backfill
+    pairs = power_state.matrices()[0 if f0 == 0 else 1:]
+    exempt = [True] * len(pairs)
+    norm_state = l1_normalize_forward(pairs, config.norm_pairs, exempt, exempt)
+    binary = discretize(norm_state.matrices(), exempt, exempt)
+    x_next = binary[-1][:real]
     virtual_next_slot = len(window_cands[2]) - 1
 
-    # first 1 of each binary anchor row, or none for an unassigned row
-    partners = x_next.argmax(axis=1)
-    has_partner = x_next.any(axis=1)
+    # each real anchor's partner: the first 1 of its binary row, or the
+    # virtual slot for an unassigned row
+    next_slots = np.where(x_next.any(axis=1), x_next.argmax(axis=1),
+                          virtual_next_slot)
+    # what target management compares, for every real anchor at once
+    sizes = batch.arrays[1].boxes[:real, 2:]
+    predictions = np.concatenate([resolved[2][:real] - sizes / 2.0, sizes],
+                                 axis=1)
+    agreement = box_iou(predictions, batch.arrays[2].boxes[next_slots])
+    in_frame = box_visible_fraction(predictions, config.frame_box)
+    anchor_quality = quality.evaluate(anchor_list[:real])
+    partner_quality = quality.evaluate(window_cands[2][:-1])
     new_heads: dict[tuple[int, int], TrackRecord] = {}
     # slots of newly carried predictions start at f2's virtual slot, past
     # every real partner's slot
     carried_next = state.carried.setdefault(f2, [])
     first_carried_slot = len(detection_frames[f2])
 
-    for slot in real_anchor_slots:
+    for slot, (prediction, next_slot) in enumerate(
+            zip(map(tuple, predictions.tolist()), next_slots.tolist())):
         anchor = anchor_list[slot]
         track = state.heads.get((f1, slot))
-        cx, cy = resolved[2][slot].tolist()
-        w, h = anchor.box[2], anchor.box[3]
-        prediction = (cx - w / 2.0, cy - h / 2.0, w, h)
-
-        next_slot = (int(partners[slot]) if has_partner[slot]
-                     else virtual_next_slot)
-
         if track is None:
-            if quality.evaluate(anchor) <= QUALITY_THRESHOLD:
+            if anchor_quality[slot] <= QUALITY_THRESHOLD:
                 continue
             track = TrackRecord(
                 id=len(state.targets) + 1,
@@ -328,8 +323,8 @@ def track_batch(detection_frames: list[list[Candidate]],
             state.targets.append(track)
             # frame 0 is never an anchor: backfill a track's partner there
             if f0 == 0:
-                preds = np.flatnonzero(x_prev[:, slot])
-                if preds.size == 1 and int(preds[0]) != virtual_pred_slot:
+                preds = np.flatnonzero(binary[0][:, slot])
+                if preds.size == 1 and preds[0] != len(window_cands[0]) - 1:
                     pred_cand = window_cands[0][int(preds[0])]
                     track.boxes[f0] = pred_cand.box
         if track.status == EXITED:
@@ -342,8 +337,8 @@ def track_batch(detection_frames: list[list[Candidate]],
                     f"candidate {next_slot} on frame {f2} claimed twice")
             partner = window_cands[2][next_slot]
             track.status = ACTIVE
-            if not (box_iou(prediction, partner.box) < config.t_dif
-                    and quality.evaluate(partner) < QUALITY_THRESHOLD):
+            if not (agreement[slot] < config.t_dif
+                    and partner_quality[next_slot] < QUALITY_THRESHOLD):
                 track.boxes[f2] = partner.box
                 track.frames_coasting = 0
                 track.descriptor = partner.appearance.copy()
@@ -353,7 +348,7 @@ def track_batch(detection_frames: list[list[Candidate]],
             # the detection disagrees with the prediction and looks bad:
             # keep the predicted box, reuse the stored appearance
         else:
-            if box_visible_fraction(prediction, config.frame_box) < config.t_exit:
+            if in_frame[slot] < config.t_exit:
                 track.status = EXITED
                 continue
             track.frames_coasting += 1

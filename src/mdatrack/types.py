@@ -42,44 +42,45 @@ def box_diagonal(box: tuple[float, float, float, float]) -> float:
     return math.hypot(box[2], box[3])
 
 
-def box_iou(a: tuple[float, float, float, float],
-            b: tuple[float, float, float, float]) -> float:
-    """Intersection over union of two (l, t, w, h) boxes."""
-    ax0, ay0, aw, ah = a
-    bx0, by0, bw, bh = b
-    ix0 = max(ax0, bx0)
-    iy0 = max(ay0, by0)
-    ix1 = min(ax0 + aw, bx0 + bw)
-    iy1 = min(ay0 + ah, by0 + bh)
-    iw = max(0.0, ix1 - ix0)
-    ih = max(0.0, iy1 - iy0)
-    inter = iw * ih
-    union = aw * ah + bw * bh - inter
-    if union <= 0.0:
-        return 0.0
-    return inter / union
+def _intersection(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Intersection areas of broadcast (..., 4) box arrays."""
+    extent = (np.minimum(a[..., :2] + a[..., 2:], b[..., :2] + b[..., 2:])
+              - np.maximum(a[..., :2], b[..., :2]))
+    np.maximum(extent, 0.0, out=extent)
+    return extent[..., 0] * extent[..., 1]
 
 
-def box_visible_fraction(box: tuple[float, float, float, float],
-                         frame_box: tuple[float, float, float, float]) -> float:
-    """Fraction of ``box`` that lies inside ``frame_box``.
+def _ratio(numerator: np.ndarray, denominator: np.ndarray):
+    """``numerator / denominator``, 0.0 where the denominator is not
+    positive: a float for one box, else an array of the numerator's shape."""
+    out = np.divide(numerator, denominator, out=np.zeros(np.shape(numerator)),
+                    where=denominator > 0.0)
+    return float(out) if out.ndim == 0 else out
+
+
+def box_iou(a, b):
+    """Intersection over union of (l, t, w, h) boxes, one box each or
+    (..., 4) arrays that broadcast; 0.0 for an empty union.  Capped at 1.0,
+    which rounding exceeds for some identical boxes.  This and
+    :func:`box_visible_fraction` are the package's only overlap code."""
+    a, b = np.asarray(a, dtype=float), np.asarray(b, dtype=float)
+    inter = _intersection(a, b)
+    union = a[..., 2] * a[..., 3] + b[..., 2] * b[..., 3] - inter
+    # an intersection capped at the union caps the ratio at 1.0
+    return _ratio(np.minimum(inter, union), union)
+
+
+def box_visible_fraction(box, frame_box):
+    """Fraction of ``box`` that lies inside ``frame_box``, for one box or
+    broadcast (..., 4) box arrays.
 
     Used for the exit test: a true IoU against the whole frame is near zero
     for any normally sized target, so the exit rule compares the box's
     in-frame overlap against its own area instead.
     """
-    x0, y0, w, h = box
-    area = w * h
-    if area <= 0.0:
-        return 0.0
-    fx0, fy0, fw, fh = frame_box
-    ix0 = max(x0, fx0)
-    iy0 = max(y0, fy0)
-    ix1 = min(x0 + w, fx0 + fw)
-    iy1 = min(y0 + h, fy0 + fh)
-    iw = max(0.0, ix1 - ix0)
-    ih = max(0.0, iy1 - iy0)
-    return (iw * ih) / area
+    box = np.asarray(box, dtype=float)
+    return _ratio(_intersection(box, np.asarray(frame_box, dtype=float)),
+                  box[..., 2] * box[..., 3])
 
 
 # ---------------------------------------------------------------------------

@@ -24,7 +24,7 @@ from mdatrack.affinity import (
     save_params,
 )
 from mdatrack.errors import ContractError, InputValidationError
-from mdatrack import pipeline
+from mdatrack import affinity, pipeline
 from mdatrack.evalio import ScenarioSpec, generate_scenario, load_mot
 from mdatrack.oracle import assignment_objective, finite_diff_grad
 from mdatrack.solver import _pair_flat_indices
@@ -262,6 +262,31 @@ class TestGenerateHypotheses:
             hyps = generate_hypotheses(make_batch(frames), gate)
             assert hyps.shape == (len(hyps), K + 1)
             assert hyps.tolist() == hypotheses_oracle(frames, gate)
+
+    def test_tracking_never_relaxes_the_gate(self, monkeypatch):
+        # every tracking frame ends in a virtual slot, which connects to
+        # every line, so no real line is left without a partner and the
+        # relaxed levels are never read
+        scenario = generate_scenario(ScenarioSpec(
+            frame_count=8, target_count=40, seed=0, noise_sigma=1.0,
+            miss_probability=0.1, false_positive_rate=0.2))
+        strict = ConnectionGateConfig(max_relaxations=0)
+        pair_mask = affinity._pair_mask
+        masks = []
+
+        def checked(prev, nxt, gate):
+            mask = pair_mask(prev, nxt, gate)
+            assert gate.max_relaxations == 2
+            assert np.array_equal(mask, pair_mask(prev, nxt, strict))
+            masks.append(mask)
+            return mask
+
+        monkeypatch.setattr(affinity, "_pair_mask", checked)
+        pipeline.run_sequence(
+            scenario.detection_frames, ConnectionGateConfig(),
+            AffinityProviderParams(), pipeline.PipelineConfig(),
+            pipeline.GroundTruthQuality(scenario.gt_tracks))
+        assert len(masks) == 2 * 6
 
 
 class TestDescriptorSimilarity:

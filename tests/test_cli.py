@@ -1,7 +1,9 @@
 """Command-line surface: flags, config parsing, determinism, exit codes."""
 
+import numpy as np
 import pytest
 
+from mdatrack import kvtext
 from mdatrack.affinity import AffinityProviderParams, save_params
 from mdatrack.cli import build_run_config, main
 from mdatrack.errors import ContractError, ParseError
@@ -9,6 +11,12 @@ from mdatrack.errors import ContractError, ParseError
 
 def read_losses(path):
     return [line.split()[1] for line in path.read_text().splitlines()]
+
+
+def test_numpy_floats_are_written_as_plain_floats():
+    text = kvtext.format_kv({"a": np.float64(1.0000000000000004),
+                             "b": np.float32(0.5), "c": 0.1, "d": 3})
+    assert text == "a = 1.0000000000000004\nb = 0.5\nc = 0.1\nd = 3\n"
 
 
 class TestConfig:
@@ -113,6 +121,21 @@ class TestTrackEvalChain:
         values = dict(line.split(" = ") for line in text.strip().splitlines())
         assert float(values["MOTA"]) == 1.0
         assert int(values["IDS"]) == 0
+
+    def test_eval_report_reads_back_as_plain_numbers(self, tmp_path, small_cfg):
+        gt = tmp_path / "gt.txt"
+        metrics = tmp_path / "metrics.txt"
+        assert main(["--mode", "synth", "--config", small_cfg,
+                     "--gt", str(gt), "--out", str(tmp_path / "det.txt")]) == 0
+        assert main(["--mode", "eval", "--gt", str(gt), "--input", str(gt),
+                     "--out", str(metrics)]) == 0
+        values = kvtext.load_kv(metrics)
+        assert sorted(values) == ["FN", "FP", "IDS", "ML", "MOTA", "MOTP", "MT"]
+        for name in ("FN", "FP", "IDS"):
+            assert int(values[name]) == 0
+        for name in ("MOTA", "MOTP", "MT", "ML"):
+            float(values[name])
+        assert 0.0 < float(values["MOTP"]) <= 1.0
 
     def test_eval_identical_files(self, tmp_path, small_cfg, capsys):
         gt = tmp_path / "gt.txt"

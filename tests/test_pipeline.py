@@ -32,6 +32,8 @@ from mdatrack.solver import (
 )
 from mdatrack.types import AssociationBatch, Candidate, batch_windows, box_iou
 
+import box_reference
+
 
 def cand(frame, cx, cy, w=24.0, h=24.0, appearance=None, score=1.0):
     if appearance is None:
@@ -167,21 +169,52 @@ class TestPipelineConfig:
 
 
 def scalar_quality(gt_tracks, candidate, threshold=0.5):
-    """The box-quality rule restated with the scalar box_iou."""
+    """The box-quality rule restated with the scalar reference IoU."""
     boxes = [traj[candidate.frame_index] for traj in gt_tracks.values()
              if candidate.frame_index in traj]
-    best = max((box_iou(candidate.box, b) for b in boxes), default=0.0)
+    best = max((box_reference.box_iou(candidate.box, b) for b in boxes),
+               default=0.0)
     return 1.0 if best >= threshold else 0.0
 
 
-def box_cand(frame, box):
+def box_cand(frame, box, score=1.0):
     l, t, w, h = box
     return Candidate(frame_index=frame, center=(l + w / 2, t + h / 2),
-                     box=tuple(box), score=1.0)
+                     box=tuple(box), score=score)
+
+
+def evaluate_one(quality, candidate):
+    """Score one candidate through the per-frame call."""
+    values = quality.evaluate([candidate])
+    assert values.shape == (1,)
+    return values[0]
 
 
 class TestGroundTruthQuality:
-    @pytest.mark.parametrize("threshold", [0.5, 0.3, 0.7])
+    @staticmethod
+    def random_frames(rng, gt):
+        """Per frame 0..4 (frame 4 has no ground truth), 80 candidates:
+        perturbed and exact copies of ground-truth boxes, and random boxes."""
+        frames = {}
+        for frame in range(5):
+            owners = [t[frame] for t in gt.values() if frame in t]
+            boxes = []
+            for _ in range(80):
+                pick = rng.uniform()
+                if owners and pick < 0.4:
+                    box = np.array(owners[int(rng.integers(len(owners)))])
+                    box[:2] += rng.normal(0, 4, 2)
+                    box[2:] *= rng.uniform(0.7, 1.4, 2)
+                elif owners and pick < 0.5:
+                    box = np.array(owners[int(rng.integers(len(owners)))])
+                else:
+                    box = np.concatenate([rng.uniform(0, 60, 2),
+                                          rng.uniform(5, 30, 2)])
+                boxes.append(box_cand(frame, box.tolist()))
+            frames[frame] = boxes
+        return frames
+
+    @pytest.mark.parametrize("threshold", [0.5, 0.3, 0.7, 0.0, 1.0])
     def test_random_boxes_follow_the_scalar_rule(self, threshold):
         rng = np.random.default_rng(17)
         gt = {tid: {f: tuple(rng.uniform(0, 60, 2)) + tuple(rng.uniform(5, 30, 2))
@@ -189,51 +222,67 @@ class TestGroundTruthQuality:
               for tid in range(8)}
         quality = GroundTruthQuality(gt, iou_threshold=threshold)
         seen = set()
-        for _ in range(400):
-            frame = int(rng.integers(0, 5))          # frame 4 has no GT
-            if rng.uniform() < 0.5 and any(frame in t for t in gt.values()):
-                owner = next(t for t in gt.values() if frame in t)
-                box = np.array(owner[frame])
-                box[:2] += rng.normal(0, 4, 2)
-                box[2:] *= rng.uniform(0.7, 1.4, 2)
-            else:
-                box = np.concatenate([rng.uniform(0, 60, 2),
-                                      rng.uniform(5, 30, 2)])
-            c = box_cand(frame, box.tolist())
-            value = quality.evaluate(c)
-            assert value == scalar_quality(gt, c, threshold)
-            seen.add(value)
-        assert seen == {0.0, 1.0}
+        for frame, cands in self.random_frames(rng, gt).items():
+            values = quality.evaluate(cands)
+            assert values.shape == (len(cands),)
+            assert values.tolist() == [scalar_quality(gt, c, threshold)
+                                       for c in cands]
+            seen.update(values.tolist())
+        # a threshold of 0 passes every box, even on the frame without
+        # ground truth; one of 1 passes only some exact copies
+        assert seen == ({1.0} if threshold == 0.0 else {0.0, 1.0})
 
     def test_disjoint_and_touching_boxes_have_zero_iou(self):
         gt = {1: {0: (0.0, 0.0, 2.0, 2.0)}, 2: {0: (10.0, 10.0, 2.0, 2.0)}}
         quality = GroundTruthQuality(gt, iou_threshold=1e-12)
-        for box in [(2.0, 0.0, 2.0, 2.0), (0.0, 2.0, 2.0, 2.0),
-                    (12.0, 12.0, 1.0, 1.0), (5.0, 5.0, 1.0, 1.0)]:
-            c = box_cand(0, box)
-            assert quality.evaluate(c) == scalar_quality(gt, c, 1e-12) == 0.0
+        cands = [box_cand(0, box) for box in
+                 [(2.0, 0.0, 2.0, 2.0), (0.0, 2.0, 2.0, 2.0),
+                  (12.0, 12.0, 1.0, 1.0), (5.0, 5.0, 1.0, 1.0)]]
+        assert quality.evaluate(cands).tolist() == [0.0] * 4
+        assert [scalar_quality(gt, c, 1e-12) for c in cands] == [0.0] * 4
 
     def test_identical_boxes(self):
         gt = {1: {3: (4.0, 5.0, 20.0, 30.0)}}
         for threshold in (0.5, 1.0):
             quality = GroundTruthQuality(gt, iou_threshold=threshold)
             c = box_cand(3, (4.0, 5.0, 20.0, 30.0))
-            assert quality.evaluate(c) == scalar_quality(gt, c, threshold) == 1.0
+            assert evaluate_one(quality, c) == scalar_quality(gt, c, threshold) == 1.0
 
     def test_iou_of_exactly_one_half_passes(self):
         gt = {1: {0: (1.0, 0.0, 3.0, 1.0)}}
         c = box_cand(0, (0.0, 0.0, 3.0, 1.0))
         assert box_iou(c.box, gt[1][0]) == 0.5
-        assert GroundTruthQuality(gt).evaluate(c) == 1.0
+        assert evaluate_one(GroundTruthQuality(gt), c) == 1.0
         strict = GroundTruthQuality(gt, iou_threshold=np.nextafter(0.5, 1.0))
-        assert strict.evaluate(c) == 0.0
+        assert evaluate_one(strict, c) == 0.0
 
     def test_frame_without_ground_truth_scores_zero(self):
         gt = {1: {0: (0.0, 0.0, 10.0, 10.0)}}
         c = box_cand(7, (0.0, 0.0, 10.0, 10.0))
-        assert GroundTruthQuality(gt).evaluate(c) == 0.0
+        assert evaluate_one(GroundTruthQuality(gt), c) == 0.0
         # the scalar rule's default of 0.0 passes a threshold of 0
-        assert GroundTruthQuality(gt, iou_threshold=0.0).evaluate(c) == 1.0
+        assert evaluate_one(GroundTruthQuality(gt, iou_threshold=0.0), c) == 1.0
+
+    def test_no_candidates_give_an_empty_array(self):
+        gt = {1: {0: (0.0, 0.0, 10.0, 10.0)}}
+        assert GroundTruthQuality(gt).evaluate([]).shape == (0,)
+
+    def test_candidates_of_two_frames_are_rejected(self):
+        gt = {1: {0: (0.0, 0.0, 10.0, 10.0), 1: (0.0, 0.0, 10.0, 10.0)}}
+        cands = [box_cand(0, (0.0, 0.0, 10.0, 10.0)),
+                 box_cand(1, (0.0, 0.0, 10.0, 10.0))]
+        with pytest.raises(ContractError):
+            GroundTruthQuality(gt).evaluate(cands)
+
+
+class TestConfidenceQuality:
+    def test_scores_are_clipped_to_the_unit_interval(self):
+        cands = [box_cand(0, (0.0, 0.0, 10.0, 10.0), score=s)
+                 for s in (-0.5, 0.0, 0.25, 1.0, 3.0)]
+        values = ConfidenceQuality().evaluate(cands)
+        assert values.tolist() == [0.0, 0.0, 0.25, 1.0, 1.0]
+        assert ConfidenceQuality().evaluate([]).shape == (0,)
+
 
 def run_clean_scenario(frame_count=12, target_count=3, seed=2, **spec_kw):
     spec = ScenarioSpec(frame_count=frame_count, target_count=target_count,
@@ -453,6 +502,25 @@ class TestRunSequence:
         ids = [t.id for t in tracks]
         assert ids == sorted(ids)
         assert len(set(ids)) == len(ids)
+
+    def test_later_windows_normalize_and_discretize_one_pair(self, monkeypatch):
+        # only the first window reads the (f0, f1) pair, for frame 0's
+        # backfill; every later window hands each layer the (f1, f2) pair
+        scenario = generate_scenario(ScenarioSpec(
+            frame_count=12, target_count=5, seed=3, noise_sigma=1.0,
+            miss_probability=0.1, false_positive_rate=0.3))
+        counts = {"l1_normalize_forward": [], "discretize": []}
+        for name, calls in counts.items():
+            def counting(matrices, *args, _fn=getattr(pipeline, name),
+                         _calls=calls):
+                _calls.append(len(matrices))
+                return _fn(matrices, *args)
+            monkeypatch.setattr(pipeline, name, counting)
+        run_sequence(scenario.detection_frames, ConnectionGateConfig(),
+                     AffinityProviderParams(), PipelineConfig(),
+                     GroundTruthQuality(scenario.gt_tracks))
+        for calls in counts.values():
+            assert calls == [2] + [1] * 9
 
     def test_track_batch_is_called_once_per_window(self, monkeypatch):
         # perfbench times and checks each window by wrapping the module

@@ -9,8 +9,12 @@ from mdatrack.types import (
     AssociationBatch,
     Candidate,
     batch_windows,
+    box_iou,
+    box_visible_fraction,
     require_center,
 )
+
+import box_reference
 
 
 def make_candidate(frame=0, center=(10.0, 10.0), box=(0.0, 0.0, 20.0, 20.0),
@@ -60,6 +64,80 @@ class TestFlattenPair:
         first, second = _pair_flat_indices(tuples, (2, 3, 4))
         assert first.tolist() == [1 * 3 + 2, 0 * 3 + 1]
         assert second.tolist() == [2 * 4 + 0, 1 * 4 + 3]
+
+
+def random_boxes(rng, n):
+    return np.concatenate([rng.uniform(0, 60, (n, 2)),
+                           rng.uniform(0.5, 30, (n, 2))], axis=1).tolist()
+
+
+BASE = (10.0, 20.0, 30.0, 40.0)
+#: (a, b) box pairs of every kind the kernel must get right
+SHAPED_PAIRS = [
+    (BASE, (50.0, 70.0, 5.0, 5.0)),             # disjoint
+    (BASE, (40.0, 20.0, 10.0, 40.0)),           # touching along an edge
+    (BASE, (40.0, 60.0, 3.0, 3.0)),             # touching at a corner
+    (BASE, (15.0, 25.0, 5.0, 5.0)),             # nested
+    ((15.0, 25.0, 5.0, 5.0), BASE),
+    (BASE, (25.0, 30.0, 30.0, 40.0)),           # partial overlap
+    (BASE, BASE),                               # identical
+    ((10.0, 20.0, 0.0, 40.0), BASE),            # zero width
+    (BASE, (20.0, 30.0, 5.0, 0.0)),             # zero height
+    ((10.0, 20.0, 0.0, 0.0), (10.0, 20.0, 0.0, 0.0)),   # empty union
+]
+FRAME = (0.0, 0.0, 50.0, 50.0)
+
+
+def box_pairs():
+    rng = np.random.default_rng(3)
+    boxes = random_boxes(rng, 120)
+    return (SHAPED_PAIRS + list(zip(boxes[::2], boxes[1::2]))
+            + [(b, b) for b in boxes])
+
+
+def capped_iou(a, b):
+    return min(box_reference.box_iou(a, b), 1.0)
+
+
+class TestBoxOverlap:
+    """The array kernel against the scalar reference in
+    ``tests/box_reference.py``: bit for bit, with the IoU capped at 1."""
+
+    def test_one_box_at_a_time(self):
+        for a, b in box_pairs():
+            iou = box_iou(a, b)
+            assert type(iou) is float
+            assert iou == capped_iou(a, b), (a, b)
+            for frame in (b, FRAME):
+                fraction = box_visible_fraction(a, frame)
+                assert type(fraction) is float
+                assert fraction == box_reference.box_visible_fraction(a, frame)
+
+    def test_broadcast_box_arrays(self):
+        boxes = [box for pair in box_pairs()[:60] for box in pair]
+        array = np.array(boxes)
+        iou = box_iou(array[:, None], array)
+        assert iou.shape == (len(boxes), len(boxes))
+        assert iou.tolist() == [[capped_iou(a, b) for b in boxes]
+                                for a in boxes]
+        assert box_iou(array, array[::-1]).tolist() == [
+            capped_iou(a, b) for a, b in zip(boxes, boxes[::-1])]
+        assert box_visible_fraction(array, FRAME).tolist() == [
+            box_reference.box_visible_fraction(b, FRAME) for b in boxes]
+        fraction = box_visible_fraction(array[:, None], array[None, :5])
+        assert fraction.tolist() == [
+            [box_reference.box_visible_fraction(a, b) for b in boxes[:5]]
+            for a in boxes]
+
+    def test_identical_boxes_have_iou_one(self):
+        boxes = random_boxes(np.random.default_rng(5), 2000)
+        above = [b for b in boxes if box_reference.box_iou(b, b) > 1.0]
+        # rounding puts the reference above 1 for 738 of them (and below 1
+        # for 781, which the cap leaves as they are)
+        assert len(above) == 738
+        assert [box_iou(b, b) for b in above] == [1.0] * len(above)
+        array = np.array(boxes)
+        assert (box_iou(array, array) <= 1.0).all()
 
 
 class TestBatchWindows:
