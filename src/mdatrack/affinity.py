@@ -191,15 +191,28 @@ def generate_hypotheses(batch: AssociationBatch,
     :func:`compute_affinity`.  A candidate with no connection even after
     relaxation simply appears in no hypothesis, and so does the anchor
     frame's virtual, which only keeps the gate's lines from relaxing.
+    The tuples start as the first pair's edge list and are extended pair by
+    pair with the mask rows of each tuple's last member, so memory follows
+    the tuple count times the frame size, not the product of the frame
+    sizes.
     """
     arrays = batch.arrays
-    valid = _pair_mask(arrays[0], arrays[1], gate)
-    for k in range(2, batch.K + 1):
-        # extend every partial tuple by the partners of its last member
-        valid = valid[..., None] & _pair_mask(arrays[k - 1], arrays[k], gate)
+    masks = [_pair_mask(arrays[k - 1], arrays[k], gate)
+             for k in range(1, batch.K + 1)]
     anchor = batch.anchor_position
-    np.moveaxis(valid, anchor, 0)[arrays[anchor].is_virtual] = False
-    return np.argwhere(valid)                   # row-major: lexicographic
+    virtual = arrays[anchor].is_virtual
+    if anchor > 0:
+        masks[anchor - 1][:, virtual] = False
+    if anchor < batch.K:
+        masks[anchor][virtual] = False
+    tuples = np.stack(np.nonzero(masks[0]), axis=1)
+    for mask in masks[1:]:
+        # extend every tuple by each partner of its last member; read
+        # row-major, the rows of the last members keep the order
+        # lexicographic
+        rows, tails = np.nonzero(mask[tuples[:, -1]])
+        tuples = np.column_stack([tuples[rows], tails])
+    return tuples
 
 
 # ---------------------------------------------------------------------------

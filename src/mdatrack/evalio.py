@@ -9,8 +9,8 @@ from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
-from scipy.optimize import linear_sum_assignment
 
+from .assignment import linear_sum_assignment
 from .errors import ContractError, ParseError
 from .types import Candidate, box_center, box_iou
 
@@ -186,9 +186,10 @@ def clear_mot(gt: dict[int, dict[int, Box]],
 
     Matching is per frame: pairs matched on the previous frame keep their
     match while still above the IoU threshold (continuity preference), the
-    rest are matched by maximum total IoU.  MOTP is reported as mean IoU of
-    matches (higher is better).  Mostly tracked / mostly lost use the 80% /
-    20% lifespan conventions.
+    rest are matched by maximum total IoU
+    (:func:`mdatrack.assignment.linear_sum_assignment`).  MOTP is reported
+    as mean IoU of matches (higher is better).  Mostly tracked / mostly lost
+    use the 80% / 20% lifespan conventions.
     """
     gt_frames: dict[int, list[tuple[int, Box]]] = {}
     for ident, traj in gt.items():

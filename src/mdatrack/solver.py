@@ -21,12 +21,12 @@ Two layers, each with a forward pass and an analytic backward pass:
   over all pairs would round differently.  Every step's output is kept in
   one buffer, which the backward pass reads instead of recomputing it.
 
-Plus the binary cross-entropy training loss and a Hungarian-based
-discretization, which takes the same virtual-line flags as the
-normalization.  All functions are pure with respect to their inputs.  Each
-forward pass returns its own state, :class:`PowerIterationState` or
-:class:`NormalizationState`, which holds the history its backward pass
-reads.
+Plus the binary cross-entropy training loss and a discretization by
+minimum-cost assignment (:func:`mdatrack.assignment.linear_sum_assignment`),
+which takes the same virtual-line flags as the normalization.  All
+functions are pure with respect to their inputs.  Each forward pass returns
+its own state, :class:`PowerIterationState` or :class:`NormalizationState`,
+which holds the history its backward pass reads.
 Nothing here builds the dense tensor: the dense assignment objective the
 checks score against lives in :mod:`mdatrack.oracle`.
 """
@@ -38,8 +38,8 @@ from dataclasses import dataclass, field
 from itertools import accumulate
 
 import numpy as np
-from scipy.optimize import linear_sum_assignment
 
+from .assignment import linear_sum_assignment
 from .errors import (
     ContractError,
     DegenerateInputError,
@@ -603,7 +603,8 @@ def discretize(matrices: list[np.ndarray],
                virtual_cols: list[bool] | None = None) -> list[np.ndarray]:
     """Binarize soft assignments pair by pair.
 
-    Real rows/columns get a maximum-weight bipartite matching.  When the last
+    Real rows/columns get a maximum-weight bipartite matching from
+    :func:`mdatrack.assignment.linear_sum_assignment`.  When the last
     column is a virtual slot, a matched row whose weight falls strictly below
     its virtual entry is reassigned to the virtual column, and unmatched real
     rows go there too; symmetrically, real columns left without a partner are
@@ -622,27 +623,22 @@ def discretize(matrices: list[np.ndarray],
         real_rows = n_rows - 1 if virtual_rows[k] else n_rows
         real_cols = n_cols - 1 if virtual_cols[k] else n_cols
         out = np.zeros((n_rows, n_cols))
-        taken_cols: set[int] = set()
+        matched = np.zeros(real_rows, dtype=bool)
+        taken = np.zeros(real_cols, dtype=bool)
         if real_rows > 0 and real_cols > 0:
             weights = m[:real_rows, :real_cols]
             rows, cols = linear_sum_assignment(-weights)
-            for r, c in zip(rows, cols):
-                if virtual_cols[k] and m[r, n_cols - 1] > weights[r, c]:
-                    out[r, n_cols - 1] = 1.0
-                else:
-                    out[r, c] = 1.0
-                    taken_cols.add(int(c))
-            matched_rows = set(int(r) for r in rows)
-        else:
-            matched_rows = set()
+            matched[rows] = True
+            virtual = (m[rows, n_cols - 1] > weights[rows, cols]
+                       if virtual_cols[k] else np.zeros(len(rows), dtype=bool))
+            out[rows[virtual], n_cols - 1] = 1.0
+            rows, cols = rows[~virtual], cols[~virtual]
+            out[rows, cols] = 1.0
+            taken[cols] = True
         if virtual_cols[k]:
-            for r in range(real_rows):
-                if r not in matched_rows and out[r].sum() == 0.0:
-                    out[r, n_cols - 1] = 1.0
+            out[:real_rows, n_cols - 1][~matched] = 1.0
         if virtual_rows[k]:
-            for c in range(real_cols):
-                if c not in taken_cols:
-                    out[n_rows - 1, c] = 1.0
+            out[n_rows - 1, :real_cols][~taken] = 1.0
         result.append(out)
     return result
 

@@ -60,12 +60,22 @@ def _ratio(numerator: np.ndarray, denominator: np.ndarray):
 
 def box_iou(a, b):
     """Intersection over union of (l, t, w, h) boxes, one box each or
-    (..., 4) arrays that broadcast; 0.0 for an empty union.  Capped at 1.0,
-    which rounding exceeds for some identical boxes.  This and
-    :func:`box_visible_fraction` are the package's only overlap code."""
+    (..., 4) arrays that broadcast; 0.0 for an empty union and exactly 1.0
+    for identical boxes of positive area; capped at 1.0 against rounding.
+    This and :func:`box_visible_fraction` are the package's only overlap
+    code."""
     a, b = np.asarray(a, dtype=float), np.asarray(b, dtype=float)
-    inter = _intersection(a, b)
-    union = a[..., 2] * a[..., 3] + b[..., 2] * b[..., 3] - inter
+    area_a, area_b = a[..., 2] * a[..., 3], b[..., 2] * b[..., 3]
+    inter = np.asarray(_intersection(a, b))
+    # rounding in (l + w) - l moves an identical box's intersection off its
+    # area, either way; only pairs that share a left edge can be identical
+    same = a[..., 0] == b[..., 0]
+    if same.any():
+        full_a, full_b = np.broadcast_arrays(a, b)
+        identical = (full_a[same] == full_b[same]).all(axis=-1)
+        area = np.broadcast_to(area_a, inter.shape)[same]
+        inter[same] = np.where(identical, area, inter[same])
+    union = area_a + area_b - inter
     # an intersection capped at the union caps the ratio at 1.0
     return _ratio(np.minimum(inter, union), union)
 

@@ -1,7 +1,8 @@
 """Scalar box overlap, one pair of boxes at a time: the reference the
 array kernel in ``mdatrack.types`` (``box_iou``, ``box_visible_fraction``)
 is tested against.  Boxes are (left, top, width, height); the kernel
-equals these bit for bit, except that it caps the IoU at 1.0.
+equals these bit for bit, except for the two IoU rules that
+:func:`kernel_box_iou` adds.
 """
 
 
@@ -21,6 +22,15 @@ def box_iou(a: tuple[float, float, float, float],
     if union <= 0.0:
         return 0.0
     return inter / union
+
+
+def kernel_box_iou(a: tuple[float, float, float, float],
+                   b: tuple[float, float, float, float]) -> float:
+    """:func:`box_iou` as the kernel returns it: capped at 1.0, and exactly
+    1.0 for identical boxes of positive area."""
+    if tuple(a) == tuple(b) and a[2] * a[3] > 0.0:
+        return 1.0
+    return min(box_iou(a, b), 1.0)
 
 
 def box_visible_fraction(box: tuple[float, float, float, float],

@@ -3,6 +3,7 @@
 import io
 import itertools
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -262,6 +263,33 @@ class TestGenerateHypotheses:
             hyps = generate_hypotheses(make_batch(frames), gate)
             assert hyps.shape == (len(hyps), K + 1)
             assert hyps.tolist() == hypotheses_oracle(frames, gate)
+
+    def test_memory_follows_the_edges_not_the_frame_sizes(self):
+        # 300 moving targets per frame, each frame ending in a virtual slot
+        # as while tracking: a dense I0 x I1 x I2 mask would take 27 MB
+        rng = np.random.default_rng(3)
+        starts = rng.uniform(0, 3000, (300, 2))
+        steps = rng.normal(0, 4, (300, 2))
+        frames = [[cand(f, *(start + f * step), w=30.0, h=40.0)
+                   for start, step in zip(starts, steps)]
+                  + [cand(f, 0, 0, virtual=True)] for f in range(3)]
+        batch = make_batch(frames)
+        gate = ConnectionGateConfig()
+        masks = [affinity._pair_mask(batch.arrays[k], batch.arrays[k + 1],
+                                     gate) for k in range(2)]
+        tracemalloc.start()
+        try:
+            hyps = generate_hypotheses(batch, gate)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        dense_bytes = 301 ** 3
+        assert peak < dense_bytes // 4, peak
+        # the dense mask, with the anchor's virtual slot cleared, as reference
+        valid = masks[0][:, :, None] & masks[1][None]
+        valid[:, -1] = False
+        assert np.array_equal(hyps, np.argwhere(valid))
+        assert len(hyps) >= 300
 
     def test_tracking_never_relaxes_the_gate(self, monkeypatch):
         # every tracking frame ends in a virtual slot, which connects to

@@ -137,13 +137,14 @@ class TestClearMot:
         assert report.mostly_tracked == 100.0
 
     def test_identical_tracks_score_motp_of_at_most_one(self):
-        # rounding puts the IoU of about half of these boxes with themselves
-        # above 1 and of the rest below; the cap keeps MOTP at most 1
+        # rounding in the intersection puts the IoU of about half of these
+        # boxes with themselves above 1 and of the rest below; identical
+        # boxes score exactly 1
         scenario = generate_scenario(ScenarioSpec(frame_count=10,
                                                   target_count=3, seed=0))
         report = clear_mot(scenario.gt_tracks, scenario.gt_tracks)
         assert type(report.motp) is float and type(report.mota) is float
-        assert 1.0 - 1e-15 < report.motp <= 1.0
+        assert report.motp == 1.0
         assert report.mota == 1.0
 
     def test_empty_hypothesis(self):

@@ -172,8 +172,8 @@ def scalar_quality(gt_tracks, candidate, threshold=0.5):
     """The box-quality rule restated with the scalar reference IoU."""
     boxes = [traj[candidate.frame_index] for traj in gt_tracks.values()
              if candidate.frame_index in traj]
-    best = max((box_reference.box_iou(candidate.box, b) for b in boxes),
-               default=0.0)
+    best = max((box_reference.kernel_box_iou(candidate.box, b)
+                for b in boxes), default=0.0)
     return 1.0 if best >= threshold else 0.0
 
 

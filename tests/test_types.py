@@ -15,6 +15,7 @@ from mdatrack.types import (
 )
 
 import box_reference
+from box_reference import kernel_box_iou
 
 
 def make_candidate(frame=0, center=(10.0, 10.0), box=(0.0, 0.0, 20.0, 20.0),
@@ -95,19 +96,16 @@ def box_pairs():
             + [(b, b) for b in boxes])
 
 
-def capped_iou(a, b):
-    return min(box_reference.box_iou(a, b), 1.0)
-
-
 class TestBoxOverlap:
     """The array kernel against the scalar reference in
-    ``tests/box_reference.py``: bit for bit, with the IoU capped at 1."""
+    ``tests/box_reference.py``: bit for bit, with the IoU capped at 1 and
+    exactly 1 for identical boxes of positive area."""
 
     def test_one_box_at_a_time(self):
         for a, b in box_pairs():
             iou = box_iou(a, b)
             assert type(iou) is float
-            assert iou == capped_iou(a, b), (a, b)
+            assert iou == kernel_box_iou(a, b), (a, b)
             for frame in (b, FRAME):
                 fraction = box_visible_fraction(a, frame)
                 assert type(fraction) is float
@@ -118,10 +116,10 @@ class TestBoxOverlap:
         array = np.array(boxes)
         iou = box_iou(array[:, None], array)
         assert iou.shape == (len(boxes), len(boxes))
-        assert iou.tolist() == [[capped_iou(a, b) for b in boxes]
+        assert iou.tolist() == [[kernel_box_iou(a, b) for b in boxes]
                                 for a in boxes]
         assert box_iou(array, array[::-1]).tolist() == [
-            capped_iou(a, b) for a, b in zip(boxes, boxes[::-1])]
+            kernel_box_iou(a, b) for a, b in zip(boxes, boxes[::-1])]
         assert box_visible_fraction(array, FRAME).tolist() == [
             box_reference.box_visible_fraction(b, FRAME) for b in boxes]
         fraction = box_visible_fraction(array[:, None], array[None, :5])
@@ -131,13 +129,15 @@ class TestBoxOverlap:
 
     def test_identical_boxes_have_iou_one(self):
         boxes = random_boxes(np.random.default_rng(5), 2000)
-        above = [b for b in boxes if box_reference.box_iou(b, b) > 1.0]
-        # rounding puts the reference above 1 for 738 of them (and below 1
-        # for 781, which the cap leaves as they are)
-        assert len(above) == 738
-        assert [box_iou(b, b) for b in above] == [1.0] * len(above)
+        reference = [box_reference.box_iou(b, b) for b in boxes]
+        # rounding puts the reference above 1 for 738 of them and below 1
+        # for 781
+        assert sum(iou > 1.0 for iou in reference) == 738
+        assert sum(iou < 1.0 for iou in reference) == 781
+        assert [box_iou(b, b) for b in boxes] == [1.0] * len(boxes)
         array = np.array(boxes)
-        assert (box_iou(array, array) <= 1.0).all()
+        assert (box_iou(array, array) == 1.0).all()
+        assert (box_iou(array[:, None], array).diagonal() == 1.0).all()
 
 
 class TestBatchWindows:
