@@ -37,7 +37,7 @@ import numpy as np
 from . import kvtext
 from .errors import ContractError, InputValidationError
 from .solver import HypothesisTensor
-from .types import AssociationBatch, FrameArrays
+from .types import AssociationBatch, FrameArrays, descriptor_similarity  # noqa: F401
 
 
 @dataclass(frozen=True)
@@ -154,13 +154,15 @@ def _pair_mask(prev: FrameArrays, nxt: FrameArrays,
     every frame ends in a virtual slot that partners every line: only
     training windows, which have none, relax.
     """
-    offset = prev.centers[:, None, :] - nxt.centers[None, :, :]
-    dist = np.hypot(offset[..., 0], offset[..., 1])
+    dist = np.hypot(prev.centers[:, None, 0] - nxt.centers[None, :, 0],
+                    prev.centers[:, None, 1] - nxt.centers[None, :, 1])
     reach = np.maximum(prev.diagonals[:, None], nxt.diagonals[None, :])
     low, high = gate.size_ratio_bounds
-    ratio = nxt.boxes[None, :, 2:] / prev.boxes[:, None, 2:]   # width, height
-    size_ok = ((low <= ratio) & (ratio <= high)).all(axis=2)
-    # a NaN distance (unresolved virtual) never passes
+    width = nxt.boxes[None, :, 2] / prev.boxes[:, None, 2]
+    height = nxt.boxes[None, :, 3] / prev.boxes[:, None, 3]
+    size_ok = ((low <= width) & (width <= high)
+               & (low <= height) & (height <= high))
+    # a NaN distance (a virtual row) never passes
     mask = size_ok & (dist <= gate.base_distance_factor * reach)
     mask |= prev.is_virtual[:, None] | nxt.is_virtual[None, :]
 
@@ -199,12 +201,9 @@ def generate_hypotheses(batch: AssociationBatch,
     arrays = batch.arrays
     masks = [_pair_mask(arrays[k - 1], arrays[k], gate)
              for k in range(1, batch.K + 1)]
-    anchor = batch.anchor_position
-    virtual = arrays[anchor].is_virtual
-    if anchor > 0:
-        masks[anchor - 1][:, virtual] = False
-    if anchor < batch.K:
-        masks[anchor][virtual] = False
+    if batch.virtual:
+        anchor = batch.anchor_position          # strictly inside the window
+        masks[anchor - 1][:, -1] = masks[anchor][-1] = False
     tuples = np.stack(np.nonzero(masks[0]), axis=1)
     for mask in masks[1:]:
         # extend every tuple by each partner of its last member; read
@@ -218,22 +217,6 @@ def generate_hypotheses(batch: AssociationBatch,
 # ---------------------------------------------------------------------------
 # Affinity provider
 # ---------------------------------------------------------------------------
-
-def descriptor_similarity(a: np.ndarray, norm_a: np.ndarray,
-                          b: np.ndarray, norm_b: np.ndarray) -> np.ndarray:
-    """Clipped squared cosine of broadcast descriptor rows ``a``, ``b``
-    (shape (..., D), norms (...)), in [0, 1].
-
-    Squaring suppresses the ~0 cosine between unrelated descriptors while
-    keeping same-target pairs near 1, which is what makes the term worth
-    its learnable weight.  Zero descriptors (file-based candidates) get a
-    neutral 0.5.
-    """
-    neutral = (norm_a < 1e-12) | (norm_b < 1e-12)
-    cos = (np.einsum("...d,...d->...", a, b)
-           / np.where(neutral, 1.0, norm_a * norm_b))
-    return np.where(neutral, 0.5, np.maximum(cos, 0.0) ** 2)
-
 
 # the per-hypothesis statistic fields of a bundle, the names _affinity takes
 _STATISTICS = ("appearance_edges", "squared_distances", "size_sum",
@@ -268,10 +251,11 @@ def compute_affinity(batch: AssociationBatch,
     ``resolved_virtuals`` maps a frame position to the (I_anchor, 2)
     centers its virtual resolves to, one row per anchor slot; it is
     required whenever a hypothesis contains an adjacent-frame virtual, which
-    then takes the center of its anchor's row and the anchor's box size and
-    descriptor.  A hypothesis through the anchor-frame virtual, which has no
-    geometry, is rejected.  Each virtual member of a hypothesis scales its
-    affinity by ``virtual_scale``.
+    then takes the center of its anchor's row and the anchor's box size;
+    appearance edges are read from ``batch.similarities``.  A window with
+    virtual slots must have K = 2, and a hypothesis through the anchor-frame
+    virtual, which has no geometry, is rejected.  Each virtual member of a
+    hypothesis scales its affinity by ``virtual_scale``.
 
     The per-hypothesis statistics depend on the window alone; only their
     scoring reads ``params``, so :func:`rescore_affinity` can score the
@@ -284,6 +268,8 @@ def compute_affinity(batch: AssociationBatch,
     if hyps.ndim != 2 or hyps.shape[1] != K + 1:
         raise ContractError(
             f"hypotheses must be an (H, {K + 1}) index array, got {hyps.shape}")
+    if batch.virtual and K != 2:
+        raise ContractError(f"a window with virtual slots must have K = 2, got {K}")
     arrays = batch.arrays
     for frame, fa in zip(batch.frames, arrays):
         if not np.all(np.isfinite(fa.descriptors)):
@@ -298,13 +284,12 @@ def compute_affinity(batch: AssociationBatch,
                             "through the anchor-frame virtual slot")
 
     virtual_count = np.zeros(len(hyps), dtype=np.intp)
-    centers, box_sizes, descriptors, norms = [], [], [], []
+    centers, box_sizes = [], []
     for pos, fa in enumerate(arrays):
         idx = hyps[:, pos]
         virtual = fa.is_virtual[idx]
         virtual_count += virtual
         center, size = fa.centers[idx], fa.boxes[idx, 2:]
-        descriptor, norm = fa.descriptors[idx], fa.norms[idx]
         if virtual.any():
             table = (resolved_virtuals or {}).get(pos)
             who = owner[virtual]
@@ -315,20 +300,15 @@ def compute_affinity(batch: AssociationBatch,
                     f"slots {sorted(set(who.tolist()))}")
             center[virtual] = table[who]
             size[virtual] = anchors.boxes[who, 2:]
-            descriptor[virtual] = anchors.descriptors[who]
-            norm[virtual] = anchors.norms[who]
         centers.append(center)
         box_sizes.append(size)
-        descriptors.append(descriptor)
-        norms.append(norm)
 
     n = len(hyps)
     app_edges = np.empty((n, K))
     sq_dists = np.empty((n, K))
     size_sims = np.empty((n, K))
-    for e in range(K):
-        app_edges[:, e] = descriptor_similarity(
-            descriptors[e], norms[e], descriptors[e + 1], norms[e + 1])
+    for e, table in enumerate(batch.similarities):
+        app_edges[:, e] = table[hyps[:, e], hyps[:, e + 1]]
         step = centers[e + 1] - centers[e]
         sq_dists[:, e] = step[:, 0] ** 2 + step[:, 1] ** 2
         (wa, ha), (wb, hb) = box_sizes[e].T, box_sizes[e + 1].T

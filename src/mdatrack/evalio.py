@@ -188,8 +188,9 @@ def clear_mot(gt: dict[int, dict[int, Box]],
     match while still above the IoU threshold (continuity preference), the
     rest are matched by maximum total IoU
     (:func:`mdatrack.assignment.linear_sum_assignment`).  MOTP is reported
-    as mean IoU of matches (higher is better).  Mostly tracked / mostly lost
-    use the 80% / 20% lifespan conventions.
+    as mean IoU of matches (higher is better); without ground truth, MOTA
+    is 1.0 when there is no error and -inf otherwise.  Mostly tracked /
+    mostly lost use the 80% / 20% lifespan conventions.
     """
     gt_frames: dict[int, list[tuple[int, Box]]] = {}
     for ident, traj in gt.items():
@@ -263,7 +264,9 @@ def clear_mot(gt: dict[int, dict[int, Box]],
         fp += len(hyps) - len(matched_h)
         current = new_current
 
-    mota = 1.0 - (fp + fn + ids) / total_gt if total_gt else 1.0
+    errors = fp + fn + ids       # without ground truth, 1 - errors/GT's limit
+    mota = (1.0 - errors / total_gt if total_gt
+            else -math.inf if errors else 1.0)
     motp = float(iou_sum / match_count) if match_count else 0.0
 
     mt = ml = 0

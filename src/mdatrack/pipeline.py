@@ -4,9 +4,9 @@ candidate resolution, the solver chain, and target management.
 Tracking works on K=2 windows with two overlapping frames.  The window
 length is set by the virtual-candidate and target-management scheme below,
 which is written for one anchor frame between two neighbours; the solver
-takes any K, at memory linear in the hypothesis count.  Each window
-appends one virtual candidate to every frame (always the last slot).  The
-two adjacent-frame virtuals are resolved per anchor to the location
+takes any K, at memory linear in the hypothesis count.  Each window is
+built with virtual slots: one virtual row ends every frame.  The two
+adjacent-frame virtuals are resolved per anchor to the location
 maximizing a search score built from the anchor's motion prediction and
 appearance-weighted attraction to nearby detections.  The anchor-frame
 virtual has no geometry: no hypothesis passes through it, so a window
@@ -37,7 +37,6 @@ from .affinity import (
     AffinityProviderParams,
     ConnectionGateConfig,
     compute_affinity,
-    descriptor_similarity,
     generate_hypotheses,
 )
 from .errors import ContractError, InternalInvariantError
@@ -53,7 +52,6 @@ from .types import (
     box_center,
     box_iou,
     box_visible_fraction,
-    require_center,
 )
 
 Box = tuple[float, float, float, float]
@@ -154,7 +152,7 @@ class TrackState:
     ``heads`` maps (frame index, slot in that frame's window candidates) to
     the track owning that candidate.  ``carried`` maps a frame to the
     predicted boxes carried onto it, as candidates; in a window they follow
-    the frame's detections and precede its virtual placeholder.  Ids run
+    the frame's detections and precede its virtual slot.  Ids run
     1, 2, ... in creation order.
     """
 
@@ -162,11 +160,6 @@ class TrackState:
     heads: dict[tuple[int, int], TrackRecord] = field(default_factory=dict)
     carried: dict[int, list[Candidate]] = field(default_factory=dict)
     skipped_windows: int = 0
-
-
-def _make_virtual_placeholder(frame_index: int) -> Candidate:
-    return Candidate(frame_index=frame_index, center=None,
-                     box=(0.0, 0.0, 1.0, 1.0), score=0.0, is_virtual=True)
 
 
 def resolve_virtuals(batch: AssociationBatch,
@@ -179,58 +172,54 @@ def resolve_virtuals(batch: AssociationBatch,
     the argmax of a local search score around the anchor's constant-velocity
     extrapolation: a sum of Gaussians over spots, the extrapolated point
     with weight 1 and each real detection of that frame weighted by its
-    appearance similarity to the anchor, computed for every anchor as one
-    batched matmul at memory O(anchors x spots x 17).  The grid spans one
-    box diagonal at a step of diagonal / 8 and is scanned row-major; ties
-    resolve to the first maximum.  Returns {frame position: (I_anchor, 2)
-    resolved centers}, one row per anchor slot, NaN for the virtual anchor
-    slot.
+    appearance similarity to the anchor (``batch.similarities``), for every
+    anchor as one batched matmul at memory O(anchors x spots x 17).  The
+    grid spans one box diagonal at a step of diagonal / 8 and is scanned
+    row-major; ties resolve to the first maximum.  Returns {frame position:
+    (I_anchor, 2) resolved centers}, one row per anchor slot, NaN for the
+    virtual anchor slot; a window without virtual slots has none.
     """
+    if not batch.virtual:
+        return {}
+    if batch.K != 2:
+        raise ContractError(f"a window with virtual slots must have K = 2, got {batch.K}")
     anchor_velocities = anchor_velocities or {}
-    anchor_pos = batch.anchor_position
-    anchors = batch.arrays[anchor_pos]
-    real = np.flatnonzero(~anchors.is_virtual)
+    anchors = batch.arrays[1]
+    real = len(anchors.is_virtual) - 1          # every anchor but the virtual
     denom = 2.0 * params.position_scale * params.position_scale
-    velocity = np.array([anchor_velocities.get(int(slot), (0.0, 0.0))
-                         for slot in real], dtype=float).reshape(-1, 2)
-    origin = anchors.centers[real]
-    offsets = np.arange(-8, 9) * (anchors.diagonals[real] / 8.0)[:, None]
+    velocity = np.array([anchor_velocities.get(slot, (0.0, 0.0))
+                         for slot in range(real)], dtype=float).reshape(-1, 2)
+    origin = anchors.centers[:-1]
+    offsets = np.arange(-8, 9) * (anchors.diagonals[:-1] / 8.0)[:, None]
+    before, after = batch.similarities
     resolved: dict[int, np.ndarray] = {}
 
-    for pos, frame in enumerate(batch.arrays):
-        if (pos == anchor_pos or not len(frame.is_virtual)
-                or not frame.is_virtual[-1]):
-            continue
-        dt = batch.frames[pos] - batch.frames[anchor_pos]
+    # each real anchor's similarity to each detection of the frame
+    for pos, similarity in ((0, before[:-1, :-1].T), (2, after[:-1, :-1])):
+        dt = batch.frames[pos] - batch.frames[1]
         px = origin[:, 0] + velocity[:, 0] * dt
         py = origin[:, 1] + velocity[:, 1] * dt
         grid_x = px[:, None] + offsets            # (anchors, 17) columns
         grid_y = py[:, None] + offsets            # (anchors, 17) rows
 
-        detections = np.flatnonzero(~frame.is_virtual)
-        spots = frame.centers[detections]
-        weights = np.ones((len(real), len(detections) + 1))   # (anchors, spots)
-        weights[:, 1:] = descriptor_similarity(
-            anchors.descriptors[real, None, :], anchors.norms[real, None],
-            frame.descriptors[None, detections, :], frame.norms[None, detections])
-        spot_x = np.empty_like(weights)
-        spot_y = np.empty_like(weights)
-        spot_x[:, 0], spot_x[:, 1:] = px, spots[:, 0]
-        spot_y[:, 0], spot_y[:, 1:] = py, spots[:, 1]
+        # (anchors, spots): the extrapolated point, then the detections
+        spots = batch.arrays[pos].centers[:-1]
+        weights = np.ones((real, len(spots) + 1))
+        weights[:, 1:] = similarity
+        spot = np.empty((real, len(spots) + 1, 2))
+        spot[:, 0, 0], spot[:, 0, 1], spot[:, 1:] = px, py, spots
         # exp(-(dx² + dy²) / denom) = exp(-dx² / denom) * exp(-dy² / denom),
         # so the score at (row r, column c) is sum_s w_s * gy_s[r] * gx_s[c]:
         # one batched matmul at memory O(anchors * spots * 17)
-        gx = np.exp((grid_x[:, None, :] - spot_x[:, :, None]) ** 2 / -denom)
-        gy = np.exp((grid_y[:, None, :] - spot_y[:, :, None]) ** 2 / -denom)
+        gx = np.exp((grid_x[:, None, :] - spot[:, :, 0, None]) ** 2 / -denom)
+        gy = np.exp((grid_y[:, None, :] - spot[:, :, 1, None]) ** 2 / -denom)
         gy *= weights[:, :, None]
         scores = np.matmul(gy.transpose(0, 2, 1), gx)   # (anchors, rows, columns)
-        scores = scores.reshape(len(real), 17 * 17)
+        scores = scores.reshape(real, 17 * 17)
         row, col = np.divmod(np.argmax(scores, axis=1), 17)
-        each = np.arange(len(real))
-        centers = np.full((len(anchors.is_virtual), 2), np.nan)
-        centers[real, 0] = grid_x[each, col]
-        centers[real, 1] = grid_y[each, row]
-        resolved[pos] = centers
+        each = np.arange(real)
+        resolved[pos] = centers = np.full((real + 1, 2), np.nan)  # NaN: virtual
+        centers[:-1, 0], centers[:-1, 1] = grid_x[each, col], grid_y[each, row]
     return resolved
 
 
@@ -251,24 +240,21 @@ def track_batch(detection_frames: list[list[Candidate]],
         raise ContractError("tracking windows must span exactly three frames")
     f0, f1, f2 = window
 
-    window_cands = tuple(
-        (*detection_frames[f], *state.carried.get(f, ()),
-         _make_virtual_placeholder(f))
-        for f in window)
+    window_cands = tuple((*detection_frames[f], *state.carried.get(f, ()))
+                         for f in window)
     # later windows start at f1 or after: drop what only this one reads
     state.carried = {f: c for f, c in state.carried.items() if f >= f1}
-    batch = AssociationBatch(frames=(f0, f1, f2), candidates=window_cands)
+    batch = AssociationBatch(frames=(f0, f1, f2), candidates=window_cands,
+                             virtual=True)
     anchor_list = window_cands[1]
-    # every anchor slot but the last, the virtual placeholder, is real
-    real = len(anchor_list) - 1
+    real = len(anchor_list)
 
     velocities: dict[int, tuple[float, float]] = {}
-    for slot in range(real):
+    for slot, anchor in enumerate(anchor_list):
         track = state.heads.get((f1, slot))
         prev_box = None if track is None else track.boxes.get(f0)
         if prev_box is not None:
-            cx, cy = require_center(anchor_list[slot])
-            px, py = box_center(prev_box)
+            (cx, cy), (px, py) = anchor.center, box_center(prev_box)
             velocities[slot] = (cx - px, cy - py)
     resolved = resolve_virtuals(batch, params, velocities)
     hypotheses = generate_hypotheses(batch, gate)
@@ -287,7 +273,8 @@ def track_batch(detection_frames: list[list[Candidate]],
     norm_state = l1_normalize_forward(pairs, config.norm_pairs, exempt, exempt)
     binary = discretize(norm_state.matrices(), exempt, exempt)
     x_next = binary[-1][:real]
-    virtual_next_slot = len(window_cands[2]) - 1
+    # each frame's virtual slot follows its candidates
+    virtual_next_slot = len(window_cands[2])
 
     # each real anchor's partner: the first 1 of its binary row, or the
     # virtual slot for an unassigned row
@@ -299,8 +286,16 @@ def track_batch(detection_frames: list[list[Candidate]],
                                  axis=1)
     agreement = box_iou(predictions, batch.arrays[2].boxes[next_slots])
     in_frame = box_visible_fraction(predictions, config.frame_box)
-    anchor_quality = quality.evaluate(anchor_list[:real])
-    partner_quality = quality.evaluate(window_cands[2][:-1])
+    # box quality only where it is read: untracked anchors, and the real
+    # partners that disagree with their anchor's prediction
+    untracked = [slot for slot in range(real) if (f1, slot) not in state.heads]
+    doubtful = np.flatnonzero((next_slots != virtual_next_slot)
+                              & (agreement < config.t_dif)).tolist()
+    anchor_quality = dict(zip(untracked, quality.evaluate(
+        [anchor_list[slot] for slot in untracked]) if untracked else ()))
+    partner_quality = dict(zip(doubtful, quality.evaluate(
+        [window_cands[2][next_slots[slot]] for slot in doubtful])
+        if doubtful else ()))
     new_heads: dict[tuple[int, int], TrackRecord] = {}
     # slots of newly carried predictions start at f2's virtual slot, past
     # every real partner's slot
@@ -324,9 +319,8 @@ def track_batch(detection_frames: list[list[Candidate]],
             # frame 0 is never an anchor: backfill a track's partner there
             if f0 == 0:
                 preds = np.flatnonzero(binary[0][:, slot])
-                if preds.size == 1 and preds[0] != len(window_cands[0]) - 1:
-                    pred_cand = window_cands[0][int(preds[0])]
-                    track.boxes[f0] = pred_cand.box
+                if preds.size == 1 and preds[0] != len(window_cands[0]):
+                    track.boxes[f0] = window_cands[0][int(preds[0])].box
         if track.status == EXITED:
             raise InternalInvariantError(
                 f"exited track {track.id} referenced by an anchor")
@@ -337,8 +331,8 @@ def track_batch(detection_frames: list[list[Candidate]],
                     f"candidate {next_slot} on frame {f2} claimed twice")
             partner = window_cands[2][next_slot]
             track.status = ACTIVE
-            if not (agreement[slot] < config.t_dif
-                    and partner_quality[next_slot] < QUALITY_THRESHOLD):
+            if not (slot in partner_quality
+                    and partner_quality[slot] < QUALITY_THRESHOLD):
                 track.boxes[f2] = partner.box
                 track.frames_coasting = 0
                 track.descriptor = partner.appearance.copy()

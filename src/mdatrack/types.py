@@ -4,10 +4,10 @@ Candidates are Python objects at the program's edges (detections in,
 tracks out).  Inside one window the front end works on arrays: each frame
 of an :class:`AssociationBatch` becomes one :class:`FrameArrays`, built
 once per window and shared by the gate, the hypothesis generator, virtual
-resolution and the affinity provider.  Every index in those arrays is
-0-based: a hypothesis is a row of 0-based candidate indices, one per frame,
-and the flat index of the pair (i_prev, i_next) is ``i_prev * I_next +
-i_next``.
+resolution and the affinity provider, and so are its descriptor
+similarity tables.  Every index in those arrays is 0-based: a hypothesis is
+a row of 0-based candidate indices, one per frame, and the flat index of
+the pair (i_prev, i_next) is ``i_prev * I_next + i_next``.
 """
 
 from __future__ import annotations
@@ -44,10 +44,11 @@ def box_diagonal(box: tuple[float, float, float, float]) -> float:
 
 def _intersection(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Intersection areas of broadcast (..., 4) box arrays."""
-    extent = (np.minimum(a[..., :2] + a[..., 2:], b[..., :2] + b[..., 2:])
-              - np.maximum(a[..., :2], b[..., :2]))
-    np.maximum(extent, 0.0, out=extent)
-    return extent[..., 0] * extent[..., 1]
+    width = (np.minimum(a[..., 0] + a[..., 2], b[..., 0] + b[..., 2])
+             - np.maximum(a[..., 0], b[..., 0]))
+    height = (np.minimum(a[..., 1] + a[..., 3], b[..., 1] + b[..., 3])
+              - np.maximum(a[..., 1], b[..., 1]))
+    return np.maximum(width, 0.0) * np.maximum(height, 0.0)
 
 
 def _ratio(numerator: np.ndarray, denominator: np.ndarray):
@@ -99,47 +100,29 @@ def box_visible_fraction(box, frame_box):
 
 @dataclass(frozen=True, eq=False)
 class Candidate:
-    """A detection or virtual hypothesis on one frame.
+    """A detection on one frame, or a predicted box carried onto it.
 
-    ``center`` is ``None`` for a virtual candidate that has not been resolved
-    yet; reading it in that state is an error (use :func:`require_center`).
     Instances are immutable after construction and safe to share.
     """
 
     frame_index: int
-    center: tuple[float, float] | None
+    center: tuple[float, float]
     box: tuple[float, float, float, float]
     score: float
-    is_virtual: bool = False
     appearance: np.ndarray = field(
         default_factory=lambda: np.zeros(DEFAULT_DESCRIPTOR_LENGTH))
 
     def __post_init__(self):
         if self.frame_index < 0:
             raise RangeError(f"frame_index must be >= 0, got {self.frame_index}")
-        if not self.is_virtual:
-            if self.box[2] <= 0 or self.box[3] <= 0:
-                raise InputValidationError(
-                    f"real candidate box must have positive size, got {self.box}")
-            if self.center is None:
-                raise InputValidationError("real candidate must carry a center")
-
-
-def require_center(candidate: Candidate) -> tuple[float, float]:
-    """Return the candidate's center, rejecting unresolved virtuals."""
-    if candidate.center is None:
-        raise InputValidationError(
-            "virtual candidate center read before resolution "
-            f"(frame {candidate.frame_index})")
-    return candidate.center
+        if self.box[2] <= 0 or self.box[3] <= 0:
+            raise InputValidationError(
+                f"candidate box must have positive size, got {self.box}")
 
 
 class FrameArrays(NamedTuple):
-    """One frame of a window as arrays, one row per candidate in list order.
-
-    An unresolved virtual candidate has a NaN center and a zero descriptor;
-    its box is kept as given.
-    """
+    """One frame of a window as arrays, one row per candidate in list order,
+    then the virtual slot's row in a window with virtual slots."""
 
     centers: np.ndarray       # (n, 2)
     boxes: np.ndarray         # (n, 4) left, top, width, height
@@ -149,41 +132,78 @@ class FrameArrays(NamedTuple):
     is_virtual: np.ndarray    # (n,) bool
 
 
-def _window_arrays(candidates: tuple[tuple[Candidate, ...], ...]
-                   ) -> tuple[FrameArrays, ...]:
-    """Build every frame's arrays in one pass over the window; the frames
-    are views into window-wide arrays."""
-    flat = [c for frame in candidates for c in frame]
-    n = len(flat)
-    length = next((len(c.appearance) for c in flat if not c.is_virtual),
+def _window_arrays(candidates: tuple[tuple[Candidate, ...], ...],
+                   virtual: bool) -> tuple[FrameArrays, ...]:
+    """Build every frame's arrays in one pass over the window, with the
+    virtual slot's row (no center, a unit box, a zero descriptor) after
+    each frame's candidates if ``virtual``; the frames are views into
+    window-wide arrays."""
+    # None marks a virtual slot
+    slots = [c for frame in candidates for c in (*frame, *[None] * virtual)]
+    n = len(slots)
+    length = next((len(c.appearance) for c in slots if c is not None),
                   DEFAULT_DESCRIPTOR_LENGTH)
     blank = np.zeros(length)
     try:
         descriptors = np.array(
-            [blank if c.is_virtual else c.appearance for c in flat],
+            [blank if c is None else c.appearance for c in slots],
             dtype=float).reshape(n, length)
     except ValueError:
         raise InputValidationError(
             "descriptor lengths differ within one window") from None
-    centers = np.array([(math.nan, math.nan) if c.center is None else c.center
-                        for c in flat], dtype=float).reshape(n, 2)
-    boxes = np.array([c.box for c in flat], dtype=float).reshape(n, 4)
-    diagonals = np.array([box_diagonal(c.box) for c in flat], dtype=float)
+    centers = np.array([(math.nan, math.nan) if c is None else c.center
+                        for c in slots], dtype=float).reshape(n, 2)
+    box_list = [(0.0, 0.0, 1.0, 1.0) if c is None else c.box for c in slots]
+    boxes = np.array(box_list, dtype=float).reshape(n, 4)
+    diagonals = np.array([box_diagonal(box) for box in box_list], dtype=float)
     norms = np.linalg.norm(descriptors, axis=1)
-    is_virtual = np.array([c.is_virtual for c in flat], dtype=bool)
-    bounds = list(accumulate((len(frame) for frame in candidates), initial=0))
+    is_virtual = np.array([c is None for c in slots], dtype=bool)
+    bounds = list(accumulate((len(frame) + virtual for frame in candidates),
+                             initial=0))
     return tuple(
         FrameArrays(centers[a:b], boxes[a:b], diagonals[a:b], descriptors[a:b],
                     norms[a:b], is_virtual[a:b])
         for a, b in zip(bounds, bounds[1:]))
 
 
+def descriptor_similarity(a: np.ndarray, norm_a: np.ndarray,
+                          b: np.ndarray, norm_b: np.ndarray) -> np.ndarray:
+    """Clipped squared cosine of broadcast descriptor rows ``a``, ``b``
+    (shape (..., D), norms (...)), in [0, 1]: squaring suppresses the ~0
+    cosine of unrelated descriptors and keeps same-target pairs near 1.
+    Zero descriptors (file-based candidates) get a neutral 0.5."""
+    neutral = (norm_a < 1e-12) | (norm_b < 1e-12)
+    cos = (np.einsum("...d,...d->...", a, b)
+           / np.where(neutral, 1.0, norm_a * norm_b))
+    return np.where(neutral, 0.5, np.maximum(cos, 0.0) ** 2)
+
+
+def _window_similarities(arrays: tuple[FrameArrays, ...], anchor: int,
+                         virtual: bool) -> tuple[np.ndarray, ...]:
+    """One (I_e, I_{e+1}) descriptor similarity table per pair of
+    consecutive frames.  A virtual slot next to the anchor frame stands in
+    for the anchor it continues: against that frame it scores each
+    anchor's similarity to itself."""
+    tables = tuple(
+        descriptor_similarity(a.descriptors[:, None, :], a.norms[:, None],
+                              b.descriptors[None, :, :], b.norms[None, :])
+        for a, b in zip(arrays, arrays[1:]))
+    if virtual:
+        own = arrays[anchor]
+        tables[anchor - 1][-1] = tables[anchor][:, -1] = descriptor_similarity(
+            own.descriptors, own.norms, own.descriptors, own.norms)
+    return tables
+
+
 @dataclass(frozen=True)
 class AssociationBatch:
-    """A window of K+1 frames processed as one solver instance."""
+    """A window of K+1 frames processed as one solver instance.  With
+    ``virtual`` (tracking) every frame ends in a virtual slot, counted by
+    ``sizes``, ``arrays`` and ``similarities``."""
 
     frames: tuple[int, ...]
     candidates: tuple[tuple[Candidate, ...], ...]
+    virtual: bool = False
 
     def __post_init__(self):
         if len(self.frames) < 3:
@@ -194,10 +214,6 @@ class AssociationBatch:
             raise ContractError(
                 f"one candidate list per frame required: {len(self.frames)} "
                 f"frames, {len(self.candidates)} lists")
-        for pos, frame_cands in enumerate(self.candidates):
-            if sum(1 for c in frame_cands if c.is_virtual) > 1:
-                raise ContractError(
-                    f"frame position {pos} holds more than one virtual candidate")
 
     @property
     def K(self) -> int:
@@ -211,13 +227,19 @@ class AssociationBatch:
 
     @property
     def sizes(self) -> tuple[int, ...]:
-        return tuple(len(c) for c in self.candidates)
+        return tuple(len(c) + self.virtual for c in self.candidates)
 
     @cached_property
     def arrays(self) -> tuple[FrameArrays, ...]:
         """The window's frames as arrays, built on first use and shared by
         the gate, hypothesis generation, virtual resolution and affinity."""
-        return _window_arrays(self.candidates)
+        return _window_arrays(self.candidates, self.virtual)
+
+    @cached_property
+    def similarities(self) -> tuple[np.ndarray, ...]:
+        """Similarity tables, built on first use like ``arrays``."""
+        return _window_similarities(self.arrays, self.anchor_position,
+                                    self.virtual)
 
 
 # ---------------------------------------------------------------------------

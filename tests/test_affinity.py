@@ -32,19 +32,24 @@ from mdatrack.solver import _pair_flat_indices
 from mdatrack.types import AssociationBatch, Candidate, batch_windows
 
 
-def cand(frame, cx, cy, w=20.0, h=20.0, appearance=None, virtual=False,
-         score=1.0):
+def cand(frame, cx, cy, w=20.0, h=20.0, appearance=None, score=1.0):
     if appearance is None:
         appearance = np.ones(8)
-    return Candidate(frame_index=frame, center=(cx, cy) if not virtual else None,
-                     box=(cx - w / 2, cy - h / 2, w, h) if not virtual else (0, 0, 1, 1),
-                     score=score, is_virtual=virtual,
+    return Candidate(frame_index=frame, center=(cx, cy),
+                     box=(cx - w / 2, cy - h / 2, w, h), score=score,
                      appearance=np.asarray(appearance, dtype=float))
 
 
-def make_batch(per_frame):
+def make_batch(per_frame, virtual=False):
     return AssociationBatch(frames=tuple(range(len(per_frame))),
-                            candidates=tuple(tuple(f) for f in per_frame))
+                            candidates=tuple(tuple(f) for f in per_frame),
+                            virtual=virtual)
+
+
+def slots(per_frame, virtual):
+    """Each frame's window slots for the restatements below: its
+    candidates, then ``None`` for the virtual slot of a window with one."""
+    return [list(f) + [None] * virtual for f in per_frame]
 
 
 def gate_oracle(a, b, factor, bounds):
@@ -58,18 +63,18 @@ def gate_oracle(a, b, factor, bounds):
 
 
 def edges_oracle(prev, nxt, gate):
-    """Plain-loop restatement of the gate between two frames: virtual lines
-    connect to everything; each real row without a partner, then each real
-    column still without one, takes every partner of the first relaxed
-    level that admits any."""
+    """Plain-loop restatement of the gate between two frames' slots (see
+    :func:`slots`): virtual lines connect to everything; each real row
+    without a partner, then each real column still without one, takes every
+    partner of the first relaxed level that admits any."""
     bounds = gate.size_ratio_bounds
     edges = {(i, j) for i, a in enumerate(prev) for j, b in enumerate(nxt)
-             if a.is_virtual or b.is_virtual
+             if a is None or b is None
              or gate_oracle(a, b, gate.base_distance_factor, bounds)}
     factors = [gate.base_distance_factor * gate.relaxation_factor ** r
                for r in range(1, gate.max_relaxations + 1)]
     for i, a in enumerate(prev):
-        if a.is_virtual or any(e[0] == i for e in edges):
+        if a is None or any(e[0] == i for e in edges):
             continue
         for factor in factors:
             found = {(i, j) for j, b in enumerate(nxt)
@@ -78,7 +83,7 @@ def edges_oracle(prev, nxt, gate):
                 edges |= found
                 break
     for j, b in enumerate(nxt):
-        if b.is_virtual or any(e[1] == j for e in edges):
+        if b is None or any(e[1] == j for e in edges):
             continue
         for factor in factors:
             found = {(i, j) for i, a in enumerate(prev)
@@ -90,25 +95,27 @@ def edges_oracle(prev, nxt, gate):
 
 
 def hypotheses_oracle(frames, gate):
-    """Every index tuple, in lexicographic order, whose consecutive pairs
-    are gate edges and whose anchor member (frame K // 2) is real."""
+    """Every index tuple of the frames' slots, in lexicographic order, whose
+    consecutive pairs are gate edges and whose anchor member (frame K // 2)
+    is real."""
     edges = [edges_oracle(frames[k], frames[k + 1], gate)
              for k in range(len(frames) - 1)]
     anchor = (len(frames) - 1) // 2
     return [list(t) for t in itertools.product(*(range(len(f)) for f in frames))
             if all((t[k], t[k + 1]) in edges[k] for k in range(len(edges)))
-            and not frames[anchor][t[anchor]].is_virtual]
+            and frames[anchor][t[anchor]] is not None]
 
 
 def affinity_oracle(frames, row, params, virtual_scale, resolved):
-    """Scalar restatement of one hypothesis's provider score."""
+    """Scalar restatement of one hypothesis's provider score over the
+    frames' slots."""
     K = len(row) - 1
     anchor_pos = K // 2
     anchor = frames[anchor_pos][row[anchor_pos]]
     members = []
     for pos, i in enumerate(row):
         c = frames[pos][i]
-        if c.is_virtual:
+        if c is None:
             members.append((tuple(resolved[pos][row[anchor_pos]]),
                             anchor.box[2:], anchor.appearance))
         else:
@@ -136,7 +143,7 @@ def affinity_oracle(frames, row, params, virtual_scale, resolved):
                            + members[t - 1][0][1]) for t in range(1, K))
     score += (params.long_term_weight * math.exp(-accel / sigma)
               * math.prod(size_sims) ** (1.0 / K))
-    virtuals = sum(frames[pos][i].is_virtual for pos, i in enumerate(row))
+    virtuals = sum(frames[pos][i] is None for pos, i in enumerate(row))
     return virtual_scale ** virtuals * score
 
 
@@ -184,13 +191,10 @@ class TestGenerateHypotheses:
         assert len(generate_hypotheses(make_batch(frames), strict)) == 0
 
     def test_virtual_connects_unconditionally(self):
-        frames = [
-            [cand(0, 0.0, 0.0), cand(0, 0, 0, virtual=True)],
-            [cand(1, 500.0, 500.0)],
-            [cand(2, 500.0, 500.0)],
-        ]
+        frames = [[cand(0, 0.0, 0.0)], [cand(1, 500.0, 500.0)],
+                  [cand(2, 500.0, 500.0)]]
         gate = ConnectionGateConfig(max_relaxations=0)
-        hyps = generate_hypotheses(make_batch(frames), gate)
+        hyps = generate_hypotheses(make_batch(frames, virtual=True), gate)
         # the real frame-0 candidate is out of range, the virtual is not
         assert [1, 0, 0] in hyps.tolist()
 
@@ -245,24 +249,22 @@ class TestGenerateHypotheses:
 
     @pytest.mark.parametrize("with_virtuals", [False, True])
     def test_random_windows_match_the_restatement(self, with_virtuals):
+        # a window has a virtual slot on every frame or on none
         rng = np.random.default_rng(41 + with_virtuals)
         for _ in range(150):
             K = int(rng.integers(2, 4))
-            frames = []
-            for f in range(K + 1):
-                frame = [cand(f, *rng.uniform(0, 160, 2),
-                              w=rng.uniform(8, 40), h=rng.uniform(8, 40))
-                         for _ in range(int(rng.integers(0, 5)))]
-                if with_virtuals and rng.uniform() < 0.7:
-                    frame.append(cand(f, 0, 0, virtual=True))
-                frames.append(frame)
+            frames = [[cand(f, *rng.uniform(0, 160, 2),
+                            w=rng.uniform(8, 40), h=rng.uniform(8, 40))
+                       for _ in range(int(rng.integers(0, 5)))]
+                      for f in range(K + 1)]
             gate = ConnectionGateConfig(
                 base_distance_factor=rng.uniform(0.3, 1.5),
                 relaxation_factor=rng.uniform(1.2, 3.0),
                 max_relaxations=int(rng.integers(0, 4)))
-            hyps = generate_hypotheses(make_batch(frames), gate)
+            hyps = generate_hypotheses(make_batch(frames, with_virtuals), gate)
             assert hyps.shape == (len(hyps), K + 1)
-            assert hyps.tolist() == hypotheses_oracle(frames, gate)
+            assert hyps.tolist() == hypotheses_oracle(
+                slots(frames, with_virtuals), gate)
 
     def test_memory_follows_the_edges_not_the_frame_sizes(self):
         # 300 moving targets per frame, each frame ending in a virtual slot
@@ -271,9 +273,8 @@ class TestGenerateHypotheses:
         starts = rng.uniform(0, 3000, (300, 2))
         steps = rng.normal(0, 4, (300, 2))
         frames = [[cand(f, *(start + f * step), w=30.0, h=40.0)
-                   for start, step in zip(starts, steps)]
-                  + [cand(f, 0, 0, virtual=True)] for f in range(3)]
-        batch = make_batch(frames)
+                   for start, step in zip(starts, steps)] for f in range(3)]
+        batch = make_batch(frames, virtual=True)
         gate = ConnectionGateConfig()
         masks = [affinity._pair_mask(batch.arrays[k], batch.arrays[k + 1],
                                      gate) for k in range(2)]
@@ -402,9 +403,9 @@ class TestComputeAffinity:
     def test_tensor_holds_the_hypotheses(self):
         # the provider hands the solver its tensor: the generated tuples,
         # the window's frame sizes and one value per hypothesis
-        frames = [[cand(f, 50.0 + f, 50.0), cand(f, 60.0, 52.0 + f),
-                   cand(f, 0, 0, virtual=True)] for f in range(3)]
-        batch = make_batch(frames)
+        frames = [[cand(f, 50.0 + f, 50.0), cand(f, 60.0, 52.0 + f)]
+                  for f in range(3)]
+        batch = make_batch(frames, virtual=True)
         hyps = generate_hypotheses(batch, ConnectionGateConfig())
         resolved = {pos: np.array([[51.0, 50.0], [60.0, 53.0], [np.nan] * 2])
                     for pos in (0, 2)}
@@ -462,9 +463,9 @@ class TestComputeAffinity:
             frames = [[cand(f, *rng.uniform(0, 80, 2), w=rng.uniform(15, 30),
                             h=rng.uniform(15, 30), appearance=rng.normal(size=8))
                        for _ in range(int(rng.integers(1, 4)))]
-                      + [cand(f, 0, 0, virtual=True)] for f in range(3)]
-            batch = make_batch(frames)
-            anchors = len(frames[1])
+                      for f in range(3)]
+            batch = make_batch(frames, virtual=True)
+            anchors = batch.sizes[1]
             resolved = {pos: rng.uniform(0, 80, size=(anchors, 2))
                         for pos in (0, 2)}
             for table in resolved.values():
@@ -472,7 +473,8 @@ class TestComputeAffinity:
             hyps = generate_hypotheses(batch, ConnectionGateConfig())
             bundle = compute_affinity(batch, hyps, params, virtual_scale=0.8,
                                       resolved_virtuals=resolved)
-            expected = [affinity_oracle(frames, row, params, 0.8, resolved)
+            expected = [affinity_oracle(slots(frames, True), row, params,
+                                        0.8, resolved)
                         for row in hyps.tolist()]
             np.testing.assert_allclose(bundle.tensor.values, expected,
                                        rtol=1e-12, atol=0)
@@ -480,9 +482,8 @@ class TestComputeAffinity:
     def test_row_through_the_anchor_virtual_rejected(self):
         # the anchor-frame virtual has no geometry: the gate emits no row
         # through it, and a row passed in by hand is refused, not scored
-        frames = [[cand(f, 50.0, 50.0), cand(f, 0, 0, virtual=True)]
-                  for f in range(3)]
-        batch = make_batch(frames)
+        frames = [[cand(f, 50.0, 50.0)] for f in range(3)]
+        batch = make_batch(frames, virtual=True)
         resolved = {pos: np.array([[50.0, 50.0], [np.nan] * 2])
                     for pos in (0, 2)}
         hyps = generate_hypotheses(batch, ConnectionGateConfig())
@@ -495,10 +496,19 @@ class TestComputeAffinity:
                              AffinityProviderParams(),
                              resolved_virtuals=resolved)
 
+    def test_virtual_window_of_other_order_rejected(self):
+        # virtual slots stand between one anchor frame and its two
+        # neighbours; no program path builds a K = 3 window with them
+        frames = [[cand(f, 50.0, 50.0)] for f in range(4)]
+        batch = make_batch(frames, virtual=True)
+        with pytest.raises(ContractError, match=r"^a window with virtual "
+                           r"slots must have K = 2, got 3$"):
+            compute_affinity(batch, np.zeros((1, 4), dtype=int),
+                             AffinityProviderParams())
+
     def test_missing_resolution_rejected(self):
-        frames = [[cand(f, 50.0, 50.0), cand(f, 0, 0, virtual=True)]
-                  for f in range(3)]
-        batch = make_batch(frames)
+        frames = [[cand(f, 50.0, 50.0)] for f in range(3)]
+        batch = make_batch(frames, virtual=True)
         hyps = generate_hypotheses(batch, ConnectionGateConfig())
         with pytest.raises(ContractError):
             compute_affinity(batch, hyps, AffinityProviderParams())
@@ -577,9 +587,9 @@ class TestRescoreAffinity:
             frames = [[cand(f, *rng.uniform(0, 80, 2), w=rng.uniform(15, 30),
                             h=rng.uniform(15, 30), appearance=rng.normal(size=8))
                        for _ in range(int(rng.integers(1, 4)))]
-                      + [cand(f, 0, 0, virtual=True)] for f in range(3)]
-            batch = make_batch(frames)
-            resolved = {pos: rng.uniform(0, 80, size=(len(frames[1]), 2))
+                      for f in range(3)]
+            batch = make_batch(frames, virtual=True)
+            resolved = {pos: rng.uniform(0, 80, size=(batch.sizes[1], 2))
                         for pos in (0, 2)}
             for table in resolved.values():
                 table[-1] = np.nan                  # the virtual anchor slot

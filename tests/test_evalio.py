@@ -153,6 +153,13 @@ class TestClearMot:
         assert report.false_negatives == 5
         assert report.mota == pytest.approx(0.0)
 
+    def test_no_ground_truth_scores_one_only_without_errors(self):
+        # 1 - errors / GT: no error scores 1, any error its limit, -inf
+        assert clear_mot({}, {}).mota == 1.0
+        report = clear_mot({}, {1: {0: (0.0, 0.0, 10.0, 10.0)}})
+        assert report.false_positives == 1
+        assert report.mota == -math.inf
+
     def test_single_id_flip_counts_one_switch(self):
         gt = {0: {f: (0.0, 0.0, 10.0, 10.0) for f in range(10)}}
         hyp = {

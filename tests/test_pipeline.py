@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from mdatrack import pipeline
+from mdatrack import affinity, pipeline, types
 from mdatrack.affinity import (
     AffinityProviderParams,
     ConnectionGateConfig,
@@ -23,7 +23,6 @@ from mdatrack.pipeline import (
     resolve_virtuals,
     run_sequence,
     track_batch,
-    _make_virtual_placeholder,
 )
 from mdatrack.solver import (
     discretize,
@@ -45,9 +44,9 @@ def cand(frame, cx, cy, w=24.0, h=24.0, appearance=None, score=1.0):
 
 def tracking_batch(per_frame, frames=None):
     frames = frames or tuple(range(len(per_frame)))
-    cands = tuple(tuple(f) + (_make_virtual_placeholder(fr),)
-                  for f, fr in zip(per_frame, frames))
-    return AssociationBatch(frames=tuple(frames), candidates=cands)
+    return AssociationBatch(frames=tuple(frames),
+                            candidates=tuple(tuple(f) for f in per_frame),
+                            virtual=True)
 
 
 class TestResolveVirtuals:
@@ -106,6 +105,17 @@ class TestResolveVirtuals:
             assert np.isfinite(centers[0]).all()
             assert np.isnan(centers[1]).all()
 
+    def test_window_without_virtual_slots_has_none_to_resolve(self):
+        frames = [[cand(f, 50.0, 50.0)] for f in range(3)]
+        batch = AssociationBatch(frames=(0, 1, 2),
+                                 candidates=tuple(map(tuple, frames)))
+        assert resolve_virtuals(batch, AffinityProviderParams()) == {}
+
+    def test_virtual_window_of_other_order_rejected(self):
+        batch = tracking_batch([[cand(f, 50.0, 50.0)] for f in range(4)])
+        with pytest.raises(ContractError, match=r"^a window with virtual "
+                           r"slots must have K = 2, got 3$"):
+            resolve_virtuals(batch, AffinityProviderParams())
 
     def test_random_windows_match_the_scalar_search(self):
         # the grid search restated per anchor: prior at the extrapolation,
@@ -148,6 +158,57 @@ class TestResolveVirtuals:
                                 best, best_xy = score, (x, y)
                     np.testing.assert_allclose(resolved[pos][slot], best_xy,
                                                rtol=0, atol=1e-9)
+
+
+class TestSharedSimilarities:
+    """A tracking window builds its descriptor similarities once; virtual
+    resolution and the affinity provider both read them."""
+
+    def test_each_window_builds_its_tables_once(self, monkeypatch):
+        scenario = generate_scenario(ScenarioSpec(
+            frame_count=8, target_count=10, seed=0, noise_sigma=1.0,
+            miss_probability=0.1, false_positive_rate=0.2))
+        built = []
+        build = types._window_similarities
+
+        def counted(*args):
+            built.append(args)
+            return build(*args)
+
+        def elsewhere(*args):
+            raise AssertionError("similarity computed outside the window")
+
+        monkeypatch.setattr(types, "_window_similarities", counted)
+        monkeypatch.setattr(affinity, "descriptor_similarity", elsewhere)
+        run_sequence(scenario.detection_frames, ConnectionGateConfig(),
+                     AffinityProviderParams(), PipelineConfig(),
+                     GroundTruthQuality(scenario.gt_tracks))
+        assert len(built) == 6                  # one build per window
+
+    def test_resolution_and_affinity_read_the_tables(self):
+        # detections that look like their anchor pull its virtual towards
+        # them; with every similarity set to 0 they pull nothing, and the
+        # provider's appearance edges are exactly the set value
+        rng = np.random.default_rng(3)
+        app = rng.normal(size=8)
+        per_frame = [[cand(f, 100.0 + 6 * f, 100.0, appearance=app),
+                      cand(f, 95.0, 112.0 - 3 * f, appearance=app)]
+                     for f in range(3)]
+        params = AffinityProviderParams()
+        velocities = {0: (6.0, 0.0)}
+        honest = resolve_virtuals(tracking_batch(per_frame), params, velocities)
+        batch = tracking_batch(per_frame)
+        vars(batch)["similarities"] = tuple(
+            np.zeros(shape) for shape in zip(batch.sizes, batch.sizes[1:]))
+        resolved = resolve_virtuals(batch, params, velocities)
+        assert not np.array_equal(resolved[2], honest[2], equal_nan=True)
+        # on each anchor's extrapolation (anchor 0 sits at x = 106)
+        assert resolved[2][:2].tolist() == [[112.0, 100.0], [95.0, 109.0]]
+        assert resolved[0][:2].tolist() == [[100.0, 100.0], [95.0, 109.0]]
+        hyps = generate_hypotheses(batch, ConnectionGateConfig())
+        bundle = compute_affinity(batch, hyps, params, virtual_scale=0.8,
+                                  resolved_virtuals=resolved)
+        assert np.all(bundle.appearance_edges == 0.0)
 
 
 class TestPipelineConfig:

@@ -11,7 +11,7 @@ from mdatrack.types import (
     batch_windows,
     box_iou,
     box_visible_fraction,
-    require_center,
+    descriptor_similarity,
 )
 
 import box_reference
@@ -180,17 +180,6 @@ class TestCandidate:
         with pytest.raises(InputValidationError):
             make_candidate(box=(0.0, 0.0, 20.0, -1.0))
 
-    def test_unresolved_virtual_center_read_is_an_error(self):
-        virtual = Candidate(frame_index=0, center=None, box=(0, 0, 1, 1),
-                            score=0.0, is_virtual=True)
-        with pytest.raises(InputValidationError):
-            require_center(virtual)
-
-    def test_resolved_virtual_center_reads(self):
-        virtual = Candidate(frame_index=0, center=(5.0, 6.0), box=(0, 0, 1, 1),
-                            score=0.0, is_virtual=True)
-        assert require_center(virtual) == (5.0, 6.0)
-
 
 class TestAssociationBatch:
     def test_anchor_is_middle_frame(self):
@@ -216,28 +205,67 @@ class TestAssociationBatch:
         with pytest.raises(ContractError, match="3 frames, 2 lists"):
             AssociationBatch(frames=(0, 1, 2), candidates=cands)
 
-    def test_at_most_one_virtual_per_frame(self):
-        virtual = Candidate(frame_index=0, center=None, box=(0, 0, 1, 1),
-                            score=0.0, is_virtual=True)
-        cands = ((make_candidate(), virtual, virtual),
-                 (make_candidate(),), (make_candidate(),))
-        with pytest.raises(ContractError):
-            AssociationBatch(frames=(0, 1, 2), candidates=cands)
-
     def test_arrays_follow_candidate_order(self):
-        virtual = Candidate(frame_index=1, center=None, box=(0, 0, 1, 1),
-                            score=0.0, is_virtual=True)
         cands = ((make_candidate(center=(1.0, 2.0), box=(0.0, 0.0, 6.0, 8.0)),),
-                 (make_candidate(frame=1), virtual),
+                 (make_candidate(frame=1), make_candidate(frame=1)),
                  (make_candidate(frame=2, appearance=np.full(24, 2.0)),))
-        arrays = AssociationBatch(frames=(0, 1, 2), candidates=cands).arrays
+        batch = AssociationBatch(frames=(0, 1, 2), candidates=cands)
+        arrays = batch.arrays
+        assert batch.sizes == (1, 2, 1)
         assert [len(fa.is_virtual) for fa in arrays] == [1, 2, 1]
+        assert not any(fa.is_virtual.any() for fa in arrays)
         assert arrays[0].centers.tolist() == [[1.0, 2.0]]
         assert arrays[0].diagonals.tolist() == [10.0]
-        assert arrays[1].is_virtual.tolist() == [False, True]
-        assert np.isnan(arrays[1].centers[1]).all()
-        assert arrays[1].descriptors[1].tolist() == [0.0] * 24
         assert arrays[2].norms.tolist() == [pytest.approx(np.sqrt(96.0))]
+
+    def test_virtual_window_ends_every_frame_in_one_virtual_row(self):
+        cands = ((make_candidate(center=(1.0, 2.0), box=(0.0, 0.0, 6.0, 8.0)),),
+                 (),
+                 (make_candidate(frame=2), make_candidate(frame=2)))
+        batch = AssociationBatch(frames=(0, 1, 2), candidates=cands,
+                                 virtual=True)
+        arrays = batch.arrays
+        assert batch.sizes == (2, 1, 3)
+        assert [fa.is_virtual.tolist() for fa in arrays] == [
+            [False, True], [True], [False, False, True]]
+        assert arrays[0].centers[0].tolist() == [1.0, 2.0]
+        assert arrays[0].diagonals.tolist() == [10.0, np.hypot(1.0, 1.0)]
+        for fa in arrays:
+            assert np.isnan(fa.centers[-1]).all()
+            assert fa.boxes[-1].tolist() == [0.0, 0.0, 1.0, 1.0]
+            assert fa.descriptors[-1].tolist() == [0.0] * 24
+            assert fa.norms[-1] == 0.0
+
+    def test_similarity_tables_pair_consecutive_frames(self):
+        rng = np.random.default_rng(5)
+        cands = tuple(tuple(make_candidate(frame=f, appearance=rng.normal(size=6))
+                            for _ in range(n))
+                      for f, n in enumerate((3, 2, 4)))
+
+        def similarity(prev, nxt):
+            return [[float(descriptor_similarity(
+                a.appearance, np.linalg.norm(a.appearance),
+                b.appearance, np.linalg.norm(b.appearance))) for b in nxt]
+                for a in prev]
+
+        for virtual in (False, True):
+            batch = AssociationBatch(frames=(0, 1, 2), candidates=cands,
+                                     virtual=virtual)
+            before, after = batch.similarities
+            assert batch.similarities is batch.similarities
+            assert before.shape == batch.sizes[:2]
+            assert after.shape == batch.sizes[1:]
+            np.testing.assert_allclose(before[:3, :2],
+                                       similarity(cands[0], cands[1]),
+                                       rtol=1e-14, atol=0)
+            np.testing.assert_allclose(after[:2, :4],
+                                       similarity(cands[1], cands[2]),
+                                       rtol=1e-14, atol=0)
+        # a virtual slot next to the anchor frame scores each anchor's
+        # similarity to itself
+        itself = np.diag(similarity(cands[1], cands[1]))
+        np.testing.assert_allclose(before[-1, :2], itself, rtol=1e-14, atol=0)
+        np.testing.assert_allclose(after[:2, -1], itself, rtol=1e-14, atol=0)
 
     def test_descriptor_lengths_must_agree(self):
         cands = ((make_candidate(appearance=np.ones(8)),),

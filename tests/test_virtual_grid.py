@@ -7,7 +7,7 @@ import pytest
 from mdatrack import pipeline
 from mdatrack.affinity import AffinityProviderParams, ConnectionGateConfig
 from mdatrack.evalio import ScenarioSpec, generate_scenario
-from mdatrack.pipeline import _make_virtual_placeholder, resolve_virtuals
+from mdatrack.pipeline import resolve_virtuals
 from mdatrack.types import AssociationBatch, Candidate
 from virtual_reference import resolve_virtuals_reference
 
@@ -59,9 +59,9 @@ def cand(frame, cx, cy, w, h, appearance):
 
 
 def window(per_frame):
-    cands = tuple(tuple(f) + (_make_virtual_placeholder(fr),)
-                  for fr, f in enumerate(per_frame))
-    return AssociationBatch(frames=(0, 1, 2), candidates=cands)
+    return AssociationBatch(frames=(0, 1, 2),
+                            candidates=tuple(tuple(f) for f in per_frame),
+                            virtual=True)
 
 
 def random_window(rng, counts, appearance):
