@@ -37,7 +37,7 @@ import numpy as np
 from . import kvtext
 from .errors import ContractError, InputValidationError
 from .solver import HypothesisTensor
-from .types import AssociationBatch, FrameArrays, descriptor_similarity  # noqa: F401
+from .types import AssociationBatch, FrameArrays
 
 
 @dataclass(frozen=True)
@@ -166,7 +166,7 @@ def _pair_mask(prev: FrameArrays, nxt: FrameArrays,
     mask = size_ok & (dist <= gate.base_distance_factor * reach)
     mask |= prev.is_virtual[:, None] | nxt.is_virtual[None, :]
 
-    rows = ~mask.any(axis=1) & ~prev.is_virtual
+    rows = ~mask.any(axis=1)
     if not rows.any() and mask.any(axis=0).all():
         return mask
     levels = [size_ok & (dist <= gate.base_distance_factor
@@ -176,7 +176,7 @@ def _pair_mask(prev: FrameArrays, nxt: FrameArrays,
         hit = rows & level.any(axis=1)
         mask[hit] |= level[hit]
         rows &= ~hit
-    cols = ~mask.any(axis=0) & ~nxt.is_virtual
+    cols = ~mask.any(axis=0)
     for level in levels:
         hit = cols & level.any(axis=0)
         mask[:, hit] |= level[:, hit]

@@ -81,41 +81,46 @@ _PIPELINE_KEYS = {
 _TRAIN_KEYS = {"learning_rate": float, "epochs": int, "seed": int}
 
 
+def _fold_bounds(values: dict, keys: tuple[str, str], name: str,
+                 default: tuple[float, float]) -> None:
+    """Replace the low and high bound keys by the dataclass field ``name``,
+    a bound the file leaves out keeping its ``default``."""
+    if any(key in values for key in keys):
+        values[name] = tuple(values.pop(key, bound)
+                             for key, bound in zip(keys, default))
+
+
 def build_run_config(config_path: str | None, seed: int | None) -> RunConfig:
     raw: dict[str, str] = {}
     if config_path:
         raw = kvtext.load_kv(config_path)
 
     scen = kvtext.take(raw, _SCENARIO_KEYS)
-    if "velocity_min" in scen or "velocity_max" in scen:
-        scen["velocity_range"] = (scen.pop("velocity_min", 1.0),
-                                  scen.pop("velocity_max", 4.0))
-    if "box_min" in scen or "box_max" in scen:
-        scen["box_size_range"] = (scen.pop("box_min", 24.0),
-                                  scen.pop("box_max", 40.0))
+    _fold_bounds(scen, ("velocity_min", "velocity_max"), "velocity_range",
+                 ScenarioSpec.velocity_range)
+    _fold_bounds(scen, ("box_min", "box_max"), "box_size_range",
+                 ScenarioSpec.box_size_range)
     gate = kvtext.take(raw, _GATE_KEYS)
-    if "size_ratio_low" in gate or "size_ratio_high" in gate:
-        gate["size_ratio_bounds"] = (gate.pop("size_ratio_low", 0.5),
-                                     gate.pop("size_ratio_high", 2.0))
+    _fold_bounds(gate, ("size_ratio_low", "size_ratio_high"),
+                 "size_ratio_bounds", ConnectionGateConfig.size_ratio_bounds)
     provider = kvtext.take(raw, _PROVIDER_KEYS)
     pipe = kvtext.take(raw, _PIPELINE_KEYS)
     train = kvtext.take(raw, _TRAIN_KEYS)
     if raw:
         raise ContractError(f"unknown config keys: {sorted(raw)}")
-    if seed is None:
-        seed = train.get("seed", 0)
+    file_seed = train.pop("seed", RunConfig.seed)
+    seed = file_seed if seed is None else seed
+    scenario = ScenarioSpec(**scen, seed=seed)
 
     return RunConfig(
         seed=seed,
-        scenario=ScenarioSpec(**scen, seed=seed),
+        scenario=scenario,
         gate=ConnectionGateConfig(**gate),
         provider=AffinityProviderParams(**provider),
-        pipeline=PipelineConfig(
-            frame_width=scen.get("frame_width", 640.0),
-            frame_height=scen.get("frame_height", 480.0),
-            **pipe),
-        learning_rate=train.get("learning_rate", 0.05),
-        epochs=train.get("epochs", 50),
+        # the tracker's frame is the scene's
+        pipeline=PipelineConfig(frame_width=scenario.frame_width,
+                                frame_height=scenario.frame_height, **pipe),
+        **train,
     )
 
 

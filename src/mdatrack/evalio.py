@@ -217,6 +217,7 @@ def clear_mot(gt: dict[int, dict[int, Box]],
         hyps = sorted(hyp_frames.get(frame, []))
         gt_ids = [g[0] for g in gts]
         hyp_ids = [h[0] for h in hyps]
+        hyp_column = {hid: j for j, hid in enumerate(hyp_ids)}
         gt_boxes = np.array([g[1] for g in gts], dtype=float).reshape(-1, 4)
         hyp_boxes = np.array([h[1] for h in hyps], dtype=float).reshape(-1, 4)
         iou = box_iou(gt_boxes[:, None], hyp_boxes)
@@ -226,15 +227,11 @@ def clear_mot(gt: dict[int, dict[int, Box]],
         used_h: set[int] = set()
         # continuity: keep last frame's pairing when still valid
         for i, gid in enumerate(gt_ids):
-            if gid not in current:
-                continue
-            want = current[gid]
-            for j, hid in enumerate(hyp_ids):
-                if hid == want and iou[i, j] >= iou_threshold:
-                    pairs.append((i, j))
-                    used_g.add(i)
-                    used_h.add(j)
-                    break
+            j = hyp_column.get(current.get(gid))
+            if j is not None and iou[i, j] >= iou_threshold:
+                pairs.append((i, j))
+                used_g.add(i)
+                used_h.add(j)
         # optimal matching for the rest
         free_g = [i for i in range(len(gts)) if i not in used_g]
         free_h = [j for j in range(len(hyps)) if j not in used_h]
@@ -246,22 +243,19 @@ def clear_mot(gt: dict[int, dict[int, Box]],
                     pairs.append((free_g[r], free_h[c]))
 
         new_current: dict[int, int] = {}
-        matched_g = set()
-        matched_h = set()
         for i, j in pairs:
             gid, hid = gt_ids[i], hyp_ids[j]
             if gid in last_match and last_match[gid] != hid:
                 ids += 1
             last_match[gid] = hid
             new_current[gid] = hid
-            matched_g.add(i)
-            matched_h.add(j)
             iou_sum += iou[i, j]
             match_count += 1
             matched_per_gt[gid] = matched_per_gt.get(gid, 0) + 1
             match_log.append((frame, gid, hid))
-        fn += len(gts) - len(matched_g)
-        fp += len(hyps) - len(matched_h)
+        # each gt and each hypothesis is in at most one pair
+        fn += len(gts) - len(pairs)
+        fp += len(hyps) - len(pairs)
         current = new_current
 
     errors = fp + fn + ids       # without ground truth, 1 - errors/GT's limit

@@ -269,9 +269,9 @@ def track_batch(detection_frames: list[list[Candidate]],
     power_state = power_iteration_forward(bundle.tensor, config.power_iterations)
     # only the first window reads the (f0, f1) pair, for frame 0's backfill
     pairs = power_state.matrices()[0 if f0 == 0 else 1:]
-    exempt = [True] * len(pairs)
-    norm_state = l1_normalize_forward(pairs, config.norm_pairs, exempt, exempt)
-    binary = discretize(norm_state.matrices(), exempt, exempt)
+    norm_state = l1_normalize_forward(pairs, config.norm_pairs,
+                                      virtual=batch.virtual)
+    binary = discretize(norm_state.matrices(), virtual=batch.virtual)
     x_next = binary[-1][:real]
     # each frame's virtual slot follows its candidates
     virtual_next_slot = len(window_cands[2])

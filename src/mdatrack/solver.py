@@ -11,9 +11,9 @@ Two layers, each with a forward pass and an analytic backward pass:
   every pair at once, is a single bincount over the hypotheses' stacked
   coordinates, and
 * an alternating row/column l1 normalization that pushes the soft
-  assignment matrices toward the doubly-stochastic constraint set; a pair
-  whose last row (column) is flagged as a virtual slot leaves that line
-  unconstrained in its own direction.  The matrices are likewise kept as
+  assignment matrices toward the doubly-stochastic constraint set; in a
+  window with virtual slots every pair's last row and last column is one,
+  left unconstrained in its own direction.  The matrices are likewise kept as
   one stacked vector (:class:`MatrixLayout`), so each step's exemptions,
   zero check and divide, and each backward step's update, are one call
   for all pairs.  Only the line sums run pair by pair, one reduction over
@@ -23,7 +23,7 @@ Two layers, each with a forward pass and an analytic backward pass:
 
 Plus the binary cross-entropy training loss and a discretization by
 minimum-cost assignment (:func:`mdatrack.assignment.linear_sum_assignment`),
-which takes the same virtual-line flags as the normalization.  All
+which takes the same window flag as the normalization.  All
 functions are pure with respect to their inputs.  Each forward pass returns
 its own state, :class:`PowerIterationState` or :class:`NormalizationState`,
 which holds the history its backward pass reads.
@@ -337,29 +337,17 @@ def power_iteration_backward(state: PowerIterationState,
 # l1 normalization layer
 # ---------------------------------------------------------------------------
 
-def _pair_matrices(matrices) -> list[np.ndarray]:
-    """One float matrix per pair."""
+def _pair_matrices(matrices, virtual: bool) -> list[np.ndarray]:
+    """One float matrix per pair; with virtual slots each pair ends in a
+    virtual row and a virtual column, so it needs a row and a column."""
     mats = [np.asarray(m, dtype=float) for m in matrices]
     for k, m in enumerate(mats):
         if m.ndim != 2:
             raise ContractError(f"pair {k} is not a matrix")
+        if virtual and 0 in m.shape:
+            raise ContractError(f"pair {k} of shape {m.shape} has no "
+                                "virtual last row and column")
     return mats
-
-
-def _virtual_flags(flags: list[bool] | None, counts: list[int],
-                   what: str) -> list[bool]:
-    """One flag per pair, all False when omitted: is the last row (or
-    column) of that pair a virtual slot.  ``counts`` holds each pair's
-    number of lines in that direction; a flagged pair needs a last line."""
-    if flags is None:
-        return [False] * len(counts)
-    if len(flags) != len(counts):
-        raise ContractError(f"{what} needs {len(counts)} flags, got {len(flags)}")
-    for k, (flag, count) in enumerate(zip(flags, counts)):
-        if flag and count == 0:
-            raise ContractError(
-                f"{what}[{k}] flags a virtual last line, but pair {k} has none")
-    return flags
 
 
 _AXES = ("row", "col")
@@ -445,19 +433,17 @@ class NormalizationState:
 
 def l1_normalize_forward(matrices: list[np.ndarray],
                          num_pairs: int,
-                         virtual_rows: list[bool] | None = None,
-                         virtual_cols: list[bool] | None = None
-                         ) -> NormalizationState:
+                         virtual: bool = False) -> NormalizationState:
     """Alternating row/column l1 normalization, ``num_pairs`` (row, col)
     passes, starting with rows.
 
-    When ``virtual_rows[k]`` is set, the last row of pair k is a virtual
-    slot that is skipped during row normalization (it still takes part in
-    column normalization), and symmetrically for ``virtual_cols``; these
-    are the flags :func:`discretize` takes.  Lines that are identically
-    zero at entry are excluded from normalization throughout and reported
-    in ``skipped_lines``; a zero sum on any other line raises, and so does
-    a non-finite or negative entry.
+    When ``virtual`` is set, every pair's last row and last column are
+    virtual slots: the last row is skipped during row normalization (it
+    still takes part in column normalization), and symmetrically the last
+    column; this is the flag :func:`discretize` takes.  Lines that are
+    identically zero at entry are excluded from normalization throughout
+    and reported in ``skipped_lines``; a zero sum on any other line raises,
+    and so does a non-finite or negative entry.
 
     The matrices are copied once into one stacked vector
     (:class:`MatrixLayout`), and every step works on all pairs at once: the
@@ -466,12 +452,8 @@ def l1_normalize_forward(matrices: list[np.ndarray],
     gathered at each entry's line.  Step s writes its output to row s + 1
     of the ``stages`` buffer, which is the history the backward pass reads.
     """
-    mats = _pair_matrices(matrices)
+    mats = _pair_matrices(matrices, virtual)
     shapes = tuple(m.shape for m in mats)
-    virtual = {"row": _virtual_flags(virtual_rows, [r for r, _ in shapes],
-                                     "virtual_rows"),
-               "col": _virtual_flags(virtual_cols, [c for _, c in shapes],
-                                     "virtual_cols")}
     if num_pairs < 0:
         raise ContractError("iteration pair count must be >= 0")
     layout = MatrixLayout(shapes)
@@ -497,8 +479,8 @@ def l1_normalize_forward(matrices: list[np.ndarray],
                                    minlength=lines[-1]) == 0.0
         skipped += [(k, axis, i) for k, i in
                     (_locate(lines, line) for line in np.flatnonzero(exempt_lines))]
-        exempt_lines[[hi - 1 for hi, flag in zip(lines[1:], virtual[axis])
-                      if flag]] = True
+        if virtual:
+            exempt_lines[np.array(lines[1:]) - 1] = True
         exempt[axis] = np.flatnonzero(exempt_lines)
         divisors[axis] = np.empty((num_pairs, lines[-1]))
     skipped.sort(key=lambda line: (line[0], line[1] == "col"))  # pair by pair
@@ -599,29 +581,25 @@ def bce_loss(predicted: list[np.ndarray],
 
 
 def discretize(matrices: list[np.ndarray],
-               virtual_rows: list[bool] | None = None,
-               virtual_cols: list[bool] | None = None) -> list[np.ndarray]:
+               virtual: bool = False) -> list[np.ndarray]:
     """Binarize soft assignments pair by pair.
 
     Real rows/columns get a maximum-weight bipartite matching from
-    :func:`mdatrack.assignment.linear_sum_assignment`.  When the last
-    column is a virtual slot, a matched row whose weight falls strictly below
-    its virtual entry is reassigned to the virtual column, and unmatched real
-    rows go there too; symmetrically, real columns left without a partner are
-    attached to the virtual row.  Virtual slots may absorb several partners.
+    :func:`mdatrack.assignment.linear_sum_assignment`.  When ``virtual`` is
+    set, every pair's last row and last column are virtual slots, as in
+    :func:`l1_normalize_forward`: a matched row whose weight falls strictly
+    below its virtual-column entry is reassigned to the virtual column, and
+    unmatched real rows go there too; symmetrically, real columns left
+    without a partner are attached to the virtual row.  Virtual slots may
+    absorb several partners.
     """
-    mats = _pair_matrices(matrices)
-    virtual_rows = _virtual_flags(virtual_rows, [m.shape[0] for m in mats],
-                                  "virtual_rows")
-    virtual_cols = _virtual_flags(virtual_cols, [m.shape[1] for m in mats],
-                                  "virtual_cols")
+    mats = _pair_matrices(matrices, virtual)
     result = []
     for k, m in enumerate(mats):
         if not np.all(np.isfinite(m)):
             raise NumericError(f"pair {k} carries non-finite entries")
         n_rows, n_cols = m.shape
-        real_rows = n_rows - 1 if virtual_rows[k] else n_rows
-        real_cols = n_cols - 1 if virtual_cols[k] else n_cols
+        real_rows, real_cols = n_rows - virtual, n_cols - virtual
         out = np.zeros((n_rows, n_cols))
         matched = np.zeros(real_rows, dtype=bool)
         taken = np.zeros(real_cols, dtype=bool)
@@ -629,15 +607,14 @@ def discretize(matrices: list[np.ndarray],
             weights = m[:real_rows, :real_cols]
             rows, cols = linear_sum_assignment(-weights)
             matched[rows] = True
-            virtual = (m[rows, n_cols - 1] > weights[rows, cols]
-                       if virtual_cols[k] else np.zeros(len(rows), dtype=bool))
-            out[rows[virtual], n_cols - 1] = 1.0
-            rows, cols = rows[~virtual], cols[~virtual]
+            if virtual:
+                absorbed = m[rows, n_cols - 1] > weights[rows, cols]
+                out[rows[absorbed], n_cols - 1] = 1.0
+                rows, cols = rows[~absorbed], cols[~absorbed]
             out[rows, cols] = 1.0
             taken[cols] = True
-        if virtual_cols[k]:
+        if virtual:
             out[:real_rows, n_cols - 1][~matched] = 1.0
-        if virtual_rows[k]:
             out[n_rows - 1, :real_cols][~taken] = 1.0
         result.append(out)
     return result

@@ -161,7 +161,8 @@ def test_oracle_suite():
 
 def test_constraint_suite():
     """Full normalization drives every row/column sum to within 1e-6 of 1;
-    a masked virtual column stays unconstrained while rows still normalize."""
+    with virtual slots every real row and real column still normalizes,
+    and the virtual lines stay unconstrained and absorb the surplus."""
     rng = np.random.default_rng(1)
     worst = 0.0
     for _ in range(20):
@@ -174,24 +175,26 @@ def test_constraint_suite():
     full_ok = worst <= 1e-6
 
     masked_ok = True
-    virtual_sums = []
+    surpluses = []
     for _ in range(10):
         rows = int(rng.integers(4, 11))
-        cols = int(rng.integers(2, rows))   # real columns < rows
-        mat = rng.uniform(0.05, 1.0, size=(rows, cols + 1))
-        out = l1_normalize_forward([mat], 50, virtual_rows=[False],
-                                   virtual_cols=[True]).matrices()[0]
-        if np.abs(out.sum(axis=1) - 1).max() > 1e-6:
+        cols = int(rng.integers(2, rows))   # real columns < real rows
+        mat = rng.uniform(0.05, 1.0, size=(rows + 1, cols + 1))
+        out = l1_normalize_forward([mat], 50, virtual=True).matrices()[0]
+        if (np.abs(out[:rows].sum(axis=1) - 1).max() > 1e-6
+                or np.abs(out[:, :cols].sum(axis=0) - 1).max() > 1e-6):
             masked_ok = False
-        virtual_sums.append(float(out.sum(axis=0)[cols]))
-        # the virtual column absorbs exactly the row surplus
-        if abs(virtual_sums[-1] - (rows - cols)) > 1e-4:
+        surpluses.append(float(out[:, cols].sum() - out[rows].sum()))
+        # the virtual column absorbs the real rows' surplus over the real
+        # columns, net of what the virtual row holds
+        if abs(surpluses[-1] - (rows - cols)) > 1e-4:
             masked_ok = False
 
     passed = full_ok and masked_ok
     report("constraint-suite", passed,
            f"worst full-normalization deviation {worst:.2e}; "
-           f"virtual-column sums {['%.3f' % s for s in virtual_sums[:3]]}...")
+           f"virtual column minus virtual row "
+           f"{['%.3f' % s for s in surpluses[:3]]}...")
     assert full_ok
     assert masked_ok
 

@@ -18,7 +18,6 @@ from mdatrack.affinity import (
     ConnectionGateConfig,
     backprop_affinity,
     compute_affinity,
-    descriptor_similarity,
     generate_hypotheses,
     load_params,
     rescore_affinity,
@@ -29,7 +28,12 @@ from mdatrack import affinity, pipeline
 from mdatrack.evalio import ScenarioSpec, generate_scenario, load_mot
 from mdatrack.oracle import assignment_objective, finite_diff_grad
 from mdatrack.solver import _pair_flat_indices
-from mdatrack.types import AssociationBatch, Candidate, batch_windows
+from mdatrack.types import (
+    AssociationBatch,
+    Candidate,
+    batch_windows,
+    descriptor_similarity,
+)
 
 
 def cand(frame, cx, cy, w=20.0, h=20.0, appearance=None, score=1.0):

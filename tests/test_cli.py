@@ -4,8 +4,13 @@ import numpy as np
 import pytest
 
 from mdatrack import kvtext
-from mdatrack.affinity import AffinityProviderParams, save_params
-from mdatrack.cli import build_run_config, main
+from mdatrack.affinity import (
+    AffinityProviderParams,
+    ConnectionGateConfig,
+    save_params,
+)
+from mdatrack.cli import RunConfig, build_run_config, main
+from mdatrack.evalio import ScenarioSpec
 from mdatrack.errors import ContractError, ParseError
 
 
@@ -25,6 +30,22 @@ class TestConfig:
         assert cfg.scenario.frame_count == 50
         assert cfg.pipeline.alpha == 0.8
         assert cfg.learning_rate == 0.05
+        assert cfg == RunConfig()
+
+    @pytest.mark.parametrize("line, section, name, expected", [
+        ("velocity_max = 6.0", "scenario", "velocity_range",
+         (ScenarioSpec.velocity_range[0], 6.0)),
+        ("box_min = 30.0", "scenario", "box_size_range",
+         (30.0, ScenarioSpec.box_size_range[1])),
+        ("size_ratio_high = 3.0", "gate", "size_ratio_bounds",
+         (ConnectionGateConfig.size_ratio_bounds[0], 3.0)),
+    ])
+    def test_one_bound_keeps_the_other_at_its_default(
+            self, tmp_path, line, section, name, expected):
+        path = tmp_path / "run.cfg"
+        path.write_text(line + "\n")
+        cfg = build_run_config(str(path), None)
+        assert getattr(getattr(cfg, section), name) == expected
 
     def test_file_overrides(self, tmp_path):
         path = tmp_path / "run.cfg"
@@ -395,14 +416,19 @@ class TestErrors:
 
 class TestModuleEntry:
     def test_python_dash_m_invocation(self, tmp_path):
+        import os
         import subprocess
         import sys
+        from pathlib import Path
+        src = Path(__file__).resolve().parents[1] / "src"
         cfg = tmp_path / "t.cfg"
         cfg.write_text("frame_count = 6\ntarget_count = 2\n")
         hyp = tmp_path / "hyp.txt"
+        # the child process finds the package where the tests import it
         proc = subprocess.run(
             [sys.executable, "-m", "mdatrack", "--mode", "track",
              "--config", str(cfg), "--out", str(hyp)],
-            capture_output=True, text=True)
+            capture_output=True, text=True,
+            env={**os.environ, "PYTHONPATH": str(src)})
         assert proc.returncode == 0, proc.stderr
         assert hyp.exists()

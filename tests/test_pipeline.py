@@ -1,11 +1,12 @@
 """Online tracking loop: virtual resolution, target management, sequences."""
 
+import inspect
 import math
 
 import numpy as np
 import pytest
 
-from mdatrack import affinity, pipeline, types
+from mdatrack import pipeline, solver, training, types
 from mdatrack.affinity import (
     AffinityProviderParams,
     ConnectionGateConfig,
@@ -92,8 +93,8 @@ class TestResolveVirtuals:
         assert real > virt
         state = power_iteration_forward(bundle.tensor, config.power_iterations)
         norm = l1_normalize_forward(state.matrices(), config.norm_pairs,
-                                    [True, True], [True, True])
-        binary = discretize(norm.matrices(), [True, True], [True, True])
+                                    virtual=True)
+        binary = discretize(norm.matrices(), virtual=True)
         assert binary[1][0, 0] == 1.0        # anchor prefers the real candidate
 
     def test_virtual_anchor_gets_no_resolution(self):
@@ -168,18 +169,26 @@ class TestSharedSimilarities:
         scenario = generate_scenario(ScenarioSpec(
             frame_count=8, target_count=10, seed=0, noise_sigma=1.0,
             miss_probability=0.1, false_positive_rate=0.2))
-        built = []
+        built, building = [], []
         build = types._window_similarities
+        similarity = types.descriptor_similarity
 
         def counted(*args):
             built.append(args)
-            return build(*args)
+            building.append(True)
+            try:
+                return build(*args)
+            finally:
+                building.pop()
 
-        def elsewhere(*args):
-            raise AssertionError("similarity computed outside the window")
+        def only_in_the_window_build(*args):
+            if not building:
+                raise AssertionError("similarity computed outside the window")
+            return similarity(*args)
 
         monkeypatch.setattr(types, "_window_similarities", counted)
-        monkeypatch.setattr(affinity, "descriptor_similarity", elsewhere)
+        monkeypatch.setattr(types, "descriptor_similarity",
+                            only_in_the_window_build)
         run_sequence(scenario.detection_frames, ConnectionGateConfig(),
                      AffinityProviderParams(), PipelineConfig(),
                      GroundTruthQuality(scenario.gt_tracks))
@@ -573,15 +582,50 @@ class TestRunSequence:
         counts = {"l1_normalize_forward": [], "discretize": []}
         for name, calls in counts.items():
             def counting(matrices, *args, _fn=getattr(pipeline, name),
-                         _calls=calls):
+                         _calls=calls, **kwargs):
                 _calls.append(len(matrices))
-                return _fn(matrices, *args)
+                return _fn(matrices, *args, **kwargs)
             monkeypatch.setattr(pipeline, name, counting)
         run_sequence(scenario.detection_frames, ConnectionGateConfig(),
                      AffinityProviderParams(), PipelineConfig(),
                      GroundTruthQuality(scenario.gt_tracks))
         for calls in counts.values():
             assert calls == [2] + [1] * 9
+
+    def test_only_tracking_solves_with_virtual_slots(self, monkeypatch):
+        # tracking windows end every frame in a virtual slot, so both
+        # layers get the window's flag; training windows have none
+        scenario = generate_scenario(ScenarioSpec(
+            frame_count=6, target_count=3, seed=3, noise_sigma=1.0,
+            miss_probability=0.1, false_positive_rate=0.3))
+        flags = []
+
+        def recording(module, name):
+            fn = getattr(module, name)
+            signature = inspect.signature(getattr(solver, name))
+
+            def record(*args, **kwargs):
+                bound = signature.bind(*args, **kwargs)
+                bound.apply_defaults()
+                flags.append((name, bound.arguments["virtual"]))
+                return fn(*args, **kwargs)
+            monkeypatch.setattr(module, name, record)
+
+        recording(pipeline, "l1_normalize_forward")
+        recording(pipeline, "discretize")
+        run_sequence(scenario.detection_frames, ConnectionGateConfig(),
+                     AffinityProviderParams(), PipelineConfig(),
+                     GroundTruthQuality(scenario.gt_tracks))
+        assert sorted(set(flags)) == [("discretize", True),
+                                      ("l1_normalize_forward", True)]
+
+        flags.clear()
+        recording(training, "l1_normalize_forward")
+        training.train_provider(scenario.gt_frames, scenario.gt_frame_ids,
+                                ConnectionGateConfig(),
+                                AffinityProviderParams(), epochs=1,
+                                learning_rate=0.05)
+        assert flags and set(flags) == {("l1_normalize_forward", False)}
 
     def test_track_batch_is_called_once_per_window(self, monkeypatch):
         # perfbench times and checks each window by wrapping the module
@@ -649,9 +693,8 @@ class TestAlphaMonotonicity:
                                           resolved_virtuals=resolved)
                 state = power_iteration_forward(bundle.tensor, 10)
                 norm = l1_normalize_forward(state.matrices(), 10,
-                                            [True, True], [True, True])
-                binary = discretize(norm.matrices(), [True, True],
-                                    [True, True])
+                                            virtual=True)
+                binary = discretize(norm.matrices(), virtual=True)
                 virtual_col = batch.sizes[2] - 1
                 return [bool(binary[1][row, virtual_col])
                         for row in range(3)]

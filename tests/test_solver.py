@@ -249,24 +249,21 @@ class TestL1Normalization:
 
     def test_masked_virtual_column_left_unconstrained(self):
         rng = np.random.default_rng(11)
-        mat = rng.uniform(0.1, 1.0, size=(8, 6))  # 5 real cols + 1 virtual
-        state = l1_normalize_forward([mat], 50, virtual_rows=[False],
-                                     virtual_cols=[True])
-        out = state.matrices()[0]
-        np.testing.assert_allclose(out.sum(axis=1), 1.0, atol=1e-6)
-        np.testing.assert_allclose(out.sum(axis=0)[:5], 1.0, atol=1e-6)
-        # the virtual column absorbs the slack of 8 rows minus 5 real columns
-        assert out.sum(axis=0)[5] == pytest.approx(3.0, abs=1e-5)
+        mat = rng.uniform(0.1, 1.0, size=(9, 6))  # 8 real rows, 5 real cols
+        out = l1_normalize_forward([mat], 50, virtual=True).matrices()[0]
+        np.testing.assert_allclose(out[:8].sum(axis=1), 1.0, atol=1e-6)
+        np.testing.assert_allclose(out[:, :5].sum(axis=0), 1.0, atol=1e-6)
+        # the virtual column absorbs the slack of 8 real rows over 5 real
+        # columns, beyond what the virtual row holds
+        assert out[:, 5].sum() - out[8].sum() == pytest.approx(3.0, abs=1e-5)
 
     def test_masked_virtual_row_left_unconstrained(self):
         rng = np.random.default_rng(12)
-        mat = rng.uniform(0.1, 1.0, size=(6, 8))
-        state = l1_normalize_forward([mat], 50, virtual_rows=[True],
-                                     virtual_cols=[False])
-        out = state.matrices()[0]
-        np.testing.assert_allclose(out.sum(axis=0), 1.0, atol=1e-6)
-        np.testing.assert_allclose(out.sum(axis=1)[:5], 1.0, atol=1e-6)
-        assert out.sum(axis=1)[5] == pytest.approx(3.0, abs=1e-5)
+        mat = rng.uniform(0.1, 1.0, size=(6, 9))  # 5 real rows, 8 real cols
+        out = l1_normalize_forward([mat], 50, virtual=True).matrices()[0]
+        np.testing.assert_allclose(out[:, :8].sum(axis=0), 1.0, atol=1e-6)
+        np.testing.assert_allclose(out[:5].sum(axis=1), 1.0, atol=1e-6)
+        assert out[5].sum() - out[:, 8].sum() == pytest.approx(3.0, abs=1e-5)
 
     def test_zero_lines_excluded_and_reported(self):
         mat = np.array([[0.0, 0.0], [1.0, 3.0]])
@@ -278,13 +275,6 @@ class TestL1Normalization:
     def test_negative_entries_rejected(self):
         with pytest.raises(ContractError):
             l1_normalize_forward([np.array([[1.0, -0.1]])], 1)
-
-    @pytest.mark.parametrize("flags", [
-        {"virtual_rows": [True]}, {"virtual_cols": [True, True, True]}])
-    def test_flag_list_of_wrong_length_rejected(self, flags):
-        mats = [np.ones((2, 2)), np.ones((2, 2))]
-        with pytest.raises(ContractError, match="needs 2 flags"):
-            l1_normalize_forward(mats, 1, **flags)
 
     def test_negative_pair_count_rejected(self):
         with pytest.raises(ContractError, match="pair count"):
@@ -303,19 +293,12 @@ class TestL1Normalization:
                            match=r"^pair 1 carries non-finite entries$"):
             l1_normalize_forward(mats, 1)
 
-    @pytest.mark.parametrize("shape, name", [
-        ((0, 3), "virtual_rows"), ((3, 0), "virtual_cols")])
-    def test_virtual_flag_on_pair_without_lines_rejected(self, shape, name):
-        with pytest.raises(ContractError, match=rf"^{name}\[1\] .* pair 1 "):
+    @pytest.mark.parametrize("shape", [(0, 3), (3, 0)])
+    def test_virtual_flag_on_pair_without_lines_rejected(self, shape):
+        with pytest.raises(ContractError,
+                           match=r"^pair 1 of shape .* has no virtual "):
             l1_normalize_forward([np.ones((2, 2)), np.zeros(shape)], 2,
-                                 **{name: [False, True]})
-
-    def test_virtual_flag_across_a_pair_without_lines_accepted(self):
-        # three empty rows: the virtual last row exists, its columns do not
-        state = l1_normalize_forward([np.zeros((3, 0))], 2, virtual_rows=[True])
-        assert state.matrices()[0].shape == (3, 0)
-        assert state.skipped_lines == [(0, "row", 0), (0, "row", 1),
-                                       (0, "row", 2)]
+                                 virtual=True)
 
 
 class TestL1NormalizationBackward:
@@ -356,13 +339,12 @@ class TestL1NormalizationBackward:
     def test_masked_lines_pass_gradient_through(self):
         rng = np.random.default_rng(20)
         mat = rng.uniform(0.1, 1.0, size=(3, 4))
-        flags = {"virtual_rows": [True], "virtual_cols": [True]}
         w = [rng.normal(size=(3, 4))]
-        state = l1_normalize_forward([mat], 2, **flags)
+        state = l1_normalize_forward([mat], 2, virtual=True)
         analytic = l1_normalize_backward(state, w)
 
         def loss(m):
-            s = l1_normalize_forward([m], 2, **flags)
+            s = l1_normalize_forward([m], 2, virtual=True)
             return float(np.sum(w[0] * s.matrices()[0]))
 
         numeric = finite_diff_grad(loss, mat)
@@ -427,16 +409,19 @@ class TestDiscretize:
         mat = np.array([
             [0.2, 0.1, 0.5],
             [0.1, 0.2, 0.5],
+            [0.3, 0.3, 0.3],   # virtual row
         ])
-        out = discretize([mat], virtual_rows=[False], virtual_cols=[True])[0]
+        out = discretize([mat], virtual=True)[0]
         assert out[0, 2] == 1.0 and out[1, 2] == 1.0
         # both rows legally share the virtual column
         assert out[:, 2].sum() == 2.0
-        assert out[:, :2].sum() == 0.0
+        assert out[:2, :2].sum() == 0.0
+        # the real columns left without a partner go to the virtual row
+        np.testing.assert_array_equal(out[2], [1.0, 1.0, 0.0])
 
     def test_real_match_kept_when_it_beats_virtual(self):
-        mat = np.array([[0.9, 0.3], [0.2, 0.3]])
-        out = discretize([mat], virtual_rows=[False], virtual_cols=[True])[0]
+        mat = np.array([[0.9, 0.3], [0.2, 0.3], [0.1, 0.1]])
+        out = discretize([mat], virtual=True)[0]
         assert out[0, 0] == 1.0
         assert out[1, 1] == 1.0   # row 1: real 0.2 < virtual 0.3
 
@@ -445,17 +430,10 @@ class TestDiscretize:
             [0.9, 0.1, 0.8],
             [0.3, 0.4, 0.2],   # virtual row
         ])
-        out = discretize([mat], virtual_rows=[True], virtual_cols=[True])[0]
+        out = discretize([mat], virtual=True)[0]
         assert out[0, 0] == 1.0
         assert out[1, 1] == 1.0   # leftover real column claimed by virtual row
         assert out[1, 2] == 0.0   # virtual-virtual cell stays empty
-
-    @pytest.mark.parametrize("flags", [
-        {"virtual_rows": [True]}, {"virtual_cols": [False, True, True]}])
-    def test_flag_list_of_wrong_length_rejected(self, flags):
-        mat = np.eye(2)
-        with pytest.raises(ContractError, match="needs 2 flags"):
-            discretize([mat, mat], **flags)
 
     def test_one_dimensional_input_rejected(self):
         with pytest.raises(ContractError, match=r"^pair 0 is not a matrix$"):
@@ -468,11 +446,11 @@ class TestDiscretize:
                            match=r"^pair 1 carries non-finite entries$"):
             discretize([np.eye(3), mat])
 
-    @pytest.mark.parametrize("shape, name", [
-        ((0, 3), "virtual_rows"), ((3, 0), "virtual_cols")])
-    def test_virtual_flag_on_pair_without_lines_rejected(self, shape, name):
-        with pytest.raises(ContractError, match=rf"^{name}\[0\] .* pair 0 "):
-            discretize([np.zeros(shape)], **{name: [True]})
+    @pytest.mark.parametrize("shape", [(0, 3), (3, 0)])
+    def test_virtual_flag_on_pair_without_lines_rejected(self, shape):
+        with pytest.raises(ContractError,
+                           match=r"^pair 0 of shape .* has no virtual "):
+            discretize([np.zeros(shape)], virtual=True)
 
 
 class TestObjectiveHelpers:

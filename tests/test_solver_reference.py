@@ -52,11 +52,11 @@ def assert_power_matches(tensor, iterations, rng, x0=None):
     return state
 
 
-def assert_norm_matches(matrices, pairs, rng, virtual_rows=None,
-                        virtual_cols=None):
-    state = l1_normalize_forward(matrices, pairs, virtual_rows, virtual_cols)
-    expected = ref.l1_normalize_forward(matrices, pairs, virtual_rows,
-                                        virtual_cols)
+def assert_norm_matches(matrices, pairs, rng, virtual=False):
+    state = l1_normalize_forward(matrices, pairs, virtual=virtual)
+    # the reference takes one flag per pair and direction
+    flags = [virtual] * len(matrices)
+    expected = ref.l1_normalize_forward(matrices, pairs, flags, flags)
     assert_equal_lists(state.matrices(), expected.matrices())
     assert state.skipped_lines == expected.skipped_lines
     assert len(state.stages) - 1 == len(expected.norm_history)
@@ -122,7 +122,7 @@ def test_masked_matrices_with_zero_lines(seed):
     matrices[0][int(rng.integers(shapes[0][0] - 1))] = 0.0
     matrices[1][:, int(rng.integers(shapes[1][1] - 1))] = 0.0
     assert_norm_matches(matrices, int(rng.integers(1, 11)), rng,
-                        [True, seed % 2 == 0], [True, seed % 3 == 0])
+                        virtual=seed % 2 == 0)
 
 
 @pytest.mark.parametrize("sizes", [
@@ -134,25 +134,22 @@ def test_long_lines(sizes, seed):
     # pairs shaped (1, >=8), (>=8, 1) and (>=8, >=8): numpy sums a line of
     # eight or more entries pairwise, a row of a wide matrix as much as the
     # column of a one-column matrix, so a line sum that adds sequentially
-    # (one bincount for all pairs) rounds differently here.  Normalizing a
-    # one-entry line makes it exactly 1 and cuts its gradient, so a
-    # one-column pair gets a virtual last row and a one-row pair a virtual
-    # last column, whose values the long line then sums and passes back
+    # (one bincount for all pairs) rounds differently here, in the forward
+    # line sums and in the backward pass's inner products with a random
+    # gradient.  Each window runs without and with virtual slots
     rng = np.random.default_rng(100 * len(sizes) + seed)
     matrices = [rng.uniform(0.0, 1.0, size=shape)
                 for shape in zip(sizes, sizes[1:])]
-    virtual_rows, virtual_cols = [], []
     for m in matrices:
         rows, cols = m.shape
-        virtual_rows.append(cols == 1 or (rows > 1 and bool(rng.integers(2))))
-        virtual_cols.append(rows == 1 or (cols > 1 and bool(rng.integers(2))))
         # zero-at-entry lines other than the virtual ones
         if rows > 1:
             m[int(rng.integers(rows - 1))] = 0.0
         if cols > 1:
             m[:, int(rng.integers(cols - 1))] = 0.0
-    assert_norm_matches(matrices, int(rng.integers(1, 6)), rng,
-                        virtual_rows, virtual_cols)
+    pairs = int(rng.integers(1, 6))
+    for virtual in (False, True):
+        assert_norm_matches(matrices, pairs, rng, virtual=virtual)
 
 
 @pytest.fixture(scope="module")
@@ -188,7 +185,7 @@ def test_crowd_windows(crowd_tensors):
         for tensor in crowd_tensors:
             state = assert_power_matches(tensor, config.power_iterations, rng)
             assert_norm_matches(state.matrices(), config.norm_pairs, rng,
-                                [True, True], [True, True])
+                                virtual=True)
 
 
 def test_row_sum_overflow_loses_all_mass():

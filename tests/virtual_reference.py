@@ -10,8 +10,8 @@ same centers by the same row-major first-maximum rule.
 
 import numpy as np
 
-from mdatrack.affinity import AffinityProviderParams, descriptor_similarity
-from mdatrack.types import AssociationBatch
+from mdatrack.affinity import AffinityProviderParams
+from mdatrack.types import AssociationBatch, descriptor_similarity
 
 
 def _grid_gaussian(dx2: np.ndarray, dy2: np.ndarray, denom: float,
