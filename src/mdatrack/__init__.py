@@ -28,12 +28,6 @@ from .evalio import (
     save_mot_records,
     tracks_to_records,
 )
-from .oracle import (
-    BruteForceResult,
-    assignment_objective,
-    brute_force_mda,
-    finite_diff_grad,
-)
 from .pipeline import (
     ConfidenceQuality,
     GroundTruthQuality,

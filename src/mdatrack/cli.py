@@ -2,9 +2,9 @@
 
 Modes: train (fit provider parameters on ground truth, synthetic or file),
 track (run the online tracker), eval (CLEAR MOT metrics between two MOT
-files), check (run the verification suites), synth (write a synthetic
-scenario to disk).  All configuration lives in a flat ``name = value`` text
-file plus a handful of flags; every output is a text file.
+files), synth (write a synthetic scenario to disk).  All configuration lives
+in a flat ``name = value`` text file plus a handful of flags; every output
+is a text file.
 
 Exit codes: 0 success, 1 validation failure, 2 internal-invariant violation.
 """
@@ -36,7 +36,6 @@ from .evalio import (
     save_mot_records,
     tracks_to_records,
 )
-from .checks import run_all_checks
 from .pipeline import (
     ConfidenceQuality,
     GroundTruthQuality,
@@ -197,17 +196,6 @@ def cmd_eval(gt_path: str, hyp_path: str, out_path: str | None) -> int:
     return 0
 
 
-def cmd_check(cfg: RunConfig) -> int:
-    results = run_all_checks(seed=cfg.seed)
-    failed = 0
-    for result in results:
-        status = "PASS" if result.passed else "FAIL"
-        print(f"[{status}] {result.name}: {result.detail}")
-        if not result.passed:
-            failed += 1
-    return 1 if failed else 0
-
-
 def cmd_synth(cfg: RunConfig, gt_path: str, out_path: str) -> int:
     scenario = generate_scenario(cfg.scenario)
     save_mot_records(tracks_to_records(scenario.gt_tracks), gt_path)
@@ -228,7 +216,7 @@ def build_parser() -> argparse.ArgumentParser:
         description="trainable multi-object tracking via differentiable "
                     "multi-dimensional assignment")
     parser.add_argument("--mode", required=True,
-                        choices=["train", "track", "eval", "check", "synth"])
+                        choices=["train", "track", "eval", "synth"])
     parser.add_argument("--config", help="flat key=value config file")
     parser.add_argument("--input", help="input MOT file (detections or hypotheses)")
     parser.add_argument("--gt", help="ground-truth MOT file path")
@@ -255,8 +243,6 @@ def main(argv: list[str] | None = None) -> int:
             if not args.gt or not args.input:
                 raise ContractError("eval mode requires --gt and --input")
             return cmd_eval(args.gt, args.input, args.out)
-        if args.mode == "check":
-            return cmd_check(cfg)
         if args.mode == "synth":
             if not args.gt or not args.out:
                 raise ContractError("synth mode requires --gt and --out")

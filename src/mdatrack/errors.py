@@ -42,9 +42,5 @@ class ParseError(TrackingError, ValueError):
         self.line_number = line_number
 
 
-class SizeGuardError(TrackingError, ValueError):
-    """An exhaustive computation was refused because the instance is too large."""
-
-
 class InternalInvariantError(TrackingError, RuntimeError):
     """Our own state became inconsistent; indicates a bug, not bad input."""

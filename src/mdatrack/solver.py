@@ -28,7 +28,7 @@ functions are pure with respect to their inputs.  Each forward pass returns
 its own state, :class:`PowerIterationState` or :class:`NormalizationState`,
 which holds the history its backward pass reads.
 Nothing here builds the dense tensor: the dense assignment objective the
-checks score against lives in :mod:`mdatrack.oracle`.
+tests score against lives in the test suite's ``oracle_reference``.
 """
 
 from __future__ import annotations

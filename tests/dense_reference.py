@@ -1,5 +1,5 @@
 """Dense restatement of the power-iteration layer, the reference the sparse
-solver is tested against.
+solver is tested against, and the small solver instances the tests draw.
 
 The K-order pairwise tensor is built in full, one mode per frame pair over
 the flattened I_{k-1} x I_k grid, and the forward and backward passes are
@@ -12,14 +12,62 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from mdatrack.checks import tuple_tensor
 from mdatrack.solver import (
     HypothesisTensor,
+    discretize,
+    l1_normalize_forward,
     power_iteration_backward,
     power_iteration_forward,
 )
+from oracle_reference import assignment_objective
 
 LETTERS = "abcdefghijklmnopqrstuvwxyz"
+
+
+def tuple_tensor(values: np.ndarray, mask: np.ndarray | None = None
+                 ) -> HypothesisTensor:
+    """The solver's tensor for a dense (K+1)-order tuple tensor: one
+    hypothesis per tuple in ``mask`` (every tuple by default), in
+    lexicographic order."""
+    values = np.asarray(values, dtype=float)
+    if mask is None:
+        mask = np.ones(values.shape, dtype=bool)
+    return HypothesisTensor(np.argwhere(mask), values[mask], values.shape)
+
+
+def random_solver_instance(rng: np.random.Generator,
+                           max_size: int = 3) -> HypothesisTensor:
+    """The solver tensor of a random strictly positive tuple tensor on equal
+    frame sizes (every tuple a hypothesis)."""
+    n = int(rng.integers(1, max_size + 1))
+    return tuple_tensor(rng.uniform(0.1, 1.0, size=(n, n, n)))
+
+
+def make_planted_instance(rng: np.random.Generator, n: int,
+                          planted_low: float = 0.5,
+                          background_high: float = 0.25
+                          ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Affinity tensor whose entries along two planted permutations dominate
+    the background by at least a factor of two."""
+    values = rng.uniform(0.05, background_high, size=(n, n, n))
+    sigma1 = rng.permutation(n)
+    sigma2 = rng.permutation(n)
+    for i0 in range(n):
+        i1 = sigma1[i0]
+        i2 = sigma2[i1]
+        values[i0, i1, i2] = rng.uniform(planted_low, 1.0)
+    return values, sigma1, sigma2
+
+
+def solve_and_discretize(values: np.ndarray,
+                         power_iterations: int = 10,
+                         norm_pairs: int = 10) -> tuple[float, list[np.ndarray]]:
+    """Full solver chain on a dense tuple tensor with no virtual slots;
+    returns the achieved objective and the binary assignment matrices."""
+    state = power_iteration_forward(tuple_tensor(values), power_iterations)
+    norm = l1_normalize_forward(state.matrices(), norm_pairs)
+    binary = discretize(norm.matrices())
+    return assignment_objective(values, binary), binary
 
 
 def reshape_to_pairwise(values: np.ndarray, valid_mask: np.ndarray) -> np.ndarray:

@@ -15,10 +15,14 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ContractError, NumericError, SizeGuardError
+from mdatrack.errors import ContractError, NumericError, TrackingError
 
 ENUMERATION_GUARD = 1_000_000
 ALL_VALUES_LIMIT = 100_000
+
+
+class SizeGuardError(TrackingError, ValueError):
+    """An exhaustive computation was refused because the instance is too large."""
 
 
 @dataclass

@@ -13,18 +13,16 @@ import pytest
 
 from dense_reference import (
     assert_sparse_equals_dense,
+    make_planted_instance,
     pairwise_objective,
     reshape_to_pairwise,
+    solve_and_discretize,
+    tuple_tensor,
 )
 from mdatrack.affinity import (
     AffinityProviderParams,
     ConnectionGateConfig,
     load_params,
-)
-from mdatrack.checks import (
-    make_planted_instance,
-    solve_and_discretize,
-    tuple_tensor,
 )
 from mdatrack.cli import RunConfig, cmd_train
 from mdatrack.evalio import (
@@ -35,11 +33,6 @@ from mdatrack.evalio import (
     generate_scenario,
     parse_mot_line,
 )
-from mdatrack.oracle import (
-    assignment_objective,
-    brute_force_mda,
-    finite_diff_grad,
-)
 from mdatrack.pipeline import GroundTruthQuality, PipelineConfig, run_sequence
 from mdatrack.solver import (
     HypothesisTensor,
@@ -47,6 +40,11 @@ from mdatrack.solver import (
     l1_normalize_forward,
     power_iteration_backward,
     power_iteration_forward,
+)
+from oracle_reference import (
+    assignment_objective,
+    brute_force_mda,
+    finite_diff_grad,
 )
 
 GRAD_RTOL = 1e-4

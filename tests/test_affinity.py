@@ -26,7 +26,6 @@ from mdatrack.affinity import (
 from mdatrack.errors import ContractError, InputValidationError
 from mdatrack import affinity, pipeline
 from mdatrack.evalio import ScenarioSpec, generate_scenario, load_mot
-from mdatrack.oracle import assignment_objective, finite_diff_grad
 from mdatrack.solver import _pair_flat_indices
 from mdatrack.types import (
     AssociationBatch,
@@ -34,6 +33,7 @@ from mdatrack.types import (
     batch_windows,
     descriptor_similarity,
 )
+from oracle_reference import assignment_objective, finite_diff_grad
 
 
 def cand(frame, cx, cy, w=20.0, h=20.0, appearance=None, score=1.0):

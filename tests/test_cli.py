@@ -188,26 +188,17 @@ class TestTrackEvalChain:
         assert hyp.read_text().strip()
 
 
-class TestCheckMode:
-    def test_all_suites_pass_on_default_seed(self, capsys):
-        assert main(["--mode", "check"]) == 0
-        out = capsys.readouterr().out
-        assert "[FAIL]" not in out
-        assert out.count("[PASS]") == 6
-
-    def test_failing_suite_makes_exit_nonzero(self, monkeypatch, capsys):
-        from mdatrack import cli
-        from mdatrack.checks import CheckResult
-        monkeypatch.setattr(
-            cli, "run_all_checks",
-            lambda seed: [CheckResult("broken", False, "synthetic failure")])
-        assert main(["--mode", "check"]) == 1
-        assert "[FAIL] broken" in capsys.readouterr().out
-
-
 class TestErrors:
-    def test_nonexistent_config_is_validation_failure(self):
-        assert main(["--mode", "check", "--config", "/no/such/file"]) == 1
+    def test_nonexistent_config_is_validation_failure(self, tmp_path):
+        assert main(["--mode", "synth", "--config", "/no/such/file",
+                     "--gt", str(tmp_path / "gt.txt"),
+                     "--out", str(tmp_path / "det.txt")]) == 1
+
+    def test_check_mode_is_not_a_mode(self):
+        # verification lives in the test suite, not behind the CLI
+        with pytest.raises(SystemExit) as exc:
+            main(["--mode", "check"])
+        assert exc.value.code == 2
 
     def test_eval_requires_both_files(self):
         assert main(["--mode", "eval", "--gt", "only.txt"]) == 1
@@ -403,15 +394,16 @@ class TestErrors:
         assert main(["--mode", "track", "--input", str(bad),
                      "--out", str(hyp)]) == 1
 
-    def test_internal_invariant_maps_to_exit_two(self, monkeypatch):
+    def test_internal_invariant_maps_to_exit_two(self, tmp_path, monkeypatch):
         from mdatrack import cli
         from mdatrack.errors import InternalInvariantError
 
-        def boom(seed):
+        def boom(spec):
             raise InternalInvariantError("bookkeeping broke")
 
-        monkeypatch.setattr(cli, "run_all_checks", boom)
-        assert main(["--mode", "check"]) == 2
+        monkeypatch.setattr(cli, "generate_scenario", boom)
+        assert main(["--mode", "synth", "--gt", str(tmp_path / "gt.txt"),
+                     "--out", str(tmp_path / "det.txt")]) == 2
 
 
 class TestModuleEntry:

@@ -1,5 +1,6 @@
 """Every function and class name is defined once per module and class body
-of the package: a second definition silently shadows the first."""
+of the package and of the tests' reference modules: a second definition
+silently shadows the first."""
 
 import ast
 from pathlib import Path
@@ -9,6 +10,7 @@ import pytest
 import mdatrack
 
 MODULES = sorted(Path(mdatrack.__file__).parent.glob("*.py"))
+REFERENCES = sorted(Path(__file__).parent.glob("*_reference.py"))
 DEFINITIONS = (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
 
 
@@ -27,7 +29,11 @@ def repeated_names(body, scope):
     return repeated
 
 
-@pytest.mark.parametrize("path", MODULES, ids=lambda path: path.stem)
+@pytest.mark.parametrize(
+    "path",
+    MODULES + REFERENCES,
+    ids=[path.stem for path in MODULES]
+    + [f"tests.{path.stem}" for path in REFERENCES])
 def test_no_name_is_defined_twice(path):
     tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
     assert repeated_names(tree.body, path.stem) == []

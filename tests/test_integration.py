@@ -8,6 +8,7 @@ from dense_reference import (
     assert_sparse_equals_dense,
     pairwise_objective,
     pairwise_tensor,
+    tuple_tensor,
 )
 from mdatrack.affinity import (
     AffinityProviderParams,
@@ -15,12 +16,6 @@ from mdatrack.affinity import (
     backprop_affinity,
     compute_affinity,
     generate_hypotheses,
-)
-from mdatrack.checks import tuple_tensor
-from mdatrack.oracle import (
-    assignment_objective,
-    brute_force_mda,
-    finite_diff_grad,
 )
 from mdatrack.solver import (
     HypothesisTensor,
@@ -32,6 +27,11 @@ from mdatrack.solver import (
     power_iteration_forward,
 )
 from mdatrack.types import AssociationBatch, Candidate
+from oracle_reference import (
+    assignment_objective,
+    brute_force_mda,
+    finite_diff_grad,
+)
 
 
 def dense_values(batch, hyps, values):

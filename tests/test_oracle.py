@@ -6,8 +6,8 @@ import itertools
 import numpy as np
 import pytest
 
-from mdatrack.errors import ContractError, SizeGuardError
-from mdatrack.oracle import brute_force_mda, finite_diff_grad
+from mdatrack.errors import ContractError
+from oracle_reference import SizeGuardError, brute_force_mda, finite_diff_grad
 
 
 class TestBruteForce:
@@ -103,7 +103,7 @@ class TestFiniteDiff:
         # loss = bce of (normalize . power-iterate) checked against the
         # composed analytic backward passes: this probe is the oracle for
         # the solver's gradients
-        from mdatrack.checks import tuple_tensor
+        from dense_reference import tuple_tensor
         from mdatrack.solver import (
             HypothesisTensor,
             bce_loss,

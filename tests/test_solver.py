@@ -7,15 +7,11 @@ import pytest
 from dense_reference import (
     assert_sparse_equals_dense,
     pairwise_objective,
+    random_solver_instance,
     reshape_to_pairwise,
+    tuple_tensor,
 )
-from mdatrack.checks import random_solver_instance, tuple_tensor
 from mdatrack.errors import ContractError, DegenerateInputError, NumericError
-from mdatrack.oracle import (
-    assignment_objective,
-    brute_force_mda,
-    finite_diff_grad,
-)
 from mdatrack.solver import (
     HypothesisTensor,
     bce_loss,
@@ -24,6 +20,11 @@ from mdatrack.solver import (
     l1_normalize_forward,
     power_iteration_backward,
     power_iteration_forward,
+)
+from oracle_reference import (
+    assignment_objective,
+    brute_force_mda,
+    finite_diff_grad,
 )
 
 GRAD_RTOL = 1e-4
@@ -364,12 +365,18 @@ class TestBceLoss:
         assert loss == pytest.approx(16 * np.log(2))
 
     def test_gradient_matches_finite_differences(self):
-        rng = np.random.default_rng(21)
-        pred = [rng.uniform(0.05, 0.95, size=(3, 3))]
-        target = [(rng.uniform(size=(3, 3)) > 0.4).astype(float)]
-        _, grads = bce_loss(pred, target)
-        numeric = finite_diff_grad(lambda p: bce_loss([p], target)[0], pred[0])
-        assert np.all(np.abs(grads[0] - numeric) <= 1e-9 + 1e-6 * np.abs(numeric))
+        failures = []
+        for seed in range(20):
+            rng = np.random.default_rng(seed)
+            n = int(rng.integers(2, 5))
+            pred = [rng.uniform(0.05, 0.95, size=(n, n))]
+            target = [(rng.uniform(size=(n, n)) > 0.5).astype(float)]
+            _, grads = bce_loss(pred, target)
+            numeric = finite_diff_grad(
+                lambda p: bce_loss([p], target)[0], pred[0])
+            if not grad_close(grads[0], numeric, rtol=1e-6, atol=1e-9):
+                failures.append(seed)
+        assert failures == []
 
     def test_clamped_region_has_zero_gradient(self):
         pred = [np.array([[0.0, 1.0]])]
@@ -471,8 +478,8 @@ class TestObjectiveHelpers:
 
     @pytest.mark.parametrize("seed", range(50))
     def test_sparse_equals_dense_on_check_instances(self, seed):
-        # the instances and iteration counts of the check suite's
-        # power-iteration gradient check
+        # small random instances and 1 to 3 iterations, as the
+        # finite-difference gradient tests draw them
         rng = np.random.default_rng(seed)
         tensor = random_solver_instance(rng)
         iterations = int(rng.integers(1, 4))

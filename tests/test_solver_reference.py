@@ -9,9 +9,9 @@ import numpy as np
 import pytest
 
 import solver_reference as ref
+from dense_reference import random_solver_instance
 from mdatrack import pipeline
 from mdatrack.affinity import AffinityProviderParams, ConnectionGateConfig
-from mdatrack.checks import random_solver_instance
 from mdatrack.errors import DegenerateInputError, NumericError
 from mdatrack.evalio import ScenarioSpec, generate_scenario
 from mdatrack.solver import (
