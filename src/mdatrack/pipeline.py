@@ -210,13 +210,19 @@ def resolve_virtuals(batch: AssociationBatch,
         spot[:, 0, 0], spot[:, 0, 1], spot[:, 1:] = px, py, spots
         # exp(-(dx² + dy²) / denom) = exp(-dx² / denom) * exp(-dy² / denom),
         # so the score at (row r, column c) is sum_s w_s * gy_s[r] * gx_s[c]:
-        # one batched matmul at memory O(anchors * spots * 17)
-        gx = np.exp((grid_x[:, None, :] - spot[:, :, 0, None]) ** 2 / -denom)
-        gy = np.exp((grid_y[:, None, :] - spot[:, :, 1, None]) ** 2 / -denom)
-        gy *= weights[:, :, None]
-        scores = np.matmul(gy.transpose(0, 2, 1), gx)   # (anchors, rows, columns)
-        scores = scores.reshape(real, 17 * 17)
-        row, col = np.divmod(np.argmax(scores, axis=1), 17)
+        # one batched matmul per block of anchors.  A block's float arrays
+        # stay near 32 KiB: glibc malloc maps larger ones from the system,
+        # or trims them back to it, and faults their pages in on every call
+        best = np.empty(real, dtype=np.intp)
+        block = max(1, 32768 // (8 * 17 * (len(spots) + 1)))
+        for a in range(0, real, block):
+            b = slice(a, a + block)
+            gx = np.exp((grid_x[b, None, :] - spot[b, :, 0, None]) ** 2 / -denom)
+            gy = np.exp((grid_y[b, None, :] - spot[b, :, 1, None]) ** 2 / -denom)
+            gy *= weights[b, :, None]
+            scores = np.matmul(gy.transpose(0, 2, 1), gx)  # (anchors, rows, columns)
+            best[b] = np.argmax(scores.reshape(-1, 17 * 17), axis=1)
+        row, col = np.divmod(best, 17)
         each = np.arange(real)
         resolved[pos] = centers = np.full((real + 1, 2), np.nan)  # NaN: virtual
         centers[:-1, 0], centers[:-1, 1] = grid_x[each, col], grid_y[each, row]
@@ -268,7 +274,7 @@ def track_batch(detection_frames: list[list[Candidate]],
 
     power_state = power_iteration_forward(bundle.tensor, config.power_iterations)
     # only the first window reads the (f0, f1) pair, for frame 0's backfill
-    pairs = power_state.matrices()[0 if f0 == 0 else 1:]
+    pairs = power_state.log_pairs(0 if f0 == 0 else 1)
     norm_state = l1_normalize_forward(pairs, config.norm_pairs,
                                       virtual=batch.virtual)
     binary = discretize(norm_state.matrices(), virtual=batch.virtual)

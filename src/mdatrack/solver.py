@@ -1,53 +1,37 @@
-"""Differentiable assignment solver.
+"""Differentiable assignment solver: a rank-1 power iteration on the
+pairwise affinity tensor, held as its hypothesis list
+(:class:`HypothesisTensor`), and an alternating row/column l1 normalization
+toward the doubly-stochastic set (a window's virtual last row and column
+left unconstrained in their own direction), each with an analytic backward
+pass; plus the binary cross-entropy loss and a discretization by
+minimum-cost assignment (:func:`mdatrack.assignment.linear_sum_assignment`).
 
-Two layers, each with a forward pass and an analytic backward pass:
-
-* a rank-1 tensor-approximation power iteration that relaxes the hard
-  assignment problem into per-pair soft assignment vectors, run on the
-  pairwise affinity tensor held as its hypothesis list
-  (:class:`HypothesisTensor`): the tensor has one non-zero entry per
-  gated hypothesis and never exists in dense form.  The per-pair vectors
-  are kept as one stacked vector over all pairs, so each contraction, for
-  every pair at once, is a single bincount over the hypotheses' stacked
-  coordinates, and
-* an alternating row/column l1 normalization that pushes the soft
-  assignment matrices toward the doubly-stochastic constraint set; in a
-  window with virtual slots every pair's last row and last column is one,
-  left unconstrained in its own direction.  The matrices are likewise kept as
-  one stacked vector (:class:`MatrixLayout`), so each step's exemptions,
-  zero check and divide, and each backward step's update, are one call
-  for all pairs.  Only the line sums run pair by pair, one reduction over
-  each pair's matrix: numpy sums long lines pairwise, and a grouped sum
-  over all pairs would round differently.  Every step's output is kept in
-  one buffer, which the backward pass reads instead of recomputing it.
-
-Plus the binary cross-entropy training loss and a discretization by
-minimum-cost assignment (:func:`mdatrack.assignment.linear_sum_assignment`),
-which takes the same window flag as the normalization.  All
-functions are pure with respect to their inputs.  Each forward pass returns
-its own state, :class:`PowerIterationState` or :class:`NormalizationState`,
-which holds the history its backward pass reads.
-Nothing here builds the dense tensor: the dense assignment objective the
-tests score against lives in the test suite's ``oracle_reference``.
+Both forward passes run in the log domain on the hypothesis support, the
+pair-matrix entries some hypothesis touches, so a weak entry keeps its
+logarithm instead of underflowing to zero.  Each grouped log-sum-exp is one
+``np.logaddexp.reduceat`` over a layout the tensor builds once and shares
+through :meth:`HypothesisTensor.with_values`.  The backward passes apply
+the linear-domain formulas to the exponentiated states, and the matcher
+reads the exponentiated matrices.  Each forward pass returns the state its
+backward pass reads; the dense tensor never exists.
 """
 
 from __future__ import annotations
 
 import copy
+import math
+from bisect import bisect_right
 from dataclasses import dataclass, field
 from itertools import accumulate
 
 import numpy as np
 
 from .assignment import linear_sum_assignment
-from .errors import (
-    ContractError,
-    DegenerateInputError,
-    NumericError,
-)
+from .errors import ContractError, DegenerateInputError, NumericError
 
 DEGENERACY_FLOOR = 1e-30
 PROB_EPS = 1e-7
+_AXES = ("row", "col")
 
 
 def _pair_flat_indices(tuples: np.ndarray, sizes) -> tuple[np.ndarray, ...]:
@@ -58,29 +42,91 @@ def _pair_flat_indices(tuples: np.ndarray, sizes) -> tuple[np.ndarray, ...]:
                  for k in range(1, len(sizes)))
 
 
-def _segments(stacked: np.ndarray, offsets) -> list[np.ndarray]:
-    """Per-pair views into the last axis of a stacked array."""
-    return [stacked[..., a:b] for a, b in zip(offsets, offsets[1:])]
-
-
-def _locate(offsets, position: int) -> tuple[int, int]:
-    """The pair a stacked position belongs to, and its index within it."""
-    k = int(np.searchsorted(offsets, position, side="right")) - 1
-    return k, int(position) - offsets[k]
-
-
 def _offsets(dims) -> tuple[int, ...]:
     """Start of each mode in the stacked vector, then its total length."""
     return tuple(accumulate(dims, initial=0))
+
+
+def _runs(keys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Where each run of a sorted key array begins, and each key's run."""
+    new = np.empty(len(keys), dtype=bool)
+    new[:1] = True
+    np.not_equal(keys[1:], keys[:-1], out=new[1:])
+    return new.nonzero()[0], new.cumsum() - 1
+
+
+def _log(a: np.ndarray) -> np.ndarray:
+    """Elementwise log, -inf where an entry is not positive (no mass)."""
+    return np.log(a, out=np.full(a.shape, -np.inf), where=a > 0.0)
 
 
 def _hypothesis_values(values, count: int) -> np.ndarray:
     """One float per hypothesis."""
     values = np.asarray(values, dtype=float)
     if values.shape != (count,):
-        raise ContractError(
-            f"{count} hypotheses but values of shape {values.shape}")
+        raise ContractError(f"{count} hypotheses but values of shape {values.shape}")
     return values
+
+
+class PairSupport:
+    """The entries of K pair matrices that can carry mass, stacked pair
+    after pair: pair k's at ``bounds[k]:bounds[k + 1]``, entry e at
+    row-major position ``flat[e]`` of its matrix, increasing.  Lines are
+    numbered pair by pair, rows then columns: pair k's rows from
+    ``bases[k]``, its columns right after them (:meth:`name` inverts it).
+
+    Per direction, ``order[axis]`` sorts the entries stably by line (a
+    slice for rows, already in order); the lines with entries are segments
+    of that order, placed by ``starts[axis]`` and named by ``line[axis]``.
+    ``of[axis]`` is each entry's segment, ``last[axis]`` marks each pair's
+    last line, the virtual slot of a window that has one.
+    """
+
+    def __init__(self, shapes: tuple[tuple[int, int], ...], flat: np.ndarray,
+                 bounds: tuple[int, ...]):
+        self.shapes, self.flat, self.bounds = shapes, flat, bounds
+        arr = np.array(shapes, dtype=np.intp).reshape(-1, 2)
+        pair = np.arange(len(arr)).repeat([b - a for a, b in zip(bounds, bounds[1:])])
+        local = np.divmod(flat, arr[pair, 1])
+        self.bases = _offsets(arr.sum(axis=1).tolist())
+        self.order, self.starts, self.of, self.line, self.last = ({} for _ in range(5))
+        for d, axis in enumerate(_AXES):
+            keys = local[d] + (np.array(self.bases[:-1], dtype=np.intp)
+                               + d * arr[:, 0])[pair]
+            order = slice(None) if d == 0 else keys.argsort(kind="stable")
+            starts, runs = _runs(keys[order])
+            self.order[axis], self.starts[axis] = order, starts
+            self.of[axis] = np.empty(len(keys), dtype=np.intp)
+            self.of[axis][order] = runs
+            self.line[axis] = keys[order][starts]
+            self.last[axis] = (local[d] + 1 == arr[pair, d])[order][starts]
+
+    def name(self, line: int) -> tuple[int, str, int]:
+        """(pair, axis, index) of a numbered line."""
+        k = bisect_right(self.bases, line) - 1
+        index, rows = line - self.bases[k], self.shapes[k][0]
+        return (k, "row", index) if index < rows else (k, "col", index - rows)
+
+    def scatter(self, stacked: np.ndarray) -> list[np.ndarray]:
+        """Dense per-pair matrices of ``stacked``, 0 off the support."""
+        out = []
+        for (r, c), a, b in zip(self.shapes, self.bounds, self.bounds[1:]):
+            m = np.zeros(r * c)
+            m[self.flat[a:b]] = stacked[a:b]
+            out.append(m.reshape(r, c))
+        return out
+
+
+@dataclass(frozen=True, eq=False)
+class LogMatrices:
+    """Pair matrices as the logs of their entries on a support (``len``
+    counts the pairs), the form the normalization runs on."""
+
+    support: PairSupport
+    values: np.ndarray                   # (T,) log entries, -inf for a zero
+
+    def __len__(self) -> int:
+        return len(self.support.shapes)
 
 
 @dataclass(frozen=True, eq=False)
@@ -93,13 +139,15 @@ class HypothesisTensor:
     entry is zero.  The pair coordinates determine the tuple, so distinct
     tuples never share an entry.
 
-    The solver keeps one vector per mode stacked end to end, mode k at
-    ``offsets[k]``.  ``index[k * H + h]`` is hypothesis h's position in mode
-    k of that stacked vector.  For each of the K-1 other modes of a row k,
-    taken in increasing mode order, ``factor_rows[i]`` points at the same
-    hypothesis' entry of the i-th other mode within a (K * H,) array laid
-    out like ``index``, and ``factor_index[i]`` at its position in the
-    stacked vector.
+    The modes are stacked end to end, mode k at ``offsets[k]``;
+    ``index[k * H + h]`` is hypothesis h's position in mode k.  The support
+    is the sorted positions some hypothesis touches (mode k's from
+    ``mode_bounds[k]``); ``support_of`` maps each ``index`` entry into it,
+    ``order`` sorts the entries stably by it, and ``starts`` is where each
+    position's run begins in that order.  ``factor_rows[i]`` points, for
+    each row k, at the same hypothesis' entry of its i-th other mode (in
+    mode order) within an array laid out like ``index``, and
+    ``factor_support[i]`` at its support position, in sorted order.
     """
 
     entries: np.ndarray                  # (H, K+1) 0-based candidate tuples
@@ -109,8 +157,14 @@ class HypothesisTensor:
     offsets: tuple[int, ...] = field(init=False)   # K+1 mode starts and end
     index: np.ndarray = field(init=False, repr=False)          # (K*H,)
     stacked_values: np.ndarray = field(init=False, repr=False)  # (K*H,)
-    factor_index: tuple[np.ndarray, ...] = field(init=False, repr=False)
-    factor_rows: tuple[np.ndarray, ...] = field(init=False, repr=False)
+    factor_rows: tuple = field(init=False, repr=False)
+    support: np.ndarray = field(init=False, repr=False)         # (T,)
+    mode_bounds: tuple = field(init=False, repr=False)
+    support_of: np.ndarray = field(init=False, repr=False)      # (K*H,)
+    order: np.ndarray = field(init=False, repr=False)           # (K*H,)
+    starts: np.ndarray = field(init=False, repr=False)          # (T,)
+    factor_support: tuple = field(init=False, repr=False)
+    pair_supports: dict = field(init=False, repr=False)  # by first pair
 
     def __post_init__(self):
         entries = np.asarray(self.entries, dtype=np.intp)
@@ -127,25 +181,31 @@ class HypothesisTensor:
         H, K = len(entries), len(sizes) - 1
         shape = tuple(a * b for a, b in zip(sizes, sizes[1:]))
         offsets = _offsets(shape)
-        index = np.concatenate([
+        index = np.concatenate([np.empty(0, dtype=np.intp)] + [
             flat + offset
             for flat, offset in zip(_pair_flat_indices(entries, sizes), offsets)])
         # row k's i-th other mode is i + 1 up to row i, and i after it
         positions = np.arange(K * H, dtype=np.intp).reshape(K, H)
         factor_rows = tuple(positions[[i + (i >= k) for k in range(K)]].ravel()
                             for i in range(K - 1))
-        for name, value in (("entries", entries), ("values", values),
-                            ("sizes", sizes), ("shape", shape),
-                            ("offsets", offsets), ("index", index),
-                            ("stacked_values", np.concatenate([values] * K)),
-                            ("factor_index", tuple(index[r] for r in factor_rows)),
-                            ("factor_rows", factor_rows)):
-            object.__setattr__(self, name, value)
+        order = index.argsort(kind="stable")
+        starts, runs = _runs(index[order])
+        support_of = np.empty(K * H, dtype=np.intp)
+        support_of[order] = runs
+        support = index[order][starts]
+        vars(self).update(
+            entries=entries, values=values, sizes=sizes, shape=shape,
+            offsets=offsets, index=index,
+            stacked_values=np.concatenate([values] * K),
+            factor_rows=factor_rows, support=support,
+            mode_bounds=tuple(support.searchsorted(offsets).tolist()),
+            support_of=support_of, order=order, starts=starts,
+            factor_support=tuple(support_of[r][order] for r in factor_rows),
+            pair_supports={})
 
     def with_values(self, values) -> "HypothesisTensor":
         """The same hypotheses holding ``values``: the new tensor shares
-        ``entries``, ``sizes`` and the stacked layout with this one and
-        rebuilds only ``stacked_values``."""
+        everything but ``values`` and ``stacked_values`` with this one."""
         values = _hypothesis_values(values, len(self.entries))
         tensor = copy.copy(self)
         object.__setattr__(tensor, "values", values)
@@ -158,27 +218,46 @@ class HypothesisTensor:
         """(I_{k-1}, I_k) for each of the K frame pairs."""
         return list(zip(self.sizes, self.sizes[1:]))
 
+    def pair_support(self, first: int = 0) -> PairSupport:
+        """The support of pairs ``first`` onward, built on first use."""
+        if first not in self.pair_supports:
+            a, bounds = self.mode_bounds[first], self.mode_bounds[first:]
+            counts = [end - start for start, end in zip(bounds, bounds[1:])]
+            self.pair_supports[first] = PairSupport(
+                tuple(self.pair_shapes[first:]), self.support[a:]
+                - np.array(self.offsets[first:-1]).repeat(counts),
+                tuple(b - a for b in bounds))
+        return self.pair_supports[first]
+
 
 @dataclass
 class PowerIterationState:
     """The power iteration's run on ``tensor``, as its backward pass needs it.
 
-    Iterates and slices are stacked vectors, every pair's vector end to end
-    at ``tensor.offsets``; ``x`` holds per-pair views into the last iterate.
+    ``x0`` is the stacked initial vector, every pair's end to end at
+    ``tensor.offsets``; the iterates and slices are logs on the tensor's
+    support.  ``x`` and ``matrices()`` give the last iterate exponentiated,
+    in dense form (0 off the support).
     """
 
     tensor: HypothesisTensor
-    iterates: list[np.ndarray]              # stacked, N+1 of them
-    slices: list[np.ndarray]                # stacked, N of them
+    x0: np.ndarray                          # stacked, every coordinate
+    log_iterates: list[np.ndarray]          # on the support, N+1 of them
+    log_slices: list[np.ndarray]            # on the support, N of them
     contraction_history: list[float]
 
     @property
     def x(self) -> list[np.ndarray]:
-        return _segments(self.iterates[-1], self.tensor.offsets)
+        return [m.ravel() for m in self.matrices()]
 
     def matrices(self) -> list[np.ndarray]:
-        return [v.reshape(shape)
-                for v, shape in zip(self.x, self.tensor.pair_shapes)]
+        return self.tensor.pair_support().scatter(np.exp(self.log_iterates[-1]))
+
+    def log_pairs(self, first: int = 0) -> LogMatrices:
+        """The last log iterate of pairs ``first`` onward, to normalize."""
+        a = self.tensor.mode_bounds[first]
+        return LogMatrices(self.tensor.pair_support(first),
+                           self.log_iterates[-1][a:])
 
 
 # ---------------------------------------------------------------------------
@@ -216,65 +295,66 @@ def power_iteration_forward(tensor: HypothesisTensor,
 
         x_k <- x_k * (contraction of the tensor with the other vectors) / C
 
-    where C is the full contraction, shared across pairs, so every updated
-    vector sums to one.  The K vectors are kept as one stacked vector, so an
-    iteration is one gather per other mode and a single weighted bincount
-    over the stacked hypothesis index, which yields every pair's slice at
-    once; the tensor is never formed.  All iterates, slices and normalizers
-    are retained for the backward pass.
+    where C is the full contraction, so every updated vector sums to one.
+    It runs on the logs of the vectors on the support (an update leaves 0
+    elsewhere): all contractions are one ``np.logaddexp.reduceat`` of
+    ``log value + log x[factor]``, log C one ``np.logaddexp.reduce`` over
+    mode 0.  A hypothesis of value 0 carries log -inf and adds nothing.
     """
     if num_iterations < 1:
         raise ContractError(f"need at least one iteration, got {num_iterations}")
     values = tensor.values
     # tolerance instead of a strict check so finite-difference probes around
     # structural zeros stay admissible
-    if np.any(values < -1e-6):
+    if (values < -1e-6).any():
         raise ContractError("affinity tensor must be nonnegative")
-    if not np.all(np.isfinite(values)):
+    if not np.isfinite(values).all():
         raise NumericError("non-finite entries in the affinity tensor")
+    x0 = (np.ones(tensor.offsets[-1]) if x0 is None
+          else _stacked(x0, tensor.shape, "x0"))
+    if not (x0 >= 0.0).all():
+        raise ContractError("x0 must be nonnegative")
 
-    offsets = tensor.offsets
-    total, first = offsets[-1], offsets[1]
-    x = (np.ones(total) if x0 is None
-         else _stacked(x0, tensor.shape, "x0"))
-
-    iterates = [x]
-    contraction_history: list[float] = []
-    all_slices: list[np.ndarray] = []
-
+    # logs of the values over their maximum: a common scale moves only the
+    # slices and C, and a power of two not even the iterates' rounding
+    top = float(values.max(initial=0.0))
+    log_values = _log(tensor.stacked_values / (top if top > 0.0 else 1.0))[tensor.order]
+    log_top = math.log(top) if top > 0.0 else -math.inf
+    first = tensor.mode_bounds[1]
+    y = _log(x0[tensor.support])
+    log_iterates, log_slices, contraction_history = [y], [], []
     for n in range(num_iterations):
-        weights = tensor.stacked_values
-        for factor in tensor.factor_index:
-            weights = weights * x[factor]
-        slices = np.bincount(tensor.index, weights, minlength=total)
-        norm_const = float(x[:first] @ slices[:first])
-        if not np.isfinite(norm_const):
+        terms = log_values
+        for factor in tensor.factor_support:
+            terms = terms + y[factor]
+        slices = np.logaddexp.reduceat(terms, tensor.starts)
+        log_c = float(np.logaddexp.reduce(y[:first] + slices[:first]))
+        if not log_c < math.inf:
             raise NumericError(f"non-finite contraction at iteration {n}")
-        if norm_const < DEGENERACY_FLOOR:
+        if log_c + log_top < math.log(DEGENERACY_FLOOR):
             raise DegenerateInputError(
                 f"all-zero contraction at iteration {n}; the affinity tensor "
                 "has no mass on the current support")
-        x = x * slices / norm_const
-        if not np.all(np.isfinite(x)):
-            pair, _ = _locate(offsets, np.flatnonzero(~np.isfinite(x))[0])
-            raise NumericError(f"non-finite iterate for pair {pair} at iteration {n}")
-        iterates.append(x)
-        contraction_history.append(norm_const)
-        all_slices.append(slices)
+        y = y + slices - log_c
+        log_iterates.append(y)
+        log_slices.append(slices + log_top)
+        contraction_history.append(math.exp(log_c + log_top))
 
-    return PowerIterationState(tensor, iterates, all_slices, contraction_history)
+    return PowerIterationState(tensor, x0, log_iterates, log_slices,
+                               contraction_history)
 
 
 def _cross_term(tensor: HypothesisTensor, gathered: np.ndarray,
                 weighted: np.ndarray, i: int) -> np.ndarray:
     """For every pair k at once, the contraction of the tensor with the
     other pairs' iterates, the i-th of them scaled by its gradient: one
-    weighted bincount over the stacked index, given the iterate and the
-    gradient-scaled iterate gathered at it."""
+    weighted bincount over the support, given the iterate and the
+    gradient-scaled iterate gathered at each hypothesis entry."""
     weights = tensor.stacked_values
     for j, factor in enumerate(tensor.factor_rows):
         weights = weights * (weighted if j == i else gathered)[factor]
-    return np.bincount(tensor.index, weights, minlength=tensor.offsets[-1])
+    return np.bincount(tensor.support_of, weights,
+                       minlength=len(tensor.support))
 
 
 def power_iteration_backward(state: PowerIterationState,
@@ -289,32 +369,28 @@ def power_iteration_backward(state: PowerIterationState,
         dL/dv  +=  (prod_k x_k(n)[j_k]) / C(n) * sum_k (g_k(n+1)[j_k] - <x_k(n+1), g_k(n+1)>)
 
     and propagating the iterate gradients with the exact differential of the
-    synchronous update (own-slice term, shared-normalizer term, and the
-    cross-pair contraction terms).  Iterates and gradients are stacked over
-    all pairs as in the forward pass: an iteration gathers the recorded
-    iterate and the gradient once each at the stacked hypothesis index, and
-    the cross terms of every pair take K-1 bincounts.  Returns the (H,)
-    gradient of the hypothesis values and the gradient at the initial
-    vectors.
+    synchronous update (own-slice, shared-normalizer and cross-pair terms)
+    on the exponentiated states.  Every iterate after ``x0`` is 0 off the
+    support, so the gradients live on it, and the cross terms take K-1
+    bincounts.  Returns the (H,) value gradient and the ``x0`` gradient.
     """
     tensor = state.tensor
-    offsets = tensor.offsets
+    bounds, support = tensor.mode_bounds, tensor.support
     K, H = len(tensor.shape), len(tensor.values)
-    g = _stacked(d_x_final, tensor.shape, "gradient")
-
-    num_iterations = len(state.contraction_history)
+    g = _stacked(d_x_final, tensor.shape, "gradient")[support]
     d_values = np.zeros(H)
 
-    for n in reversed(range(num_iterations)):
-        xs = state.iterates[n]
-        xs_next = state.iterates[n + 1]
-        slices = state.slices[n]
+    for n in reversed(range(len(state.contraction_history))):
+        xs = (state.x0[support] if n == 0
+              else np.exp(state.log_iterates[n]))
+        xs_next = np.exp(state.log_iterates[n + 1])
+        slices = np.exp(state.log_slices[n])
         norm_const = state.contraction_history[n]
 
         beta = sum(float(xs_next[a:b] @ g[a:b])
-                   for a, b in zip(offsets, offsets[1:]))
-        gathered = xs[tensor.index]
-        weighted = gathered * g[tensor.index]
+                   for a, b in zip(bounds, bounds[1:]))
+        gathered = xs[tensor.support_of]
+        weighted = gathered * g[tensor.support_of]
         rows, weighted_rows = gathered.reshape(K, H), weighted.reshape(K, H)
 
         # value gradient contribution of this iteration: each hypothesis'
@@ -331,178 +407,117 @@ def power_iteration_backward(state: PowerIterationState,
                     for i in range(K - 1))
         g = slices / norm_const * (g - beta) + cross / norm_const
 
-    return d_values, _segments(g, offsets)
+    d_x0 = np.zeros(tensor.offsets[-1])
+    d_x0[support] = g
+    return d_values, np.split(d_x0, tensor.offsets[1:-1])
 
 # ---------------------------------------------------------------------------
 # l1 normalization layer
 # ---------------------------------------------------------------------------
 
+def _check_virtual(shapes, virtual: bool) -> None:
+    """With virtual slots each pair ends in a virtual row and column."""
+    for k, shape in enumerate(shapes):
+        if virtual and 0 in shape:
+            raise ContractError(f"pair {k} of shape {shape} has no "
+                                "virtual last row and column")
+
+
 def _pair_matrices(matrices, virtual: bool) -> list[np.ndarray]:
-    """One float matrix per pair; with virtual slots each pair ends in a
-    virtual row and a virtual column, so it needs a row and a column."""
+    """One float matrix per pair, checked against the window flag."""
     mats = [np.asarray(m, dtype=float) for m in matrices]
     for k, m in enumerate(mats):
         if m.ndim != 2:
             raise ContractError(f"pair {k} is not a matrix")
-        if virtual and 0 in m.shape:
-            raise ContractError(f"pair {k} of shape {m.shape} has no "
-                                "virtual last row and column")
+    _check_virtual([m.shape for m in mats], virtual)
     return mats
 
 
-_AXES = ("row", "col")
-_REDUCE_AXIS = {"row": 1, "col": 0}
-
-
-@dataclass(frozen=True, eq=False)
-class MatrixLayout:
-    """K matrices stored row-major end to end in one stacked vector.
-
-    Pair k's entries sit at ``offsets[k]:offsets[k + 1]``.  The lines of one
-    direction are stacked the same way: ``lines["row"]`` (``lines["col"]``)
-    holds the start of each pair's rows (columns) in a stacked per-line
-    vector, then their total, and ``line_of[axis][e]`` is the stacked line
-    of entry e.
-    """
-
-    shapes: tuple[tuple[int, int], ...]
-    offsets: tuple[int, ...] = field(init=False)
-    lines: dict[str, tuple[int, ...]] = field(init=False)
-    line_of: dict[str, np.ndarray] = field(init=False, repr=False)
-
-    def __post_init__(self):
-        offsets = _offsets(r * c for r, c in self.shapes)
-        lines = {"row": _offsets(r for r, _ in self.shapes),
-                 "col": _offsets(c for _, c in self.shapes)}
-        # each pair's entries, row-major: (row, column) = divmod(entry, columns)
-        local = [np.divmod(np.arange(r * c), c) for r, c in self.shapes]
-        line_of = {axis: np.concatenate(
-                       [np.empty(0, dtype=np.intp)]
-                       + [index[d] + start for index, start in zip(local, lines[axis])])
-                   for d, axis in enumerate(_AXES)}
-        for name, value in (("offsets", offsets), ("lines", lines),
-                            ("line_of", line_of)):
-            object.__setattr__(self, name, value)
-
-    def matrices(self, stacked: np.ndarray) -> list[np.ndarray]:
-        """Per-pair matrix views into the last axis of a stacked array."""
-        lead = stacked.shape[:-1]
-        return [v.reshape(lead + shape)
-                for v, shape in zip(_segments(stacked, self.offsets),
-                                    self.shapes)]
-
-
-def _line_sums(mats: list[np.ndarray], outs: list[np.ndarray],
-               axis: str) -> None:
-    """Write each pair's line sums in direction ``axis`` into its ``outs``
-    view.
-
-    One reduction per pair over its 2-D matrix, never one grouped sum over
-    all pairs: numpy sums a contiguous line of eight or more entries
-    pairwise (so the rows of a wide matrix and the column of a one-column
-    matrix), while a grouped sum (bincount, reduceat) adds sequentially and
-    rounds differently.
-    """
-    reduce_axis = _REDUCE_AXIS[axis]
-    for m, out in zip(mats, outs):
-        np.add.reduce(m, reduce_axis, None, out)
+def _log_matrices(matrices, virtual: bool) -> LogMatrices:
+    """The normalization's input as logs: dense nonnegative matrices on
+    their nonzero entries."""
+    if isinstance(matrices, LogMatrices):
+        _check_virtual(matrices.support.shapes, virtual)
+        return matrices
+    mats = _pair_matrices(matrices, virtual)
+    for k, m in enumerate(mats):
+        if not np.isfinite(m).all():
+            raise NumericError(f"pair {k} carries non-finite entries")
+        if (m < 0).any():
+            raise ContractError(f"pair {k} carries negative entries")
+    flats = [np.flatnonzero(m) for m in mats]
+    support = PairSupport(tuple(m.shape for m in mats),
+                          np.concatenate([np.empty(0, dtype=np.intp)] + flats),
+                          _offsets(len(f) for f in flats))
+    return LogMatrices(support, np.log(np.concatenate(
+        [np.empty(0)] + [m.ravel()[f] for m, f in zip(mats, flats)])))
 
 
 @dataclass
 class NormalizationState:
-    """The normalization's run, stacked over all pairs as ``layout`` lays
-    them out.
+    """The normalization's run on the entries of ``support``, held as logs.
 
-    ``stages[0]`` is the input and ``stages[s + 1]`` the output of step s,
-    rows and columns alternating; ``divisors[axis][n]`` holds the line sums
-    the n-th step of that direction divided by, and ``exempt[axis]`` indexes
-    the lines it never divides.  ``skipped_lines`` lists the lines left out
-    because they were zero at entry.  ``matrices()`` gives per-pair views
-    into the last stage.
+    ``stages[s + 1]`` is the output of step s (rows, columns, alternating),
+    and ``log_divisors[axis][n]`` the log line sums (per segment) the n-th
+    step of that direction subtracted, 0 on the ``exempt[axis]`` segments.
+    ``skipped_lines`` lists the (pair, axis, line) without mass at entry.
     """
 
-    layout: MatrixLayout
+    support: PairSupport
     stages: np.ndarray
-    divisors: dict[str, np.ndarray]
+    log_divisors: dict[str, np.ndarray]
     exempt: dict[str, np.ndarray]
     skipped_lines: list[tuple[int, str, int]]
 
     def matrices(self) -> list[np.ndarray]:
-        return self.layout.matrices(self.stages[-1])
+        return self.support.scatter(np.exp(self.stages[-1]))
 
 
-def l1_normalize_forward(matrices: list[np.ndarray],
-                         num_pairs: int,
+def l1_normalize_forward(matrices, num_pairs: int,
                          virtual: bool = False) -> NormalizationState:
     """Alternating row/column l1 normalization, ``num_pairs`` (row, col)
     passes, starting with rows.
 
+    ``matrices`` is a :class:`LogMatrices` (the power iteration's
+    :meth:`PowerIterationState.log_pairs`) or dense nonnegative matrices.
     When ``virtual`` is set, every pair's last row and last column are
     virtual slots: the last row is skipped during row normalization (it
     still takes part in column normalization), and symmetrically the last
-    column; this is the flag :func:`discretize` takes.  Lines that are
-    identically zero at entry are excluded from normalization throughout
-    and reported in ``skipped_lines``; a zero sum on any other line raises,
-    and so does a non-finite or negative entry.
-
-    The matrices are copied once into one stacked vector
-    (:class:`MatrixLayout`), and every step works on all pairs at once: the
-    line sums (one reduction per pair, see :func:`_line_sums`), the exempt
-    lines' divisors set to 1, one zero check, and one divide by the divisor
-    gathered at each entry's line.  Step s writes its output to row s + 1
-    of the ``stages`` buffer, which is the history the backward pass reads.
+    column; :func:`discretize` takes the same flag.  Lines without mass at
+    entry are left out and reported in ``skipped_lines``; a non-finite or
+    negative entry raises.  Each step scales the logs on the support: one
+    ``np.logaddexp.reduceat`` over the segments, then one subtraction of
+    each line's log sum, gathered at its entries.
     """
-    mats = _pair_matrices(matrices, virtual)
-    shapes = tuple(m.shape for m in mats)
     if num_pairs < 0:
         raise ContractError("iteration pair count must be >= 0")
-    layout = MatrixLayout(shapes)
-    stages = np.empty((2 * num_pairs + 1, layout.offsets[-1]))
-    stage_mats = layout.matrices(stages)
-    for m, stage in zip(mats, stage_mats):
-        stage[0] = m
-    entry = stages[0]
-    if not np.isfinite(entry).all():
-        k, _ = _locate(layout.offsets, np.flatnonzero(~np.isfinite(entry))[0])
-        raise NumericError(f"pair {k} carries non-finite entries")
-    if (entry < 0).any():
-        k, _ = _locate(layout.offsets, np.flatnonzero(entry < 0)[0])
-        raise ContractError(f"pair {k} carries negative entries")
+    matrices = _log_matrices(matrices, virtual)
+    support = matrices.support
+    stages = np.empty((2 * num_pairs + 1, len(matrices.values)))
+    stages[0] = matrices.values
 
-    divisors, exempt, skipped = {}, {}, []
+    log_divisors, exempt = {}, {}
+    covered = np.zeros(support.bases[-1], dtype=bool)
     for axis in _AXES:
-        lines = layout.lines[axis]
-        # only whether a sum is zero matters here, and with nonnegative
-        # finite entries it is exactly when every entry is zero, whatever
-        # the summation order
-        exempt_lines = np.bincount(layout.line_of[axis], entry,
-                                   minlength=lines[-1]) == 0.0
-        skipped += [(k, axis, i) for k, i in
-                    (_locate(lines, line) for line in np.flatnonzero(exempt_lines))]
-        if virtual:
-            exempt_lines[np.array(lines[1:]) - 1] = True
-        exempt[axis] = np.flatnonzero(exempt_lines)
-        divisors[axis] = np.empty((num_pairs, lines[-1]))
-    skipped.sort(key=lambda line: (line[0], line[1] == "col"))  # pair by pair
+        live = np.maximum.reduceat(stages[0][support.order[axis]],
+                                   support.starts[axis]) > -np.inf
+        covered[support.line[axis][live]] = True
+        exempt[axis] = (~live | (virtual & support.last[axis])).nonzero()[0]
+        log_divisors[axis] = np.empty((num_pairs, len(live)))
 
-    div_views = {axis: _segments(divisors[axis], layout.lines[axis])
-                 for axis in _AXES}
+    steps = {axis: (support.order[axis], support.starts[axis],
+                    support.of[axis], exempt[axis]) for axis in _AXES}
     for s in range(2 * num_pairs):
-        axis, n = _AXES[s % 2], s // 2
-        div = divisors[axis][n]
-        _line_sums([m[s] for m in stage_mats],
-                   [d[n] for d in div_views[axis]], axis)
-        div[exempt[axis]] = 1.0
-        # entries stay nonnegative, so only an exact zero sum is
-        # degenerate; tiny positive sums normalize fine (entries never
-        # exceed their sum)
-        if np.count_nonzero(div) < div.size:
-            k, line = _locate(layout.lines[axis], np.flatnonzero(div == 0.0)[0])
-            raise DegenerateInputError(
-                f"pair {k}: {axis} {line} lost all mass during normalization")
-        np.divide(stages[s], div[layout.line_of[axis]], out=stages[s + 1])
+        axis = _AXES[s % 2]
+        order, starts, of, skip = steps[axis]
+        div = log_divisors[axis][s // 2]
+        np.logaddexp.reduceat(stages[s][order], starts, out=div)
+        div[skip] = 0.0
+        np.subtract(stages[s], div[of], out=stages[s + 1])
 
-    return NormalizationState(layout, stages, divisors, exempt, skipped)
+    # lines are numbered pair by pair, rows before columns: the order reported
+    skipped = [support.name(line) for line in (~covered).nonzero()[0].tolist()]
+    return NormalizationState(support, stages, log_divisors, exempt, skipped)
 
 
 def l1_normalize_backward(state: NormalizationState,
@@ -510,42 +525,34 @@ def l1_normalize_backward(state: NormalizationState,
     """Backward pass of the normalization layer.
 
     Walks the recorded steps in reverse.  For a normalized line with
-    post-step values u and pre-step sum s, the gradient maps as
-    g_pre = g_post / s - <u, g_post> / s; skipped lines, whose divisor is 1
-    and whose inner product is set to zero, pass the gradient through
-    unchanged.  Each step's output u is read from the recorded stages, never
-    recomputed.  The gradient is one stacked vector laid out like the
-    stages, so a step is one product, the line inner products (one
-    reduction per pair, as in the forward pass) and one update for all
-    pairs; the result is returned as per-pair views.
+    post-step values u (the stage, exponentiated) and pre-step sum s,
+    g_pre = g_post / s - <u, g_post> / s; exempt lines (divisor 1, inner
+    product 0) pass the gradient through.  The gradient lives on the
+    support, the inner products one ``np.add.reduceat`` per step; it
+    returns as dense per-pair matrices, 0 off the support.
     """
-    layout = state.layout
-    K = len(layout.shapes)
-    if len(d_x_final) != K:
-        raise ContractError(f"need {K} gradients, got {len(d_x_final)}")
-    g = np.empty(layout.offsets[-1])
-    for k, (gk, view) in enumerate(zip(d_x_final, layout.matrices(g))):
-        gk = np.asarray(gk, dtype=float)
-        if gk.shape != view.shape:
+    support = state.support
+    if len(d_x_final) != len(support.shapes):
+        raise ContractError(
+            f"need {len(support.shapes)} gradients, got {len(d_x_final)}")
+    for k, (gk, shape) in enumerate(zip(d_x_final, support.shapes)):
+        if np.shape(gk) != shape:
             raise ContractError(
-                f"gradient {k} has shape {gk.shape}, expected {view.shape}")
-        view[...] = gk
-
-    product = np.empty_like(g)
-    product_mats = layout.matrices(product)
-    inner = {axis: np.empty(layout.lines[axis][-1]) for axis in _AXES}
-    inner_views = {axis: _segments(inner[axis], layout.lines[axis])
-                   for axis in _AXES}
-    for s in reversed(range(len(state.stages) - 1)):
+                f"gradient {k} has shape {np.shape(gk)}, expected {shape}")
+    g = np.concatenate([np.empty(0)] + [
+        np.asarray(gk, dtype=float).ravel()[support.flat[a:b]]
+        for gk, a, b in zip(d_x_final, support.bounds, support.bounds[1:])])
+    outputs = np.exp(state.stages[1:])
+    for s in reversed(range(len(outputs))):
         axis = _AXES[s % 2]
-        div = state.divisors[axis][s // 2]
-        line_of = layout.line_of[axis]
-        np.multiply(state.stages[s + 1], g, out=product)
-        _line_sums(product_mats, inner_views[axis], axis)
+        of = support.of[axis]
+        div = np.exp(state.log_divisors[axis][s // 2])
+        inner = np.add.reduceat((outputs[s] * g)[support.order[axis]],
+                                support.starts[axis])
         # assigned, not masked: an exempt line's inner product may be inf
-        inner[axis][state.exempt[axis]] = 0.0
-        g = g / div[line_of] - (inner[axis] / div)[line_of]
-    return layout.matrices(g)
+        inner[state.exempt[axis]] = 0.0
+        g = g / div[of] - (inner / div)[of]
+    return support.scatter(g)
 
 
 # ---------------------------------------------------------------------------
@@ -554,12 +561,10 @@ def l1_normalize_backward(state: NormalizationState,
 
 def bce_loss(predicted: list[np.ndarray],
              target: list[np.ndarray]) -> tuple[float, list[np.ndarray]]:
-    """Summed binary cross entropy over all assignment entries.
-
-    Predictions are clamped to [eps, 1-eps] before the logs; the returned
-    gradient is that of the clamped expression, i.e. exactly zero where the
-    clamp is active.  A non-finite prediction raises instead of clamping.
-    """
+    """Summed binary cross entropy over all assignment entries, with
+    predictions clamped to [eps, 1-eps] before the logs; the gradient is the
+    clamped expression's, exactly zero where the clamp is active.  A
+    non-finite prediction raises instead of clamping."""
     if len(predicted) != len(target):
         raise ContractError("prediction/target pair counts differ")
     loss = 0.0
@@ -582,16 +587,12 @@ def bce_loss(predicted: list[np.ndarray],
 
 def discretize(matrices: list[np.ndarray],
                virtual: bool = False) -> list[np.ndarray]:
-    """Binarize soft assignments pair by pair.
-
-    Real rows/columns get a maximum-weight bipartite matching from
-    :func:`mdatrack.assignment.linear_sum_assignment`.  When ``virtual`` is
-    set, every pair's last row and last column are virtual slots, as in
-    :func:`l1_normalize_forward`: a matched row whose weight falls strictly
-    below its virtual-column entry is reassigned to the virtual column, and
-    unmatched real rows go there too; symmetrically, real columns left
-    without a partner are attached to the virtual row.  Virtual slots may
-    absorb several partners.
+    """Binarize soft assignments pair by pair: real rows and columns get a
+    maximum-weight matching (:func:`mdatrack.assignment.linear_sum_assignment`).
+    With ``virtual``, as in :func:`l1_normalize_forward`, a matched row whose
+    weight falls strictly below its virtual-column entry, and every
+    unmatched real row, go to the virtual column; real columns left without
+    a partner go to the virtual row.  Virtual slots absorb several partners.
     """
     mats = _pair_matrices(matrices, virtual)
     result = []
@@ -618,4 +619,3 @@ def discretize(matrices: list[np.ndarray],
             out[n_rows - 1, :real_cols][~taken] = 1.0
         result.append(out)
     return result
-

@@ -119,7 +119,7 @@ def train_window(window: TrainingWindow,
         return None
 
     power_state = power_iteration_forward(bundle.tensor, power_iterations)
-    norm_state = l1_normalize_forward(power_state.matrices(), norm_pairs)
+    norm_state = l1_normalize_forward(power_state.log_pairs(), norm_pairs)
 
     predicted = norm_state.matrices()
     loss, d_pred = bce_loss(predicted, window.target)

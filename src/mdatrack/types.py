@@ -172,9 +172,14 @@ def descriptor_similarity(a: np.ndarray, norm_a: np.ndarray,
     (shape (..., D), norms (...)), in [0, 1]: squaring suppresses the ~0
     cosine of unrelated descriptors and keeps same-target pairs near 1.
     Zero descriptors (file-based candidates) get a neutral 0.5."""
+    return _clipped_square(np.einsum("...d,...d->...", a, b), norm_a, norm_b)
+
+
+def _clipped_square(dots: np.ndarray, norm_a: np.ndarray,
+                    norm_b: np.ndarray) -> np.ndarray:
+    """:func:`descriptor_similarity` from the descriptors' dot products."""
     neutral = (norm_a < 1e-12) | (norm_b < 1e-12)
-    cos = (np.einsum("...d,...d->...", a, b)
-           / np.where(neutral, 1.0, norm_a * norm_b))
+    cos = dots / np.where(neutral, 1.0, norm_a * norm_b)
     return np.where(neutral, 0.5, np.maximum(cos, 0.0) ** 2)
 
 
@@ -183,10 +188,11 @@ def _window_similarities(arrays: tuple[FrameArrays, ...], anchor: int,
     """One (I_e, I_{e+1}) descriptor similarity table per pair of
     consecutive frames.  A virtual slot next to the anchor frame stands in
     for the anchor it continues: against that frame it scores each
-    anchor's similarity to itself."""
+    anchor's similarity to itself.  Each table's dot products are one
+    matrix product."""
     tables = tuple(
-        descriptor_similarity(a.descriptors[:, None, :], a.norms[:, None],
-                              b.descriptors[None, :, :], b.norms[None, :])
+        _clipped_square(a.descriptors @ b.descriptors.T, a.norms[:, None],
+                        b.norms[None, :])
         for a, b in zip(arrays, arrays[1:]))
     if virtual:
         own = arrays[anchor]

@@ -190,6 +190,18 @@ def assert_close(actual, reference, tol: float = 1e-12) -> None:
     assert worst <= tol * scale, f"deviation {worst:.3e} at scale {scale:.3e}"
 
 
+def dense_history(state) -> tuple[list[np.ndarray], list[np.ndarray]]:
+    """A power iteration's iterates and slices as dense stacked vectors:
+    ``x0`` as given, then each log vector exponentiated, 0 off the
+    support."""
+    def dense(log_vector):
+        out = np.zeros(state.tensor.offsets[-1])
+        out[state.tensor.support] = np.exp(log_vector)
+        return out
+    return ([state.x0] + [dense(v) for v in state.log_iterates[1:]],
+            [dense(s) for s in state.log_slices])
+
+
 def assert_sparse_equals_dense(tensor: HypothesisTensor, num_iterations: int,
                                rng: np.random.Generator,
                                x0: list[np.ndarray] | None = None) -> None:
@@ -203,9 +215,9 @@ def assert_sparse_equals_dense(tensor: HypothesisTensor, num_iterations: int,
     assert_close(state.contraction_history, run.constants)
     # pair by pair, so each pair's tolerance scales with its own values
     splits = state.tensor.offsets[1:-1]
-    for sparse_history, dense_history in ((state.iterates, run.iterates),
-                                          (state.slices, run.slices)):
-        for stacked, per_pair in zip(sparse_history, dense_history, strict=True):
+    iterates, slices = dense_history(state)
+    for sparse, dense_run in ((iterates, run.iterates), (slices, run.slices)):
+        for stacked, per_pair in zip(sparse, dense_run, strict=True):
             for a, b in zip(np.split(stacked, splits), per_pair, strict=True):
                 assert_close(a, b)
 

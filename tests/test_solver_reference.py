@@ -1,9 +1,9 @@
-"""The stacked solver equals the per-mode restatement in
-``solver_reference.py`` bit for bit: iterates, slices, contraction
+"""The stacked log-domain solver equals the per-mode restatement in
+``solver_reference.py`` bit for bit: log iterates, log slices, contraction
 constants, both gradients of the power iteration, and the normalized
-matrices, divisors, exemptions and gradients of the l1 normalization,
-including on matrices whose lines are long enough for numpy to sum them
-pairwise."""
+matrices, log divisors, exemptions and gradients of the l1 normalization,
+on the power iteration's own log matrices and on dense matrices, including
+lines long enough for numpy to sum them pairwise."""
 
 import numpy as np
 import pytest
@@ -12,7 +12,6 @@ import solver_reference as ref
 from dense_reference import random_solver_instance
 from mdatrack import pipeline
 from mdatrack.affinity import AffinityProviderParams, ConnectionGateConfig
-from mdatrack.errors import DegenerateInputError, NumericError
 from mdatrack.evalio import ScenarioSpec, generate_scenario
 from mdatrack.solver import (
     HypothesisTensor,
@@ -38,11 +37,11 @@ def assert_power_matches(tensor, iterations, rng, x0=None):
     state = power_iteration_forward(tensor, iterations, x0=x0)
     expected = ref.power_iteration_forward(tensor, iterations, x0=x0)
     assert state.contraction_history == expected.contraction_history
-    assert_equal_lists(state.iterates,
-                       [stacked(x) for x in expected.iterate_history])
-    assert_equal_lists(state.slices,
+    assert_equal_lists(state.log_iterates,
+                       [stacked(y) for y in expected.iterate_history])
+    assert_equal_lists(state.log_slices,
                        [stacked(s) for s in expected.slice_history])
-    assert_equal_lists(state.x, expected.x)
+    assert_equal_lists(state.matrices(), expected.matrices())
 
     w = [rng.normal(size=d) for d in tensor.shape]
     d_values, d_x0 = power_iteration_backward(state, w)
@@ -52,11 +51,7 @@ def assert_power_matches(tensor, iterations, rng, x0=None):
     return state
 
 
-def assert_norm_matches(matrices, pairs, rng, virtual=False):
-    state = l1_normalize_forward(matrices, pairs, virtual=virtual)
-    # the reference takes one flag per pair and direction
-    flags = [virtual] * len(matrices)
-    expected = ref.l1_normalize_forward(matrices, pairs, flags, flags)
+def assert_norm_matches(state, expected, pairs, rng):
     assert_equal_lists(state.matrices(), expected.matrices())
     assert state.skipped_lines == expected.skipped_lines
     assert len(state.stages) - 1 == len(expected.norm_history)
@@ -65,16 +60,34 @@ def assert_norm_matches(matrices, pairs, rng, virtual=False):
         assert axis == reference.axis
         assert np.array_equal(state.stages[s], stacked(reference.pre),
                               equal_nan=True)
-        assert np.array_equal(state.divisors[axis][s // 2],
+        # one divisor per line with entries, pair by pair in line order
+        assert np.array_equal(state.log_divisors[axis][s // 2],
                               stacked(reference.divisors), equal_nan=True)
-        applied = np.ones(state.layout.lines[axis][-1], dtype=bool)
+        applied = np.ones(len(state.support.line[axis]), dtype=bool)
         applied[state.exempt[axis]] = False
-        assert np.array_equal(applied, stacked(reference.applied),
-                              equal_nan=True)
+        assert np.array_equal(applied, stacked(reference.applied))
 
     w = [rng.normal(size=m.shape) for m in state.matrices()]
     assert_equal_lists(l1_normalize_backward(state, w),
                        ref.l1_normalize_backward(expected, w))
+
+
+def assert_power_norm_matches(power, pairs, rng, virtual=False, first=0):
+    """The normalization of the power iteration's log matrices, pairs
+    ``first`` onward."""
+    expected_power = ref.power_iteration_forward(
+        power.tensor, len(power.contraction_history))
+    state = l1_normalize_forward(power.log_pairs(first), pairs, virtual=virtual)
+    expected = ref.l1_normalize_forward(
+        expected_power.shapes[first:], expected_power.supports[first:],
+        expected_power.x[first:], pairs, virtual)
+    assert_norm_matches(state, expected, pairs, rng)
+
+
+def assert_dense_norm_matches(matrices, pairs, rng, virtual=False):
+    state = l1_normalize_forward(matrices, pairs, virtual=virtual)
+    expected = ref.l1_normalize_dense(matrices, pairs, virtual)
+    assert_norm_matches(state, expected, pairs, rng)
 
 
 def random_tensor(rng, K):
@@ -100,7 +113,10 @@ def test_random_tensors(K, seed):
     x0 = ([rng.uniform(0.1, 1.0, size=d) for d in tensor.shape]
           if seed % 2 else None)
     state = assert_power_matches(tensor, iterations, rng, x0=x0)
-    assert_norm_matches(state.matrices(), int(rng.integers(0, 4)), rng)
+    pairs = int(rng.integers(0, 4))
+    if x0 is None:
+        assert_power_norm_matches(state, pairs, rng, first=seed % K)
+    assert_dense_norm_matches(state.matrices(), pairs, rng)
 
 
 @pytest.mark.parametrize("seed", range(50))
@@ -121,8 +137,8 @@ def test_masked_matrices_with_zero_lines(seed):
     matrices = [rng.uniform(0.0, 1.0, size=shape) for shape in shapes]
     matrices[0][int(rng.integers(shapes[0][0] - 1))] = 0.0
     matrices[1][:, int(rng.integers(shapes[1][1] - 1))] = 0.0
-    assert_norm_matches(matrices, int(rng.integers(1, 11)), rng,
-                        virtual=seed % 2 == 0)
+    assert_dense_norm_matches(matrices, int(rng.integers(1, 11)), rng,
+                              virtual=seed % 2 == 0)
 
 
 @pytest.mark.parametrize("sizes", [
@@ -131,12 +147,13 @@ def test_masked_matrices_with_zero_lines(seed):
 ])
 @pytest.mark.parametrize("seed", range(8))
 def test_long_lines(sizes, seed):
-    # pairs shaped (1, >=8), (>=8, 1) and (>=8, >=8): numpy sums a line of
-    # eight or more entries pairwise, a row of a wide matrix as much as the
-    # column of a one-column matrix, so a line sum that adds sequentially
-    # (one bincount for all pairs) rounds differently here, in the forward
-    # line sums and in the backward pass's inner products with a random
-    # gradient.  Each window runs without and with virtual slots
+    # pairs shaped (1, >=8), (>=8, 1) and (>=8, >=8): numpy adds the rest
+    # of a segment of eight or more entries pairwise, a row of a wide matrix
+    # as much as the column of a one-column matrix, so a line sum that adds
+    # sequentially rounds differently here, in the backward pass's inner
+    # products with a random gradient; the forward's log sums run
+    # sequentially either way.  Each window runs without and with virtual
+    # slots
     rng = np.random.default_rng(100 * len(sizes) + seed)
     matrices = [rng.uniform(0.0, 1.0, size=shape)
                 for shape in zip(sizes, sizes[1:])]
@@ -149,7 +166,7 @@ def test_long_lines(sizes, seed):
             m[:, int(rng.integers(cols - 1))] = 0.0
     pairs = int(rng.integers(1, 6))
     for virtual in (False, True):
-        assert_norm_matches(matrices, pairs, rng, virtual=virtual)
+        assert_dense_norm_matches(matrices, pairs, rng, virtual=virtual)
 
 
 @pytest.fixture(scope="module")
@@ -179,31 +196,38 @@ def test_crowd_windows(crowd_tensors):
     config = pipeline.PipelineConfig()
     rng = np.random.default_rng(0)
     assert len(crowd_tensors) > 20
-    # real rows that lose all mass make some random-gradient backward
-    # passes overflow; both solvers must then agree on the non-finite values
+    # tiny line sums make some random-gradient backward passes overflow;
+    # both solvers must then agree on the non-finite values
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
         for tensor in crowd_tensors:
             state = assert_power_matches(tensor, config.power_iterations, rng)
-            assert_norm_matches(state.matrices(), config.norm_pairs, rng,
-                                virtual=True)
+            for first in (0, 1):
+                assert_power_norm_matches(state, config.norm_pairs, rng,
+                                          virtual=True, first=first)
 
 
-def test_row_sum_overflow_loses_all_mass():
-    # row 0 sums to inf, so the first row step zeroes it; the second row
-    # step then finds it empty
+def test_huge_entries_normalize_without_overflow():
+    # row 0 sums past the largest float, but its log sum is finite: the
+    # row steps scale it like any other row
     matrix = np.array([[1e308, 1e308], [1.0, 1.0]])
-    with np.errstate(over="ignore"), pytest.raises(
-            DegenerateInputError,
-            match=r"^pair 0: row 0 lost all mass during normalization$"):
-        l1_normalize_forward([matrix], 2)
+    out = l1_normalize_forward([matrix], 2).matrices()[0]
+    assert np.all(np.isfinite(out))
+    np.testing.assert_allclose(out.sum(axis=0), 1.0, rtol=1e-12)
+    # the backward pass divides by the exponentiated sum, which overflows;
+    # both solvers agree on the non-finite gradient
+    with np.errstate(over="ignore"):
+        assert_dense_norm_matches([matrix], 2, np.random.default_rng(0))
 
 
-def test_overflowing_slice_names_its_pair():
-    # the contraction stays finite while pair 1's slice overflows, so the
-    # error maps the first non-finite stacked position back to pair 1
+def test_extreme_initial_vector_stays_finite():
+    # in linear form pair 1's slice overflows from this start; as logs every
+    # iterate stays finite on the support and each pair's vector sums to one
     tensor = HypothesisTensor(np.array([[0, 0, 0], [0, 0, 1], [1, 1, 0]]),
                               np.array([1e10, 1.0, 1.0]), (2, 2, 2))
     x0 = [np.array([1e300, 1e-300, 1e-300, 1e-300]), np.full(4, 1e-300)]
-    with np.errstate(over="ignore"), pytest.raises(
-            NumericError, match=r"^non-finite iterate for pair 1 at iteration 0$"):
-        power_iteration_forward(tensor, 1, x0=x0)
+    with np.errstate(over="ignore", invalid="ignore"):   # linear backward
+        state = assert_power_matches(tensor, 1, np.random.default_rng(0),
+                                     x0=x0)
+    assert np.all(np.isfinite(state.log_iterates[-1]))
+    for vector in state.x:
+        assert vector.sum() == pytest.approx(1.0, rel=1e-12)
