@@ -54,6 +54,11 @@ def parse_mot_line(line: str, line_number: int) -> MotRecord:
     if bad is not None:
         raise ParseError(f"field {bad + 1} is not finite: {parts[bad]!r}",
                          line_number)
+    for i, name in enumerate(("frame", "id")):
+        # truncating 2.7 to 2 would merge a malformed row into another track
+        if not values[i].is_integer():
+            raise ParseError(f"field {i + 1} ({name}) is not an integer: "
+                             f"{parts[i]!r}", line_number)
     frame, ident = int(values[0]), int(values[1])
     numbers = values[2:]
     while len(numbers) < 8:

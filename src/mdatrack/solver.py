@@ -10,10 +10,12 @@ Both forward passes run in the log domain on the hypothesis support, the
 pair-matrix entries some hypothesis touches, so a weak entry keeps its
 logarithm instead of underflowing to zero.  Each grouped log-sum-exp is one
 ``np.logaddexp.reduceat`` over a layout the tensor builds once and shares
-through :meth:`HypothesisTensor.with_values`.  The backward passes apply
-the linear-domain formulas to the exponentiated states, and the matcher
-reads the exponentiated matrices.  Each forward pass returns the state its
-backward pass reads; the dense tensor never exists.
+through :meth:`HypothesisTensor.with_values`.  The backward passes are the
+exact derivatives of those log-domain passes: the gradient is carried with
+respect to the logs on the support, from the normalization's output back
+to the hypothesis values, and no step divides.  The matcher reads the
+exponentiated matrices.  Each forward pass returns the state its backward
+pass reads; the dense tensor never exists.
 """
 
 from __future__ import annotations
@@ -142,12 +144,11 @@ class HypothesisTensor:
     The modes are stacked end to end, mode k at ``offsets[k]``;
     ``index[k * H + h]`` is hypothesis h's position in mode k.  The support
     is the sorted positions some hypothesis touches (mode k's from
-    ``mode_bounds[k]``); ``support_of`` maps each ``index`` entry into it,
-    ``order`` sorts the entries stably by it, and ``starts`` is where each
-    position's run begins in that order.  ``factor_rows[i]`` points, for
-    each row k, at the same hypothesis' entry of its i-th other mode (in
-    mode order) within an array laid out like ``index``, and
-    ``factor_support[i]`` at its support position, in sorted order.
+    ``mode_bounds[k]``).  ``order`` sorts the entries stably by position,
+    ``starts`` is where each position's run begins in that order, and
+    ``position`` is each sorted entry's support position;
+    ``factor_support[i]`` is, for each sorted entry, the support position
+    of the same hypothesis' i-th other mode (in mode order).
     """
 
     entries: np.ndarray                  # (H, K+1) 0-based candidate tuples
@@ -157,11 +158,10 @@ class HypothesisTensor:
     offsets: tuple[int, ...] = field(init=False)   # K+1 mode starts and end
     index: np.ndarray = field(init=False, repr=False)          # (K*H,)
     stacked_values: np.ndarray = field(init=False, repr=False)  # (K*H,)
-    factor_rows: tuple = field(init=False, repr=False)
     support: np.ndarray = field(init=False, repr=False)         # (T,)
     mode_bounds: tuple = field(init=False, repr=False)
-    support_of: np.ndarray = field(init=False, repr=False)      # (K*H,)
     order: np.ndarray = field(init=False, repr=False)           # (K*H,)
+    position: np.ndarray = field(init=False, repr=False)        # (K*H,)
     starts: np.ndarray = field(init=False, repr=False)          # (T,)
     factor_support: tuple = field(init=False, repr=False)
     pair_supports: dict = field(init=False, repr=False)  # by first pair
@@ -197,9 +197,9 @@ class HypothesisTensor:
             entries=entries, values=values, sizes=sizes, shape=shape,
             offsets=offsets, index=index,
             stacked_values=np.concatenate([values] * K),
-            factor_rows=factor_rows, support=support,
+            support=support,
             mode_bounds=tuple(support.searchsorted(offsets).tolist()),
-            support_of=support_of, order=order, starts=starts,
+            order=order, starts=starts, position=runs,
             factor_support=tuple(support_of[r][order] for r in factor_rows),
             pair_supports={})
 
@@ -234,14 +234,12 @@ class HypothesisTensor:
 class PowerIterationState:
     """The power iteration's run on ``tensor``, as its backward pass needs it.
 
-    ``x0`` is the stacked initial vector, every pair's end to end at
-    ``tensor.offsets``; the iterates and slices are logs on the tensor's
-    support.  ``x`` and ``matrices()`` give the last iterate exponentiated,
-    in dense form (0 off the support).
+    The iterates (the first from the initial vector) and the slices are
+    logs on the tensor's support.  ``x`` and ``matrices()`` give the last
+    iterate exponentiated, in dense form (0 off the support).
     """
 
     tensor: HypothesisTensor
-    x0: np.ndarray                          # stacked, every coordinate
     log_iterates: list[np.ndarray]          # on the support, N+1 of them
     log_slices: list[np.ndarray]            # on the support, N of them
     contraction_history: list[float]
@@ -263,13 +261,6 @@ class PowerIterationState:
 # ---------------------------------------------------------------------------
 # Power iteration layer
 # ---------------------------------------------------------------------------
-
-def _product(columns) -> np.ndarray:
-    out = columns[0]
-    for column in columns[1:]:
-        out = out * column
-    return out
-
 
 def _stacked(vectors: list[np.ndarray], dims, what: str) -> np.ndarray:
     """One float vector per mode, checked against the mode dimensions and
@@ -340,76 +331,51 @@ def power_iteration_forward(tensor: HypothesisTensor,
         log_slices.append(slices + log_top)
         contraction_history.append(math.exp(log_c + log_top))
 
-    return PowerIterationState(tensor, x0, log_iterates, log_slices,
+    return PowerIterationState(tensor, log_iterates, log_slices,
                                contraction_history)
 
 
-def _cross_term(tensor: HypothesisTensor, gathered: np.ndarray,
-                weighted: np.ndarray, i: int) -> np.ndarray:
-    """For every pair k at once, the contraction of the tensor with the
-    other pairs' iterates, the i-th of them scaled by its gradient: one
-    weighted bincount over the support, given the iterate and the
-    gradient-scaled iterate gathered at each hypothesis entry."""
-    weights = tensor.stacked_values
-    for j, factor in enumerate(tensor.factor_rows):
-        weights = weights * (weighted if j == i else gathered)[factor]
-    return np.bincount(tensor.support_of, weights,
-                       minlength=len(tensor.support))
-
-
 def power_iteration_backward(state: PowerIterationState,
-                             d_x_final: list[np.ndarray]
-                             ) -> tuple[np.ndarray, list[np.ndarray]]:
-    """Backward pass of the power iteration layer.
+                             d_log: np.ndarray) -> np.ndarray:
+    """Backward pass of the power iteration layer, in the forward's log
+    coordinates: takes the loss gradient at the last log iterate (one float
+    per support position) and returns the (H,) hypothesis value gradient.
 
-    Given the loss gradient at the final iterates, walks the iterations in
-    reverse, accumulating the gradient of each hypothesis value (its tensor
-    entry at coordinates j_1..j_K)
-
-        dL/dv  +=  (prod_k x_k(n)[j_k]) / C(n) * sum_k (g_k(n+1)[j_k] - <x_k(n+1), g_k(n+1)>)
-
-    and propagating the iterate gradients with the exact differential of the
-    synchronous update (own-slice, shared-normalizer and cross-pair terms)
-    on the exponentiated states.  Every iterate after ``x0`` is 0 off the
-    support, so the gradients live on it, and the cross terms take K-1
-    bincounts.  Returns the (H,) value gradient and the ``x0`` gradient.
+    Iteration n maps the log iterate y to y + s - log C, where s_t is the
+    log-sum-exp of ``log value + log x[factor]`` over the entries at
+    position t, and log C that of y + s over mode 0.  Going back through it
+    from the gradient g at its output, log C takes sum(g) times the output
+    off mode 0's positions; what is left is the gradient at y and at s
+    alike.  An entry at position t then adds g[t] * u to its hypothesis'
+    value gradient, u = exp(other factors' logs - s_t), and value * g[t] * u,
+    its share of s_t, to each other factor's position (one ``np.bincount``
+    per factor).  u leaves the value out, so nothing divides by a value and
+    a zero-valued hypothesis gets its gradient too.
     """
     tensor = state.tensor
-    bounds, support = tensor.mode_bounds, tensor.support
-    K, H = len(tensor.shape), len(tensor.values)
-    g = _stacked(d_x_final, tensor.shape, "gradient")[support]
-    d_values = np.zeros(H)
-
+    T, K, H = len(tensor.support), len(tensor.shape), len(tensor.values)
+    g = np.array(d_log, dtype=float)
+    if g.shape != (T,):
+        raise ContractError(f"gradient of shape {g.shape}, expected ({T},)")
+    first = tensor.mode_bounds[1]
+    position, values = tensor.position, tensor.stacked_values[tensor.order]
+    pulled = np.zeros(K * H)
     for n in reversed(range(len(state.contraction_history))):
-        xs = (state.x0[support] if n == 0
-              else np.exp(state.log_iterates[n]))
-        xs_next = np.exp(state.log_iterates[n + 1])
-        slices = np.exp(state.log_slices[n])
-        norm_const = state.contraction_history[n]
+        y, slices = state.log_iterates[n], state.log_slices[n]
+        g[:first] -= g.sum() * np.exp(state.log_iterates[n + 1][:first])
+        # a slice without mass leaves its position 0 and gives it gradient
+        # 0: any finite stand-in keeps its entries' weights finite
+        slices = np.where(slices > -np.inf, slices, 0.0)[position]
+        weights = g[position] * np.exp(
+            sum(y[factor] for factor in tensor.factor_support) - slices)
+        pulled += weights
+        pushed = values * weights
+        g = g + sum(np.bincount(factor, pushed, minlength=T)
+                    for factor in tensor.factor_support)
+    by_mode = np.empty(K * H)
+    by_mode[tensor.order] = pulled
+    return sum(by_mode.reshape(K, H))
 
-        beta = sum(float(xs_next[a:b] @ g[a:b])
-                   for a, b in zip(bounds, bounds[1:]))
-        gathered = xs[tensor.support_of]
-        weighted = gathered * g[tensor.support_of]
-        rows, weighted_rows = gathered.reshape(K, H), weighted.reshape(K, H)
-
-        # value gradient contribution of this iteration: each hypothesis'
-        # entry of -beta * (outer xs) + sum_k (outer xs, x_k scaled by g_k),
-        # summed term by term so it rounds as the dense outer products do
-        term = -beta * _product(rows)
-        for k in range(K):
-            term += _product([weighted_rows[m] if m == k else rows[m]
-                              for m in range(K)])
-        d_values += term / norm_const
-
-        # iterate gradients one step earlier
-        cross = sum(_cross_term(tensor, gathered, weighted, i)
-                    for i in range(K - 1))
-        g = slices / norm_const * (g - beta) + cross / norm_const
-
-    d_x0 = np.zeros(tensor.offsets[-1])
-    d_x0[support] = g
-    return d_values, np.split(d_x0, tensor.offsets[1:-1])
 
 # ---------------------------------------------------------------------------
 # l1 normalization layer
@@ -457,15 +423,13 @@ def _log_matrices(matrices, virtual: bool) -> LogMatrices:
 class NormalizationState:
     """The normalization's run on the entries of ``support``, held as logs.
 
-    ``stages[s + 1]`` is the output of step s (rows, columns, alternating),
-    and ``log_divisors[axis][n]`` the log line sums (per segment) the n-th
-    step of that direction subtracted, 0 on the ``exempt[axis]`` segments.
+    ``stages[s + 1]`` is the output of step s (rows, columns, alternating);
+    a step leaves the ``exempt[axis]`` segments as they are.
     ``skipped_lines`` lists the (pair, axis, line) without mass at entry.
     """
 
     support: PairSupport
     stages: np.ndarray
-    log_divisors: dict[str, np.ndarray]
     exempt: dict[str, np.ndarray]
     skipped_lines: list[tuple[int, str, int]]
 
@@ -496,40 +460,36 @@ def l1_normalize_forward(matrices, num_pairs: int,
     stages = np.empty((2 * num_pairs + 1, len(matrices.values)))
     stages[0] = matrices.values
 
-    log_divisors, exempt = {}, {}
+    exempt = {}
     covered = np.zeros(support.bases[-1], dtype=bool)
     for axis in _AXES:
         live = np.maximum.reduceat(stages[0][support.order[axis]],
                                    support.starts[axis]) > -np.inf
         covered[support.line[axis][live]] = True
         exempt[axis] = (~live | (virtual & support.last[axis])).nonzero()[0]
-        log_divisors[axis] = np.empty((num_pairs, len(live)))
 
-    steps = {axis: (support.order[axis], support.starts[axis],
-                    support.of[axis], exempt[axis]) for axis in _AXES}
     for s in range(2 * num_pairs):
         axis = _AXES[s % 2]
-        order, starts, of, skip = steps[axis]
-        div = log_divisors[axis][s // 2]
-        np.logaddexp.reduceat(stages[s][order], starts, out=div)
-        div[skip] = 0.0
-        np.subtract(stages[s], div[of], out=stages[s + 1])
+        div = np.logaddexp.reduceat(stages[s][support.order[axis]],
+                                    support.starts[axis])
+        div[exempt[axis]] = 0.0
+        np.subtract(stages[s], div[support.of[axis]], out=stages[s + 1])
 
     # lines are numbered pair by pair, rows before columns: the order reported
     skipped = [support.name(line) for line in (~covered).nonzero()[0].tolist()]
-    return NormalizationState(support, stages, log_divisors, exempt, skipped)
+    return NormalizationState(support, stages, exempt, skipped)
 
 
 def l1_normalize_backward(state: NormalizationState,
-                          d_x_final: list[np.ndarray]) -> list[np.ndarray]:
-    """Backward pass of the normalization layer.
+                          d_x_final: list[np.ndarray]) -> np.ndarray:
+    """Backward pass of the normalization layer, in its log coordinates:
+    takes the loss gradient at the dense output matrices and returns it at
+    the input logs on the support (:attr:`LogMatrices.values`).
 
-    Walks the recorded steps in reverse.  For a normalized line with
-    post-step values u (the stage, exponentiated) and pre-step sum s,
-    g_pre = g_post / s - <u, g_post> / s; exempt lines (divisor 1, inner
-    product 0) pass the gradient through.  The gradient lives on the
-    support, the inner products one ``np.add.reduceat`` per step; it
-    returns as dense per-pair matrices, 0 off the support.
+    The output's gradient, times the output, is the gradient at the last
+    stage.  A step z' = z - log(sum of exp z over the line) then maps a
+    stage gradient g to g - exp(z') * (sum of g over the line), the sum one
+    ``np.add.reduceat`` per step; an exempt line passes it through.
     """
     support = state.support
     if len(d_x_final) != len(support.shapes):
@@ -539,20 +499,16 @@ def l1_normalize_backward(state: NormalizationState,
         if np.shape(gk) != shape:
             raise ContractError(
                 f"gradient {k} has shape {np.shape(gk)}, expected {shape}")
-    g = np.concatenate([np.empty(0)] + [
+    outputs = np.exp(state.stages)
+    g = outputs[-1] * np.concatenate([np.empty(0)] + [
         np.asarray(gk, dtype=float).ravel()[support.flat[a:b]]
         for gk, a, b in zip(d_x_final, support.bounds, support.bounds[1:])])
-    outputs = np.exp(state.stages[1:])
-    for s in reversed(range(len(outputs))):
+    for s in reversed(range(len(outputs) - 1)):
         axis = _AXES[s % 2]
-        of = support.of[axis]
-        div = np.exp(state.log_divisors[axis][s // 2])
-        inner = np.add.reduceat((outputs[s] * g)[support.order[axis]],
-                                support.starts[axis])
-        # assigned, not masked: an exempt line's inner product may be inf
-        inner[state.exempt[axis]] = 0.0
-        g = g / div[of] - (inner / div)[of]
-    return support.scatter(g)
+        total = np.add.reduceat(g[support.order[axis]], support.starts[axis])
+        total[state.exempt[axis]] = 0.0
+        g -= outputs[s + 1] * total[support.of[axis]]
+    return g
 
 
 # ---------------------------------------------------------------------------

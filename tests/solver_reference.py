@@ -1,14 +1,16 @@
 """Per-mode restatement of the log-domain power-iteration and
-l1-normalization layers, the reference the stacked solver is tested against
-bit for bit.
+l1-normalization layers and of their log-coordinate backward passes, the
+reference the stacked solver is tested against bit for bit.
 
 Each mode of the pairwise tensor keeps its own log vector on its own
 support, the coordinates some hypothesis touches: every contraction is one
 ``np.logaddexp.reduceat`` per mode over that mode's hypotheses sorted by
-coordinate.  The normalization walks every pair line by line, each line's
-entries in row-major order, and sums each line on its own; its backward
-pass recomputes each step's output from the recorded input.  Every sum runs
-in the same order as in the stacked solver, so both give exactly equal
+coordinate, and the backward pass pushes each mode's entry weights onto
+the other modes with one ``np.bincount`` per target mode and side.  The
+normalization walks every pair line by line, each line's entries in
+row-major order, and sums each line on its own; its backward pass
+recomputes each step's output from the recorded input.  Every sum runs in
+the same order as in the stacked solver, so both give exactly equal
 arrays.
 """
 
@@ -52,7 +54,6 @@ class ReferenceState:
     x: list[np.ndarray] | None = None        # per pair, last log iterate
     tensor: HypothesisTensor | None = None
     modes: list[Mode] | None = None
-    x0: list[np.ndarray] | None = None
     iterate_history: list[list[np.ndarray]] | None = None
     contraction_history: list[float] | None = None
     slice_history: list[list[np.ndarray]] | None = None
@@ -93,13 +94,6 @@ def _log(a: np.ndarray) -> np.ndarray:
         return np.where(a > 0.0, np.log(a), -np.inf)
 
 
-def _product(columns: list[np.ndarray]) -> np.ndarray:
-    out = columns[0]
-    for column in columns[1:]:
-        out = out * column
-    return out
-
-
 def _gather(vectors: list[np.ndarray], modes: list[Mode]) -> list[np.ndarray]:
     """Each mode's support vector read at the hypotheses."""
     return [v[mode.position] for v, mode in zip(vectors, modes)]
@@ -126,7 +120,7 @@ def power_iteration_forward(tensor: HypothesisTensor,
     else:
         if len(x0) != K:
             raise ContractError(f"x0 needs {K} vectors, got {len(x0)}")
-        x0 = [np.asarray(v, dtype=float).copy() for v in x0]
+        x0 = [np.asarray(v, dtype=float) for v in x0]
         for k, v in enumerate(x0):
             if v.shape != (dims[k],):
                 raise ContractError(f"x0[{k}] has wrong length")
@@ -167,7 +161,6 @@ def power_iteration_forward(tensor: HypothesisTensor,
         x=y,
         tensor=tensor,
         modes=modes,
-        x0=x0,
         iterate_history=iterate_history,
         contraction_history=contraction_history,
         slice_history=slice_history,
@@ -175,57 +168,53 @@ def power_iteration_forward(tensor: HypothesisTensor,
 
 
 def power_iteration_backward(state: ReferenceState,
-                             d_x_final: list[np.ndarray]
-                             ) -> tuple[np.ndarray, list[np.ndarray]]:
-    """Value gradient and initial-vector gradient on the exponentiated
-    states, walking the iterations in reverse with per-mode gathers and one
-    bincount per cross term, on each mode's support."""
+                             d_log: np.ndarray) -> np.ndarray:
+    """Value gradient from the gradient at the last log iterate (stacked
+    mode after mode), walking the iterations in reverse on each mode's
+    support: mode 0 takes the normalizer's gradient, each mode's entries
+    weigh the gradient at their position by exp(other logs - slice), and
+    each mode gathers what the other modes' entries push onto it, those of
+    the modes before it and those after it in one bincount each."""
     tensor, modes = state.tensor, state.modes
-    K = len(modes)
-    g = [np.asarray(v, dtype=float)[mode.coords]
-         for v, mode in zip(d_x_final, modes)]
+    K, H = len(modes), len(tensor.values)
+    bounds = np.cumsum([0] + [len(mode.coords) for mode in modes])
+    d_log = np.asarray(d_log, dtype=float)
+    g = [d_log[a:b] for a, b in zip(bounds, bounds[1:])]
+    # per mode, the position of each entry in the mode's sorted order
+    seg = [mode.position[mode.order] for mode in modes]
+    pulled = [np.zeros(H) for _ in modes]
 
-    def iterate(n):
-        if n == 0:
-            return [v[mode.coords] for v, mode in zip(state.x0, modes)]
-        return [np.exp(v) for v in state.iterate_history[n]]
+    def push(k, sources, weighted):
+        positions = [np.empty(0, dtype=np.intp)] + [
+            modes[k].position[modes[m].order] for m in sources]
+        return np.bincount(np.concatenate(positions),
+                           np.concatenate([np.empty(0)]
+                                          + [weighted[m] for m in sources]),
+                           minlength=len(modes[k].coords))
 
-    num_iterations = len(state.contraction_history)
-    d_values = np.zeros(len(tensor.values))
-
-    for n in reversed(range(num_iterations)):
-        xs, xs_next = iterate(n), iterate(n + 1)
-        slices = [np.exp(s) for s in state.slice_history[n]]
-        norm_const = state.contraction_history[n]
-
-        beta = sum(float(xs_next[k] @ g[k]) for k in range(K))
-        gathered = _gather(xs, modes)
-        weighted = [x * gk for x, gk in zip(gathered, _gather(g, modes))]
-
-        def swap(m):
-            # the gathered iterates with mode m's scaled by its gradient
-            return gathered[:m] + [weighted[m]] + gathered[m + 1:]
-
-        def contract(columns, free_mode):
-            others = [c for m, c in enumerate(columns) if m != free_mode]
-            mode = modes[free_mode]
-            return np.bincount(mode.position,
-                               _product([tensor.values] + others),
-                               minlength=len(mode.coords))
-
-        term = -beta * _product(gathered)
-        for k in range(K):
-            term += _product(swap(k))
-        d_values += term / norm_const
-
-        g = [slices[k] / norm_const * (g[k] - beta)
-             + sum(contract(swap(m), k) for m in range(K) if m != k) / norm_const
+    for n in reversed(range(len(state.contraction_history))):
+        y = state.iterate_history[n]
+        total = np.concatenate(g).sum()
+        g[0] = g[0] - total * np.exp(state.iterate_history[n + 1][0])
+        gathered = _gather(y, modes)
+        weighted = []
+        for k, mode in enumerate(modes):
+            slices = state.slice_history[n][k]
+            slices = np.where(slices > -np.inf, slices, 0.0)[seg[k]]
+            others = sum(gathered[m][mode.order] for m in range(K) if m != k)
+            weights = g[k][seg[k]] * np.exp(others - slices)
+            pulled[k] += weights
+            weighted.append(tensor.values[mode.order] * weights)
+        g = [g[k] + (push(k, range(k), weighted)
+                     + push(k, range(k + 1, K), weighted))
              for k in range(K)]
 
-    d_x0 = [np.zeros(d) for d in tensor.shape]
-    for out, gk, mode in zip(d_x0, g, modes):
-        out[mode.coords] = gk
-    return d_values, d_x0
+    d_values = []
+    for mode, weights in zip(modes, pulled):
+        unsorted = np.empty(H)
+        unsorted[mode.order] = weights
+        d_values.append(unsorted)
+    return sum(d_values)
 
 
 def _lines(shape, support: np.ndarray, axis: str
@@ -300,21 +289,16 @@ def _line_sum(values: np.ndarray) -> float:
 
 def l1_normalize_backward(state: ReferenceState,
                           d_x_final: list[np.ndarray]) -> list[np.ndarray]:
-    """Walks the recorded steps in reverse, line by line, recomputing each
-    step's output as ``exp(pre - div)``; exempt lines, whose divisor is 1,
-    pass the gradient through unchanged."""
-    g = [np.asarray(v, dtype=float).ravel()[s].copy()
-         for v, s in zip(d_x_final, state.supports)]
+    """The gradient at the input logs, per pair on its support: the output
+    gradient times the output, then the recorded steps in reverse, line by
+    line, each step's output recomputed as ``pre - div``; exempt lines pass
+    the gradient through unchanged."""
+    g = [np.exp(x) * np.asarray(v, dtype=float).ravel()[s]
+         for x, v, s in zip(state.x, d_x_final, state.supports)]
     for step in reversed(state.norm_history):
         for k, (shape, support) in enumerate(zip(state.shapes, state.supports)):
             for i, line in enumerate(_lines(shape, support, step.axis)[1]):
-                post = np.exp(step.pre[k][line] - step.divisors[k][i])
-                div = np.exp(step.divisors[k][i])
-                inner = _line_sum(post * g[k][line]) if step.applied[k][i] else 0.0
-                g[k][line] = g[k][line] / div - inner / div
-    out = []
-    for (r, c), support, gk in zip(state.shapes, state.supports, g):
-        m = np.zeros(r * c)
-        m[support] = gk
-        out.append(m.reshape(r, c))
-    return out
+                post = step.pre[k][line] - step.divisors[k][i]
+                total = _line_sum(g[k][line]) if step.applied[k][i] else 0.0
+                g[k][line] = g[k][line] - np.exp(post) * total
+    return g

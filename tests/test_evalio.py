@@ -49,6 +49,20 @@ class TestMotFormat:
         with pytest.raises(ParseError, match="^line 3: field 1 is not finite"):
             parse_mot_line("inf,-1,10,20,30,40,0.9", 3)
 
+    @pytest.mark.parametrize("line, field", [
+        ("2.7,3,1,1,10,10,0.9", r"field 1 \(frame\) is not an integer: '2.7'$"),
+        ("2,3.9,1,1,10,10,0.9", r"field 2 \(id\) is not an integer: '3.9'$"),
+        ("2.7,3.9,1,1,10,10,0.9", r"field 1 \(frame\)"),
+    ], ids=["frame", "id", "both"])
+    def test_non_integral_frame_or_id_rejected(self, line, field):
+        with pytest.raises(ParseError, match=f"^line 4: {field}"):
+            parse_mot_line(line, 4)
+
+    def test_integral_frame_and_id_in_float_notation_accepted(self):
+        rec = parse_mot_line("1e3,7.0,1,1,10,10,0.9", 1)
+        assert (rec.frame, rec.id) == (1000, 7)
+        assert type(rec.frame) is int and type(rec.id) is int
+
     def test_nan_box_coordinate_rejected(self, tmp_path):
         path = tmp_path / "nan.txt"
         path.write_text("1,-1,10,20,30,40,0.9\n2,-1,nan,20,30,40,0.9\n")

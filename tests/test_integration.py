@@ -6,6 +6,7 @@ import pytest
 
 from dense_reference import (
     assert_sparse_equals_dense,
+    log_gradient,
     pairwise_objective,
     pairwise_tensor,
     tuple_tensor,
@@ -123,11 +124,10 @@ class TestFourFrameAssociation:
 
         bundle = compute_affinity(batch, hyps, params)
         state = power_iteration_forward(bundle.tensor, 3)
-        norm = l1_normalize_forward(state.matrices(), 2)
+        norm = l1_normalize_forward(state.log_pairs(), 2)
         _, d_pred = bce_loss(norm.matrices(), target)
-        d_norm_in = l1_normalize_backward(norm, d_pred)
-        d_values, _ = power_iteration_backward(
-            state, [g.reshape(-1) for g in d_norm_in])
+        d_values = power_iteration_backward(
+            state, l1_normalize_backward(norm, d_pred))
         analytic = backprop_affinity(bundle, d_values)
         numeric = finite_diff_grad(loss_of, params.as_vector())
         assert np.all(np.abs(analytic - numeric)
@@ -154,7 +154,7 @@ class TestSparseSupportGradients:
         w = [rng.normal(size=d) for d in tensor.shape]
 
         state = power_iteration_forward(tensor, 3)
-        analytic, _ = power_iteration_backward(state, w)
+        analytic = power_iteration_backward(state, log_gradient(state, w))
 
         def loss(v):
             s = power_iteration_forward(

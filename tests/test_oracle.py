@@ -125,11 +125,10 @@ class TestFiniteDiff:
             return bce_loss(n.matrices(), target)[0]
 
         state = power_iteration_forward(tensor, 3)
-        norm = l1_normalize_forward(state.matrices(), 2)
+        norm = l1_normalize_forward(state.log_pairs(), 2)
         _, d_pred = bce_loss(norm.matrices(), target)
-        d_norm_in = l1_normalize_backward(norm, d_pred)
-        analytic, _ = power_iteration_backward(
-            state, [g.reshape(-1) for g in d_norm_in])
+        analytic = power_iteration_backward(
+            state, l1_normalize_backward(norm, d_pred))
 
         numeric = finite_diff_grad(loss, tensor.values)
         assert np.all(np.abs(analytic - numeric)

@@ -1,9 +1,9 @@
 """The stacked log-domain solver equals the per-mode restatement in
 ``solver_reference.py`` bit for bit: log iterates, log slices, contraction
-constants, both gradients of the power iteration, and the normalized
-matrices, log divisors, exemptions and gradients of the l1 normalization,
-on the power iteration's own log matrices and on dense matrices, including
-lines long enough for numpy to sum them pairwise."""
+constants and value gradient of the power iteration, and the stages,
+normalized matrices, exemptions and input-log gradient of the l1
+normalization, on the power iteration's own log matrices and on dense
+matrices, including lines long enough for numpy to sum them pairwise."""
 
 import numpy as np
 import pytest
@@ -43,11 +43,11 @@ def assert_power_matches(tensor, iterations, rng, x0=None):
                        [stacked(s) for s in expected.slice_history])
     assert_equal_lists(state.matrices(), expected.matrices())
 
-    w = [rng.normal(size=d) for d in tensor.shape]
-    d_values, d_x0 = power_iteration_backward(state, w)
-    expected_values, expected_x0 = ref.power_iteration_backward(expected, w)
-    assert np.array_equal(d_values, expected_values, equal_nan=True)
-    assert_equal_lists(d_x0, expected_x0)
+    d_log = rng.normal(size=len(tensor.support))
+    d_values = power_iteration_backward(state, d_log)
+    assert np.array_equal(d_values,
+                          ref.power_iteration_backward(expected, d_log))
+    assert np.isfinite(d_values).all()
     return state
 
 
@@ -60,16 +60,15 @@ def assert_norm_matches(state, expected, pairs, rng):
         assert axis == reference.axis
         assert np.array_equal(state.stages[s], stacked(reference.pre),
                               equal_nan=True)
-        # one divisor per line with entries, pair by pair in line order
-        assert np.array_equal(state.log_divisors[axis][s // 2],
-                              stacked(reference.divisors), equal_nan=True)
         applied = np.ones(len(state.support.line[axis]), dtype=bool)
         applied[state.exempt[axis]] = False
         assert np.array_equal(applied, stacked(reference.applied))
 
     w = [rng.normal(size=m.shape) for m in state.matrices()]
-    assert_equal_lists(l1_normalize_backward(state, w),
-                       ref.l1_normalize_backward(expected, w))
+    d_log = l1_normalize_backward(state, w)
+    assert np.array_equal(d_log,
+                          stacked(ref.l1_normalize_backward(expected, w)))
+    assert np.isfinite(d_log).all()
 
 
 def assert_power_norm_matches(power, pairs, rng, virtual=False, first=0):
@@ -196,14 +195,11 @@ def test_crowd_windows(crowd_tensors):
     config = pipeline.PipelineConfig()
     rng = np.random.default_rng(0)
     assert len(crowd_tensors) > 20
-    # tiny line sums make some random-gradient backward passes overflow;
-    # both solvers must then agree on the non-finite values
-    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-        for tensor in crowd_tensors:
-            state = assert_power_matches(tensor, config.power_iterations, rng)
-            for first in (0, 1):
-                assert_power_norm_matches(state, config.norm_pairs, rng,
-                                          virtual=True, first=first)
+    for tensor in crowd_tensors:
+        state = assert_power_matches(tensor, config.power_iterations, rng)
+        for first in (0, 1):
+            assert_power_norm_matches(state, config.norm_pairs, rng,
+                                      virtual=True, first=first)
 
 
 def test_huge_entries_normalize_without_overflow():
@@ -213,10 +209,8 @@ def test_huge_entries_normalize_without_overflow():
     out = l1_normalize_forward([matrix], 2).matrices()[0]
     assert np.all(np.isfinite(out))
     np.testing.assert_allclose(out.sum(axis=0), 1.0, rtol=1e-12)
-    # the backward pass divides by the exponentiated sum, which overflows;
-    # both solvers agree on the non-finite gradient
-    with np.errstate(over="ignore"):
-        assert_dense_norm_matches([matrix], 2, np.random.default_rng(0))
+    # nor does the backward pass, which never forms the sum
+    assert_dense_norm_matches([matrix], 2, np.random.default_rng(0))
 
 
 def test_extreme_initial_vector_stays_finite():
@@ -225,9 +219,7 @@ def test_extreme_initial_vector_stays_finite():
     tensor = HypothesisTensor(np.array([[0, 0, 0], [0, 0, 1], [1, 1, 0]]),
                               np.array([1e10, 1.0, 1.0]), (2, 2, 2))
     x0 = [np.array([1e300, 1e-300, 1e-300, 1e-300]), np.full(4, 1e-300)]
-    with np.errstate(over="ignore", invalid="ignore"):   # linear backward
-        state = assert_power_matches(tensor, 1, np.random.default_rng(0),
-                                     x0=x0)
+    state = assert_power_matches(tensor, 1, np.random.default_rng(0), x0=x0)
     assert np.all(np.isfinite(state.log_iterates[-1]))
     for vector in state.x:
         assert vector.sum() == pytest.approx(1.0, rel=1e-12)
