@@ -46,7 +46,8 @@ class ConnectionGateConfig:
 
     The distance threshold is ``base_distance_factor`` times the larger of
     the two box diagonals; after r relaxations it grows by
-    ``relaxation_factor ** r``.  Size bounds are not relaxed.
+    ``relaxation_factor ** r``, which must stay finite up to
+    ``max_relaxations``.  Size bounds are not relaxed.
     """
 
     base_distance_factor: float = 1.0
@@ -65,6 +66,15 @@ class ConnectionGateConfig:
             raise ContractError("relaxation_factor must exceed 1 and be finite")
         if self.max_relaxations < 0:
             raise ContractError("max_relaxations must be >= 0")
+        try:
+            widest = (self.base_distance_factor
+                      * self.relaxation_factor ** self.max_relaxations)
+        except OverflowError:
+            widest = np.inf
+        if not widest < np.inf:
+            raise ContractError(
+                "base_distance_factor * relaxation_factor ** max_relaxations "
+                "must be finite")
 
 
 @dataclass(frozen=True)
@@ -149,10 +159,10 @@ def _pair_mask(prev: FrameArrays, nxt: FrameArrays,
     Virtual rows and columns connect unconditionally.  Each real row left
     without a partner, then each real column still without one, retries at
     successively relaxed distance factors and keeps every partner found at
-    the first level that finds any.  The relaxed masks are built only when
-    some line is left without a partner, so never while tracking, where
-    every frame ends in a virtual slot that partners every line: only
-    training windows, which have none, relax.
+    the first level that finds any (:func:`_relax`).  The relaxed masks are
+    built only when some line is left without a partner, so never while
+    tracking, where every frame ends in a virtual slot that partners every
+    line: only training windows, which have none, relax.
     """
     dist = np.hypot(prev.centers[:, None, 0] - nxt.centers[None, :, 0],
                     prev.centers[:, None, 1] - nxt.centers[None, :, 1])
@@ -166,22 +176,29 @@ def _pair_mask(prev: FrameArrays, nxt: FrameArrays,
     mask = size_ok & (dist <= gate.base_distance_factor * reach)
     mask |= prev.is_virtual[:, None] | nxt.is_virtual[None, :]
 
-    rows = ~mask.any(axis=1)
-    if not rows.any() and mask.any(axis=0).all():
+    if mask.any(axis=1).all() and mask.any(axis=0).all():
         return mask
-    levels = [size_ok & (dist <= gate.base_distance_factor
-                         * gate.relaxation_factor ** r * reach)
-              for r in range(1, gate.max_relaxations + 1)]
-    for level in levels:
+    # the columns relax on the transposes, views that write through to mask
+    _relax(mask, size_ok, dist, reach, gate)
+    _relax(mask.T, size_ok.T, dist.T, reach.T, gate)
+    return mask
+
+
+def _relax(mask: np.ndarray, size_ok: np.ndarray, dist: np.ndarray,
+           reach: np.ndarray, gate: ConnectionGateConfig) -> None:
+    """Give each row of ``mask`` without a partner every partner of the
+    first relaxed level that has any, in place.  The levels are built one
+    at a time and stop once no row still without a partner has a
+    size-compatible candidate, the only ones a level can add."""
+    rows = ~mask.any(axis=1) & size_ok.any(axis=1)
+    for r in range(1, gate.max_relaxations + 1):
+        if not rows.any():
+            return
+        level = size_ok & (dist <= gate.base_distance_factor
+                           * gate.relaxation_factor ** r * reach)
         hit = rows & level.any(axis=1)
         mask[hit] |= level[hit]
         rows &= ~hit
-    cols = ~mask.any(axis=0)
-    for level in levels:
-        hit = cols & level.any(axis=0)
-        mask[:, hit] |= level[:, hit]
-        cols &= ~hit
-    return mask
 
 
 def generate_hypotheses(batch: AssociationBatch,
@@ -252,10 +269,10 @@ def compute_affinity(batch: AssociationBatch,
     centers its virtual resolves to, one row per anchor slot; it is
     required whenever a hypothesis contains an adjacent-frame virtual, which
     then takes the center of its anchor's row and the anchor's box size;
-    appearance edges are read from ``batch.similarities``.  A window with
-    virtual slots must have K = 2, and a hypothesis through the anchor-frame
-    virtual, which has no geometry, is rejected.  Each virtual member of a
-    hypothesis scales its affinity by ``virtual_scale``.
+    appearance edges are read from ``batch.similarities``.  A hypothesis
+    through the anchor-frame virtual, which has no geometry, is rejected.
+    Each virtual member of a hypothesis scales its affinity by
+    ``virtual_scale``.
 
     The per-hypothesis statistics depend on the window alone; only their
     scoring reads ``params``, so :func:`rescore_affinity` can score the
@@ -268,8 +285,6 @@ def compute_affinity(batch: AssociationBatch,
     if hyps.ndim != 2 or hyps.shape[1] != K + 1:
         raise ContractError(
             f"hypotheses must be an (H, {K + 1}) index array, got {hyps.shape}")
-    if batch.virtual and K != 2:
-        raise ContractError(f"a window with virtual slots must have K = 2, got {K}")
     arrays = batch.arrays
     for frame, fa in zip(batch.frames, arrays):
         if not np.all(np.isfinite(fa.descriptors)):

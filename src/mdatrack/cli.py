@@ -32,6 +32,7 @@ from .evalio import (
     generate_scenario,
     load_mot,
     load_mot_records,
+    records_to_candidates,
     records_to_tracks,
     save_mot_records,
     tracks_to_records,
@@ -43,7 +44,6 @@ from .pipeline import (
     run_sequence,
 )
 from .training import train_provider
-from .types import Candidate, box_center
 
 
 @dataclass
@@ -128,15 +128,7 @@ def _gt_file_to_training_input(path: str):
     if not records:
         raise ContractError(f"ground-truth file {path} is empty")
     check_track_records(records)
-    frame_count = max(r.frame for r in records)
-    gt_frames = [[] for _ in range(frame_count)]
-    gt_ids = [[] for _ in range(frame_count)]
-    for rec in records:
-        gt_frames[rec.frame - 1].append(Candidate(
-            frame_index=rec.frame - 1, center=box_center(rec.box),
-            box=rec.box, score=rec.conf))
-        gt_ids[rec.frame - 1].append(rec.id)
-    return gt_frames, gt_ids
+    return records_to_candidates(records)
 
 
 def cmd_train(cfg: RunConfig, gt_path: str | None, out_path: str) -> int:

@@ -12,9 +12,12 @@ import numpy as np
 
 from .assignment import linear_sum_assignment
 from .errors import ContractError, ParseError
-from .types import Candidate, box_center, box_iou
+from .types import DEFAULT_DESCRIPTOR_LENGTH, Candidate, box_center, box_iou
 
 Box = tuple[float, float, float, float]
+
+#: IoU at or above which CLEAR MOT matches a hypothesis box to a target.
+MATCH_IOU = 0.5
 
 
 @dataclass(frozen=True)
@@ -105,18 +108,18 @@ def save_mot_records(records: list[MotRecord], sink) -> None:
         Path(sink).write_text(text, encoding="utf-8")
 
 
-def load_mot(source, descriptor_length: int = 24) -> list[list[Candidate]]:
-    """Load detections from a path or stream as per-frame candidate lists
-    (frame indices 0-based).
+def records_to_candidates(records: list[MotRecord],
+                          descriptor_length: int = DEFAULT_DESCRIPTOR_LENGTH
+                          ) -> tuple[list[list[Candidate]], list[list[int]]]:
+    """Per-frame candidate lists of MOT records (frame indices 0-based, up
+    to the last record's frame) and, alongside, each candidate's record id.
 
     File-based candidates carry an all-zero descriptor, which the affinity
-    provider treats as appearance-neutral.
+    provider treats as appearance-neutral at any length.
     """
-    records = load_mot_records(source)
-    if not records:
-        return []
-    frame_count = max(r.frame for r in records)
+    frame_count = max((r.frame for r in records), default=0)
     frames: list[list[Candidate]] = [[] for _ in range(frame_count)]
+    ids: list[list[int]] = [[] for _ in range(frame_count)]
     for rec in records:
         frames[rec.frame - 1].append(Candidate(
             frame_index=rec.frame - 1,
@@ -125,17 +128,27 @@ def load_mot(source, descriptor_length: int = 24) -> list[list[Candidate]]:
             score=rec.conf,
             appearance=np.zeros(descriptor_length),
         ))
+        ids[rec.frame - 1].append(rec.id)
+    return frames, ids
+
+
+def load_mot(source, descriptor_length: int = DEFAULT_DESCRIPTOR_LENGTH
+             ) -> list[list[Candidate]]:
+    """Load detections from a path or stream as per-frame candidate lists
+    (:func:`records_to_candidates`)."""
+    frames, _ = records_to_candidates(load_mot_records(source),
+                                      descriptor_length)
     return frames
 
 
-def tracks_to_records(tracks: dict[int, dict[int, Box]],
-                      conf: float = 1.0) -> list[MotRecord]:
-    """Flatten id -> frame -> box trajectories into sorted MOT records."""
+def tracks_to_records(tracks: dict[int, dict[int, Box]]) -> list[MotRecord]:
+    """Flatten id -> frame -> box trajectories into sorted MOT records, each
+    with confidence 1."""
     records = []
     for ident in sorted(tracks):
         for frame in sorted(tracks[ident]):
             left, top, w, h = tracks[ident][frame]
-            records.append(MotRecord(frame + 1, ident, left, top, w, h, conf))
+            records.append(MotRecord(frame + 1, ident, left, top, w, h, 1.0))
     records.sort(key=lambda r: (r.frame, r.id))
     return records
 
@@ -185,12 +198,11 @@ class ClearMotReport:
 
 
 def clear_mot(gt: dict[int, dict[int, Box]],
-              hyp: dict[int, dict[int, Box]],
-              iou_threshold: float = 0.5) -> ClearMotReport:
+              hyp: dict[int, dict[int, Box]]) -> ClearMotReport:
     """CLEAR MOT scores for hypothesis trajectories against ground truth.
 
     Matching is per frame: pairs matched on the previous frame keep their
-    match while still above the IoU threshold (continuity preference), the
+    match while still at or above ``MATCH_IOU`` (continuity preference), the
     rest are matched by maximum total IoU
     (:func:`mdatrack.assignment.linear_sum_assignment`).  MOTP is reported
     as mean IoU of matches (higher is better); without ground truth, MOTA
@@ -233,7 +245,7 @@ def clear_mot(gt: dict[int, dict[int, Box]],
         # continuity: keep last frame's pairing when still valid
         for i, gid in enumerate(gt_ids):
             j = hyp_column.get(current.get(gid))
-            if j is not None and iou[i, j] >= iou_threshold:
+            if j is not None and iou[i, j] >= MATCH_IOU:
                 pairs.append((i, j))
                 used_g.add(i)
                 used_h.add(j)
@@ -244,7 +256,7 @@ def clear_mot(gt: dict[int, dict[int, Box]],
             sub = iou[np.ix_(free_g, free_h)]
             rows, cols = linear_sum_assignment(-sub)
             for r, c in zip(rows, cols):
-                if sub[r, c] >= iou_threshold:
+                if sub[r, c] >= MATCH_IOU:
                     pairs.append((free_g[r], free_h[c]))
 
         new_current: dict[int, int] = {}

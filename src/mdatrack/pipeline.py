@@ -181,8 +181,6 @@ def resolve_virtuals(batch: AssociationBatch,
     """
     if not batch.virtual:
         return {}
-    if batch.K != 2:
-        raise ContractError(f"a window with virtual slots must have K = 2, got {batch.K}")
     anchor_velocities = anchor_velocities or {}
     anchors = batch.arrays[1]
     real = len(anchors.is_virtual) - 1          # every anchor but the virtual

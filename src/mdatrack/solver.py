@@ -8,14 +8,16 @@ minimum-cost assignment (:func:`mdatrack.assignment.linear_sum_assignment`).
 
 Both forward passes run in the log domain on the hypothesis support, the
 pair-matrix entries some hypothesis touches, so a weak entry keeps its
-logarithm instead of underflowing to zero.  Each grouped log-sum-exp is one
-``np.logaddexp.reduceat`` over a layout the tensor builds once and shares
-through :meth:`HypothesisTensor.with_values`.  The backward passes are the
-exact derivatives of those log-domain passes: the gradient is carried with
-respect to the logs on the support, from the normalization's output back
-to the hypothesis values, and no step divides.  The matcher reads the
-exponentiated matrices.  Each forward pass returns the state its backward
-pass reads; the dense tensor never exists.
+logarithm instead of underflowing to zero.  The power iteration starts
+every vector at all-ones and hands its last log iterate to the
+normalization, the normalization's only input form.  Each grouped
+log-sum-exp is one ``np.logaddexp.reduceat`` over a layout the tensor
+builds once and shares through :meth:`HypothesisTensor.with_values`.
+The backward passes are the exact derivatives of those log-domain passes:
+the gradient is carried with respect to the logs on the support, from the
+normalization's output back to the hypothesis values, and no step
+divides.  The matcher reads the exponentiated matrices.  Each forward pass
+returns the state its backward pass reads; the dense tensor never exists.
 """
 
 from __future__ import annotations
@@ -141,14 +143,15 @@ class HypothesisTensor:
     entry is zero.  The pair coordinates determine the tuple, so distinct
     tuples never share an entry.
 
-    The modes are stacked end to end, mode k at ``offsets[k]``;
-    ``index[k * H + h]`` is hypothesis h's position in mode k.  The support
-    is the sorted positions some hypothesis touches (mode k's from
-    ``mode_bounds[k]``).  ``order`` sorts the entries stably by position,
-    ``starts`` is where each position's run begins in that order, and
-    ``position`` is each sorted entry's support position;
-    ``factor_support[i]`` is, for each sorted entry, the support position
-    of the same hypothesis' i-th other mode (in mode order).
+    The modes are stacked end to end, mode k at ``offsets[k]``; each
+    hypothesis has one entry, its position, per mode, entry ``k * H + h``
+    for hypothesis h in mode k.  The support is the sorted positions some
+    hypothesis touches (mode k's from ``mode_bounds[k]``).  ``order`` sorts
+    the entries stably by position, ``starts`` is where each position's run
+    begins in that order, ``position`` is each sorted entry's support
+    position and ``hypothesis`` its hypothesis; ``factor_support[i]`` is,
+    for each sorted entry, the support position of the same hypothesis'
+    i-th other mode (in mode order).
     """
 
     entries: np.ndarray                  # (H, K+1) 0-based candidate tuples
@@ -156,12 +159,11 @@ class HypothesisTensor:
     sizes: tuple[int, ...]               # candidates per frame, K+1 frames
     shape: tuple[int, ...] = field(init=False)     # I_{k-1} * I_k per mode
     offsets: tuple[int, ...] = field(init=False)   # K+1 mode starts and end
-    index: np.ndarray = field(init=False, repr=False)          # (K*H,)
-    stacked_values: np.ndarray = field(init=False, repr=False)  # (K*H,)
     support: np.ndarray = field(init=False, repr=False)         # (T,)
     mode_bounds: tuple = field(init=False, repr=False)
     order: np.ndarray = field(init=False, repr=False)           # (K*H,)
     position: np.ndarray = field(init=False, repr=False)        # (K*H,)
+    hypothesis: np.ndarray = field(init=False, repr=False)      # (K*H,)
     starts: np.ndarray = field(init=False, repr=False)          # (T,)
     factor_support: tuple = field(init=False, repr=False)
     pair_supports: dict = field(init=False, repr=False)  # by first pair
@@ -195,36 +197,28 @@ class HypothesisTensor:
         support = index[order][starts]
         vars(self).update(
             entries=entries, values=values, sizes=sizes, shape=shape,
-            offsets=offsets, index=index,
-            stacked_values=np.concatenate([values] * K),
-            support=support,
+            offsets=offsets, support=support,
             mode_bounds=tuple(support.searchsorted(offsets).tolist()),
-            order=order, starts=starts, position=runs,
+            order=order, starts=starts, position=runs, hypothesis=order % H,
             factor_support=tuple(support_of[r][order] for r in factor_rows),
             pair_supports={})
 
     def with_values(self, values) -> "HypothesisTensor":
         """The same hypotheses holding ``values``: the new tensor shares
-        everything but ``values`` and ``stacked_values`` with this one."""
-        values = _hypothesis_values(values, len(self.entries))
+        everything but ``values`` with this one."""
         tensor = copy.copy(self)
-        object.__setattr__(tensor, "values", values)
-        object.__setattr__(tensor, "stacked_values",
-                           np.concatenate([values] * len(self.shape)))
+        object.__setattr__(tensor, "values",
+                           _hypothesis_values(values, len(self.entries)))
         return tensor
-
-    @property
-    def pair_shapes(self) -> list[tuple[int, int]]:
-        """(I_{k-1}, I_k) for each of the K frame pairs."""
-        return list(zip(self.sizes, self.sizes[1:]))
 
     def pair_support(self, first: int = 0) -> PairSupport:
         """The support of pairs ``first`` onward, built on first use."""
         if first not in self.pair_supports:
             a, bounds = self.mode_bounds[first], self.mode_bounds[first:]
             counts = [end - start for start, end in zip(bounds, bounds[1:])]
+            shapes = tuple(zip(self.sizes, self.sizes[1:]))[first:]
             self.pair_supports[first] = PairSupport(
-                tuple(self.pair_shapes[first:]), self.support[a:]
+                shapes, self.support[a:]
                 - np.array(self.offsets[first:-1]).repeat(counts),
                 tuple(b - a for b in bounds))
         return self.pair_supports[first]
@@ -234,22 +228,14 @@ class HypothesisTensor:
 class PowerIterationState:
     """The power iteration's run on ``tensor``, as its backward pass needs it.
 
-    The iterates (the first from the initial vector) and the slices are
-    logs on the tensor's support.  ``x`` and ``matrices()`` give the last
-    iterate exponentiated, in dense form (0 off the support).
+    The iterates (the first the all-ones start) and the slices are logs
+    on the tensor's support.
     """
 
     tensor: HypothesisTensor
     log_iterates: list[np.ndarray]          # on the support, N+1 of them
     log_slices: list[np.ndarray]            # on the support, N of them
     contraction_history: list[float]
-
-    @property
-    def x(self) -> list[np.ndarray]:
-        return [m.ravel() for m in self.matrices()]
-
-    def matrices(self) -> list[np.ndarray]:
-        return self.tensor.pair_support().scatter(np.exp(self.log_iterates[-1]))
 
     def log_pairs(self, first: int = 0) -> LogMatrices:
         """The last log iterate of pairs ``first`` onward, to normalize."""
@@ -262,26 +248,11 @@ class PowerIterationState:
 # Power iteration layer
 # ---------------------------------------------------------------------------
 
-def _stacked(vectors: list[np.ndarray], dims, what: str) -> np.ndarray:
-    """One float vector per mode, checked against the mode dimensions and
-    stacked end to end."""
-    if len(vectors) != len(dims):
-        raise ContractError(f"{what} needs {len(dims)} vectors, got {len(vectors)}")
-    vectors = [np.asarray(v, dtype=float) for v in vectors]
-    for k, v in enumerate(vectors):
-        if v.shape != (dims[k],):
-            raise ContractError(f"{what}[{k}] has shape {v.shape}, "
-                                f"expected ({dims[k]},)")
-    return np.concatenate(vectors)
-
-
 def power_iteration_forward(tensor: HypothesisTensor,
-                            num_iterations: int,
-                            x0: list[np.ndarray] | None = None
-                            ) -> PowerIterationState:
+                            num_iterations: int) -> PowerIterationState:
     """Run the rank-1 power iteration on the pairwise affinity tensor.
 
-    Every assignment vector starts at all-ones (or at ``x0``).  One iteration
+    Every assignment vector starts at all-ones.  One iteration
     updates all pairs synchronously from the same iterate:
 
         x_k <- x_k * (contraction of the tensor with the other vectors) / C
@@ -301,18 +272,14 @@ def power_iteration_forward(tensor: HypothesisTensor,
         raise ContractError("affinity tensor must be nonnegative")
     if not np.isfinite(values).all():
         raise NumericError("non-finite entries in the affinity tensor")
-    x0 = (np.ones(tensor.offsets[-1]) if x0 is None
-          else _stacked(x0, tensor.shape, "x0"))
-    if not (x0 >= 0.0).all():
-        raise ContractError("x0 must be nonnegative")
 
     # logs of the values over their maximum: a common scale moves only the
     # slices and C, and a power of two not even the iterates' rounding
     top = float(values.max(initial=0.0))
-    log_values = _log(tensor.stacked_values / (top if top > 0.0 else 1.0))[tensor.order]
+    log_values = _log(values / (top if top > 0.0 else 1.0))[tensor.hypothesis]
     log_top = math.log(top) if top > 0.0 else -math.inf
     first = tensor.mode_bounds[1]
-    y = _log(x0[tensor.support])
+    y = np.zeros(len(tensor.support))
     log_iterates, log_slices, contraction_history = [y], [], []
     for n in range(num_iterations):
         terms = log_values
@@ -353,13 +320,13 @@ def power_iteration_backward(state: PowerIterationState,
     a zero-valued hypothesis gets its gradient too.
     """
     tensor = state.tensor
-    T, K, H = len(tensor.support), len(tensor.shape), len(tensor.values)
+    T, H = len(tensor.support), len(tensor.values)
     g = np.array(d_log, dtype=float)
     if g.shape != (T,):
         raise ContractError(f"gradient of shape {g.shape}, expected ({T},)")
     first = tensor.mode_bounds[1]
-    position, values = tensor.position, tensor.stacked_values[tensor.order]
-    pulled = np.zeros(K * H)
+    position, values = tensor.position, tensor.values[tensor.hypothesis]
+    pulled = np.zeros(len(position))
     for n in reversed(range(len(state.contraction_history))):
         y, slices = state.log_iterates[n], state.log_slices[n]
         g[:first] -= g.sum() * np.exp(state.log_iterates[n + 1][:first])
@@ -372,9 +339,7 @@ def power_iteration_backward(state: PowerIterationState,
         pushed = values * weights
         g = g + sum(np.bincount(factor, pushed, minlength=T)
                     for factor in tensor.factor_support)
-    by_mode = np.empty(K * H)
-    by_mode[tensor.order] = pulled
-    return sum(by_mode.reshape(K, H))
+    return np.bincount(tensor.hypothesis, pulled, minlength=H)
 
 
 # ---------------------------------------------------------------------------
@@ -387,36 +352,6 @@ def _check_virtual(shapes, virtual: bool) -> None:
         if virtual and 0 in shape:
             raise ContractError(f"pair {k} of shape {shape} has no "
                                 "virtual last row and column")
-
-
-def _pair_matrices(matrices, virtual: bool) -> list[np.ndarray]:
-    """One float matrix per pair, checked against the window flag."""
-    mats = [np.asarray(m, dtype=float) for m in matrices]
-    for k, m in enumerate(mats):
-        if m.ndim != 2:
-            raise ContractError(f"pair {k} is not a matrix")
-    _check_virtual([m.shape for m in mats], virtual)
-    return mats
-
-
-def _log_matrices(matrices, virtual: bool) -> LogMatrices:
-    """The normalization's input as logs: dense nonnegative matrices on
-    their nonzero entries."""
-    if isinstance(matrices, LogMatrices):
-        _check_virtual(matrices.support.shapes, virtual)
-        return matrices
-    mats = _pair_matrices(matrices, virtual)
-    for k, m in enumerate(mats):
-        if not np.isfinite(m).all():
-            raise NumericError(f"pair {k} carries non-finite entries")
-        if (m < 0).any():
-            raise ContractError(f"pair {k} carries negative entries")
-    flats = [np.flatnonzero(m) for m in mats]
-    support = PairSupport(tuple(m.shape for m in mats),
-                          np.concatenate([np.empty(0, dtype=np.intp)] + flats),
-                          _offsets(len(f) for f in flats))
-    return LogMatrices(support, np.log(np.concatenate(
-        [np.empty(0)] + [m.ravel()[f] for m, f in zip(mats, flats)])))
 
 
 @dataclass
@@ -437,26 +372,25 @@ class NormalizationState:
         return self.support.scatter(np.exp(self.stages[-1]))
 
 
-def l1_normalize_forward(matrices, num_pairs: int,
+def l1_normalize_forward(matrices: LogMatrices, num_pairs: int,
                          virtual: bool = False) -> NormalizationState:
-    """Alternating row/column l1 normalization, ``num_pairs`` (row, col)
-    passes, starting with rows.
+    """Alternating row/column l1 normalization of the power iteration's
+    log matrices (:meth:`PowerIterationState.log_pairs`), ``num_pairs``
+    (row, col) passes, starting with rows.
 
-    ``matrices`` is a :class:`LogMatrices` (the power iteration's
-    :meth:`PowerIterationState.log_pairs`) or dense nonnegative matrices.
     When ``virtual`` is set, every pair's last row and last column are
     virtual slots: the last row is skipped during row normalization (it
     still takes part in column normalization), and symmetrically the last
     column; :func:`discretize` takes the same flag.  Lines without mass at
-    entry are left out and reported in ``skipped_lines``; a non-finite or
-    negative entry raises.  Each step scales the logs on the support: one
-    ``np.logaddexp.reduceat`` over the segments, then one subtraction of
-    each line's log sum, gathered at its entries.
+    entry are left out and reported in ``skipped_lines``.  Each step scales
+    the logs on the support: one ``np.logaddexp.reduceat`` over the
+    segments, then one subtraction of each line's log sum, gathered at its
+    entries.
     """
     if num_pairs < 0:
         raise ContractError("iteration pair count must be >= 0")
-    matrices = _log_matrices(matrices, virtual)
     support = matrices.support
+    _check_virtual(support.shapes, virtual)
     stages = np.empty((2 * num_pairs + 1, len(matrices.values)))
     stages[0] = matrices.values
 
@@ -550,7 +484,11 @@ def discretize(matrices: list[np.ndarray],
     unmatched real row, go to the virtual column; real columns left without
     a partner go to the virtual row.  Virtual slots absorb several partners.
     """
-    mats = _pair_matrices(matrices, virtual)
+    mats = [np.asarray(m, dtype=float) for m in matrices]
+    for k, m in enumerate(mats):
+        if m.ndim != 2:
+            raise ContractError(f"pair {k} is not a matrix")
+    _check_virtual([m.shape for m in mats], virtual)
     result = []
     for k, m in enumerate(mats):
         if not np.all(np.isfinite(m)):

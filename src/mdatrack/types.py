@@ -205,7 +205,8 @@ def _window_similarities(arrays: tuple[FrameArrays, ...], anchor: int,
 class AssociationBatch:
     """A window of K+1 frames processed as one solver instance.  With
     ``virtual`` (tracking) every frame ends in a virtual slot, counted by
-    ``sizes``, ``arrays`` and ``similarities``."""
+    ``sizes``, ``arrays`` and ``similarities``; such a window has K = 2,
+    one anchor frame between its two neighbours."""
 
     frames: tuple[int, ...]
     candidates: tuple[tuple[Candidate, ...], ...]
@@ -220,6 +221,9 @@ class AssociationBatch:
             raise ContractError(
                 f"one candidate list per frame required: {len(self.frames)} "
                 f"frames, {len(self.candidates)} lists")
+        if self.virtual and self.K != 2:
+            raise ContractError(
+                f"a window with virtual slots must have K = 2, got {self.K}")
 
     @property
     def K(self) -> int:

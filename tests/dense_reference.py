@@ -1,5 +1,8 @@
 """Dense restatement of the power-iteration layer, the reference the sparse
-solver is tested against, and the small solver instances the tests draw.
+solver is tested against, the small solver instances the tests draw, and
+the dense views of the solver's log states: pair matrices as the
+normalization's log input (:func:`log_matrices`) and the power iteration's
+last iterate as pair matrices (:func:`last_matrices`).
 
 The K-order pairwise tensor is built in full, one mode per frame pair over
 the flattened I_{k-1} x I_k grid, and the forward and backward passes are
@@ -12,8 +15,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from mdatrack.errors import ContractError, NumericError
 from mdatrack.solver import (
     HypothesisTensor,
+    LogMatrices,
+    PairSupport,
     discretize,
     l1_normalize_forward,
     power_iteration_backward,
@@ -22,6 +28,32 @@ from mdatrack.solver import (
 from oracle_reference import assignment_objective
 
 LETTERS = "abcdefghijklmnopqrstuvwxyz"
+
+
+def log_matrices(mats) -> LogMatrices:
+    """Dense nonnegative pair matrices as the normalization's input: the
+    logs of their nonzero entries."""
+    mats = [np.asarray(m, dtype=float) for m in mats]
+    for k, m in enumerate(mats):
+        if m.ndim != 2:
+            raise ContractError(f"pair {k} is not a matrix")
+        if not np.isfinite(m).all():
+            raise NumericError(f"pair {k} carries non-finite entries")
+        if (m < 0).any():
+            raise ContractError(f"pair {k} carries negative entries")
+    flats = [np.flatnonzero(m) for m in mats]
+    bounds = tuple(np.cumsum([0] + [len(f) for f in flats]).tolist())
+    support = PairSupport(tuple(m.shape for m in mats),
+                          np.concatenate([np.empty(0, dtype=np.intp)] + flats),
+                          bounds)
+    return LogMatrices(support, np.log(np.concatenate(
+        [np.empty(0)] + [m.ravel()[f] for m, f in zip(mats, flats)])))
+
+
+def last_matrices(state) -> list[np.ndarray]:
+    """A power iteration's last iterate exponentiated, as dense pair
+    matrices (0 off the support)."""
+    return state.tensor.pair_support().scatter(np.exp(state.log_iterates[-1]))
 
 
 def tuple_tensor(values: np.ndarray, mask: np.ndarray | None = None
@@ -65,7 +97,7 @@ def solve_and_discretize(values: np.ndarray,
     """Full solver chain on a dense tuple tensor with no virtual slots;
     returns the achieved objective and the binary assignment matrices."""
     state = power_iteration_forward(tuple_tensor(values), power_iterations)
-    norm = l1_normalize_forward(state.matrices(), norm_pairs)
+    norm = l1_normalize_forward(log_matrices(last_matrices(state)), norm_pairs)
     binary = discretize(norm.matrices())
     return assignment_objective(values, binary), binary
 
@@ -126,13 +158,11 @@ class DenseRun:
     constants: list[float]
 
 
-def dense_forward(tensor: np.ndarray, num_iterations: int,
-                  x0: list[np.ndarray] | None = None) -> DenseRun:
+def dense_forward(tensor: np.ndarray, num_iterations: int) -> DenseRun:
     """x_k <- x_k * (contraction with the other vectors) / C, all pairs
-    synchronously, C the full contraction."""
+    synchronously from all-ones, C the full contraction."""
     K = tensor.ndim
-    x = ([np.ones(d) for d in tensor.shape] if x0 is None
-         else [np.asarray(v, dtype=float) for v in x0])
+    x = [np.ones(d) for d in tensor.shape]
     run = DenseRun([list(x)], [], [])
     for _ in range(num_iterations):
         slices = [partial_contraction(tensor, x, k) for k in range(K)]
@@ -215,8 +245,7 @@ def entry_gradient(state, d_log: np.ndarray) -> list[np.ndarray]:
 
 
 def assert_sparse_equals_dense(tensor: HypothesisTensor, num_iterations: int,
-                               rng: np.random.Generator,
-                               x0: list[np.ndarray] | None = None) -> None:
+                               rng: np.random.Generator) -> None:
     """The sparse power iteration and its backward pass match the dense
     restatement to 1e-12: iterates after the start, slices, contraction
     constants, and the value gradient against the dense tensor gradient read
@@ -224,8 +253,8 @@ def assert_sparse_equals_dense(tensor: HypothesisTensor, num_iterations: int,
     ``rng``: the sparse pass takes its gradient at the last log iterate,
     x_final * w, the dense one ``w``."""
     dense = pairwise_tensor(tensor)
-    state = power_iteration_forward(tensor, num_iterations, x0=x0)
-    run = dense_forward(dense, num_iterations, x0=x0)
+    state = power_iteration_forward(tensor, num_iterations)
+    run = dense_forward(dense, num_iterations)
     assert_close(state.contraction_history, run.constants)
     # pair by pair, so each pair's tolerance scales with its own values
     splits = state.tensor.offsets[1:-1]

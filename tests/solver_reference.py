@@ -100,11 +100,10 @@ def _gather(vectors: list[np.ndarray], modes: list[Mode]) -> list[np.ndarray]:
 
 
 def power_iteration_forward(tensor: HypothesisTensor,
-                            num_iterations: int,
-                            x0: list[np.ndarray] | None = None) -> ReferenceState:
+                            num_iterations: int) -> ReferenceState:
     """log x_k <- log x_k + log (contraction with the other vectors) - log C,
-    all pairs synchronously from the same iterate, one logaddexp reduction
-    per mode over the values divided by their maximum."""
+    all pairs synchronously from the same iterate, the first all-ones, one
+    logaddexp reduction per mode over the values divided by their maximum."""
     if num_iterations < 1:
         raise ContractError(f"need at least one iteration, got {num_iterations}")
     values = tensor.values
@@ -113,23 +112,12 @@ def power_iteration_forward(tensor: HypothesisTensor,
     if not np.all(np.isfinite(values)):
         raise NumericError("non-finite entries in the affinity tensor")
 
-    dims = tensor.shape
-    K = len(dims)
-    if x0 is None:
-        x0 = [np.ones(d) for d in dims]
-    else:
-        if len(x0) != K:
-            raise ContractError(f"x0 needs {K} vectors, got {len(x0)}")
-        x0 = [np.asarray(v, dtype=float) for v in x0]
-        for k, v in enumerate(x0):
-            if v.shape != (dims[k],):
-                raise ContractError(f"x0[{k}] has wrong length")
-
+    K = len(tensor.shape)
     modes = _modes(tensor)
     top = float(values.max(initial=0.0))
     log_values = _log(values / top) if top > 0.0 else _log(values)
     log_top = math.log(top) if top > 0.0 else -math.inf
-    y = [_log(v[mode.coords]) for v, mode in zip(x0, modes)]
+    y = [np.zeros(len(mode.coords)) for mode in modes]
     iterate_history = [y]
     contraction_history: list[float] = []
     slice_history: list[list[np.ndarray]] = []
@@ -156,7 +144,7 @@ def power_iteration_forward(tensor: HypothesisTensor,
         slice_history.append([s + log_top for s in slices])
 
     return ReferenceState(
-        shapes=tensor.pair_shapes,
+        shapes=list(zip(tensor.sizes, tensor.sizes[1:])),
         supports=[mode.coords for mode in modes],
         x=y,
         tensor=tensor,

@@ -13,8 +13,11 @@ import pytest
 
 from dense_reference import (
     assert_sparse_equals_dense,
+    dense_history,
     entry_gradient,
+    last_matrices,
     log_gradient,
+    log_matrices,
     make_planted_instance,
     pairwise_objective,
     reshape_to_pairwise,
@@ -84,7 +87,8 @@ def test_gradient_suite():
         def power_loss(v):
             s = power_iteration_forward(
                 HypothesisTensor(tensor.entries, v, tensor.sizes), iters)
-            return sum(float(wk @ xk) for wk, xk in zip(w, s.x))
+            return sum(float(wk @ m.ravel())
+                       for wk, m in zip(w, last_matrices(s)))
 
         if not grad_close(analytic,
                           finite_diff_grad(power_loss, tensor.values)):
@@ -92,14 +96,14 @@ def test_gradient_suite():
 
         mats = [rng.uniform(0.1, 1.0, size=(n, n)) for _ in range(2)]
         wm = [rng.normal(size=(n, n)) for _ in range(2)]
-        norm_state = l1_normalize_forward(mats, pairs)
+        norm_state = l1_normalize_forward(log_matrices(mats), pairs)
         norm_grads = entry_gradient(
             norm_state, l1_normalize_backward(norm_state, wm))
         for k in range(2):
             def norm_loss(m, k=k):
                 inputs = [x.copy() for x in mats]
                 inputs[k] = m
-                s = l1_normalize_forward(inputs, pairs)
+                s = l1_normalize_forward(log_matrices(inputs), pairs)
                 return sum(float(np.sum(a * b))
                            for a, b in zip(wm, s.matrices()))
 
@@ -169,7 +173,7 @@ def test_constraint_suite():
     for _ in range(20):
         n = int(rng.integers(2, 11))
         mat = rng.uniform(0.05, 1.0, size=(n, n))
-        out = l1_normalize_forward([mat], 50).matrices()[0]
+        out = l1_normalize_forward(log_matrices([mat]), 50).matrices()[0]
         worst = max(worst,
                     float(np.abs(out.sum(axis=0) - 1).max()),
                     float(np.abs(out.sum(axis=1) - 1).max()))
@@ -181,7 +185,8 @@ def test_constraint_suite():
         rows = int(rng.integers(4, 11))
         cols = int(rng.integers(2, rows))   # real columns < real rows
         mat = rng.uniform(0.05, 1.0, size=(rows + 1, cols + 1))
-        out = l1_normalize_forward([mat], 50, virtual=True).matrices()[0]
+        out = l1_normalize_forward(log_matrices([mat]), 50,
+                                   virtual=True).matrices()[0]
         if (np.abs(out[:rows].sum(axis=1) - 1).max() > 1e-6
                 or np.abs(out[:, :cols].sum(axis=0) - 1).max() > 1e-6):
             masked_ok = False
@@ -219,9 +224,14 @@ def test_energy_identity_suite():
         worst = max(worst, abs(lhs - rhs))
         if values.any():
             tensor = tuple_tensor(values, mask)
-            sparse = power_iteration_forward(tensor, 1, x0=xs)
-            worst = max(worst, abs(sparse.contraction_history[0] - lhs))
-            assert_sparse_equals_dense(tensor, 3, gradient_rng, x0=xs)
+            # the contraction constant is the objective at the iteration's
+            # start: the all-ones start, then the first iterate
+            sparse = power_iteration_forward(tensor, 2)
+            for step, iterate in enumerate(dense_history(sparse)[0][:2]):
+                start = np.split(iterate, tensor.offsets[1:-1])
+                worst = max(worst, abs(sparse.contraction_history[step]
+                                       - pairwise_objective(pairwise, start)))
+            assert_sparse_equals_dense(tensor, 3, gradient_rng)
     passed = worst <= 1e-12
     report("energy-identity-suite", passed, f"worst deviation {worst:.2e}")
     assert worst <= 1e-12

@@ -44,6 +44,17 @@ def cand(frame, cx, cy, w=20.0, h=20.0, appearance=None, score=1.0):
                      appearance=np.asarray(appearance, dtype=float))
 
 
+class CountingFactor(float):
+    """A relaxation factor that counts its powers: the gate takes one per
+    relaxed level it builds."""
+
+    powers = 0
+
+    def __pow__(self, exponent):
+        self.powers += 1
+        return float(self) ** exponent
+
+
 def make_batch(per_frame, virtual=False):
     return AssociationBatch(frames=tuple(range(len(per_frame))),
                             candidates=tuple(tuple(f) for f in per_frame),
@@ -251,12 +262,45 @@ class TestGenerateHypotheses:
         assert hyps.tolist() == [[0, 0, 0], [1, 1, 1]]
         assert hyps.tolist() == hypotheses_oracle(frames, gate)
 
+    def test_no_level_is_built_for_lines_without_a_size_compatible_partner(
+            self):
+        # frame 1's candidate is 2.5 times frame 0's in each side, outside
+        # the size bounds: no relaxed level can partner either line, so none
+        # is built, however many the gate allows
+        frames = [[cand(0, 100.0, 100.0)], [cand(1, 100.0, 100.0, 50.0, 50.0)],
+                  [cand(2, 100.0, 100.0, 50.0, 50.0)]]
+        arrays = make_batch(frames).arrays
+        factor = CountingFactor(1.0000001)
+        gate = ConnectionGateConfig(relaxation_factor=factor,
+                                    max_relaxations=100_000)
+        factor.powers = 0
+        mask = affinity._pair_mask(arrays[0], arrays[1], gate)
+        assert factor.powers == 0
+        assert not mask.any()
+
+    def test_levels_stop_once_every_line_has_a_partner(self):
+        # frame 1's candidate is 2.5 diagonals away: the second relaxed
+        # level finds it for the row, and the column then has its partner
+        diag = math.hypot(20.0, 20.0)
+        far = 100.0 + 2.5 * diag
+        frames = [[cand(0, 100.0, 100.0)], [cand(1, far, 100.0)],
+                  [cand(2, far, 100.0)]]
+        arrays = make_batch(frames).arrays
+        factor = CountingFactor(2.0)
+        gate = ConnectionGateConfig(relaxation_factor=factor,
+                                    max_relaxations=1000)
+        factor.powers = 0
+        mask = affinity._pair_mask(arrays[0], arrays[1], gate)
+        assert factor.powers == 2
+        assert mask.tolist() == [[True]]
+
     @pytest.mark.parametrize("with_virtuals", [False, True])
     def test_random_windows_match_the_restatement(self, with_virtuals):
-        # a window has a virtual slot on every frame or on none
+        # a window has a virtual slot on every frame, and then K = 2, or on
+        # none
         rng = np.random.default_rng(41 + with_virtuals)
         for _ in range(150):
-            K = int(rng.integers(2, 4))
+            K = 2 if with_virtuals else int(rng.integers(2, 4))
             frames = [[cand(f, *rng.uniform(0, 160, 2),
                             w=rng.uniform(8, 40), h=rng.uniform(8, 40))
                        for _ in range(int(rng.integers(0, 5)))]
@@ -504,11 +548,9 @@ class TestComputeAffinity:
         # virtual slots stand between one anchor frame and its two
         # neighbours; no program path builds a K = 3 window with them
         frames = [[cand(f, 50.0, 50.0)] for f in range(4)]
-        batch = make_batch(frames, virtual=True)
         with pytest.raises(ContractError, match=r"^a window with virtual "
                            r"slots must have K = 2, got 3$"):
-            compute_affinity(batch, np.zeros((1, 4), dtype=int),
-                             AffinityProviderParams())
+            make_batch(frames, virtual=True)
 
     def test_missing_resolution_rejected(self):
         frames = [[cand(f, 50.0, 50.0)] for f in range(3)]
@@ -537,7 +579,6 @@ def assert_bundles_equal(a, b):
     assert a.tensor.sizes == b.tensor.sizes
     assert np.array_equal(a.tensor.entries, b.tensor.entries)
     assert np.array_equal(a.tensor.values, b.tensor.values)
-    assert np.array_equal(a.tensor.stacked_values, b.tensor.stacked_values)
     for name in STATISTICS:
         assert np.array_equal(getattr(a, name), getattr(b, name)), name
 
@@ -552,7 +593,7 @@ def assert_rescoring_is_exact(batch, hyps, **kwargs):
         assert_bundles_equal(rescored,
                              compute_affinity(batch, hyps, then, **kwargs))
         # the layout is shared and the bundle scored first is left as it is
-        assert rescored.tensor.index is built.tensor.index
+        assert rescored.tensor.order is built.tensor.order
         assert built.params == first
         assert np.array_equal(built.tensor.values, values)
 
@@ -743,6 +784,20 @@ class TestConfigValidation:
     def test_gate_rejects_non_finite_factors(self, name, value):
         with pytest.raises(ContractError, match=name):
             ConnectionGateConfig(**{name: value})
+
+    @pytest.mark.parametrize("base, factor, count", [
+        (1.0, 2.0, 2000), (1e300, 10.0, 10), (1.0, 1.0000001, 10 ** 10)])
+    def test_gate_rejects_relaxation_past_the_float_range(
+            self, base, factor, count):
+        with pytest.raises(ContractError, match="max_relaxations"):
+            ConnectionGateConfig(base_distance_factor=base,
+                                 relaxation_factor=factor,
+                                 max_relaxations=count)
+
+    def test_gate_accepts_the_widest_finite_relaxation(self):
+        gate = ConnectionGateConfig(relaxation_factor=2.0,
+                                    max_relaxations=1023)
+        assert gate.relaxation_factor ** gate.max_relaxations < math.inf
 
     @pytest.mark.parametrize("value", [math.nan, math.inf, 0.0])
     def test_provider_rejects_non_finite_position_scale(self, value):

@@ -332,6 +332,8 @@ class TestErrors:
         ("learning_rate = -0.5", "learning_rate"),
         ("epochs = -1", "epochs"), ("epochs = 0", "epochs"),
         ("frame_count = 2", "3 frames"),
+        # 2.0 ** 2000 is past the float range
+        ("max_relaxations = 2000", "max_relaxations"),
     ])
     def test_bad_training_setting_exits_without_training(
             self, tmp_path, capsys, line, name):

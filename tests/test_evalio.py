@@ -15,6 +15,7 @@ from mdatrack.evalio import (
     load_mot,
     load_mot_records,
     parse_mot_line,
+    records_to_candidates,
     records_to_tracks,
     save_mot_records,
     tracks_to_records,
@@ -34,6 +35,20 @@ class TestMotFormat:
         path.write_text("")
         assert load_mot_records(path) == []
         assert load_mot(path) == []
+
+    def test_records_become_candidates_beside_their_ids(self):
+        records = [MotRecord(2, 7, 10.0, 20.0, 30.0, 40.0, 0.9),
+                   MotRecord(2, 3, 50.0, 20.0, 30.0, 40.0, 0.8),
+                   MotRecord(4, 5, 10.0, 60.0, 20.0, 20.0, 1.0)]
+        frames, ids = records_to_candidates(records, descriptor_length=6)
+        assert ids == [[], [7, 3], [], [5]]
+        assert [[c.box for c in f] for f in frames] == [
+            [], [records[0].box, records[1].box], [], [records[2].box]]
+        first = frames[1][0]
+        assert (first.frame_index, first.center, first.score) == (
+            1, (25.0, 40.0), 0.9)
+        assert np.array_equal(first.appearance, np.zeros(6))
+        assert records_to_candidates([]) == ([], [])
 
     def test_malformed_line_names_line_number(self, tmp_path):
         path = tmp_path / "bad.txt"

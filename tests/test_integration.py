@@ -6,6 +6,8 @@ import pytest
 
 from dense_reference import (
     assert_sparse_equals_dense,
+    dense_history,
+    last_matrices,
     log_gradient,
     pairwise_objective,
     pairwise_tensor,
@@ -77,7 +79,7 @@ class TestFourFrameAssociation:
         assert len(hyps) == 16
         bundle = compute_affinity(batch, hyps, AffinityProviderParams())
         state = power_iteration_forward(bundle.tensor, 10)
-        norm = l1_normalize_forward(state.matrices(), 10)
+        norm = l1_normalize_forward(state.log_pairs(), 10)
         binary = discretize(norm.matrices())
         for mat in binary:
             np.testing.assert_array_equal(mat, np.eye(2))
@@ -89,7 +91,9 @@ class TestFourFrameAssociation:
 
     def test_energy_identity_on_four_frames(self):
         # the sparse K=3 solver equals the dense restatement, and its
-        # contraction constant is the multilinear objective
+        # contraction constant is the multilinear objective at the
+        # iteration's start, the all-ones start and then a non-uniform
+        # iterate
         batch = self.build()
         wide = ConnectionGateConfig(base_distance_factor=12.0,
                                     max_relaxations=0)
@@ -97,15 +101,18 @@ class TestFourFrameAssociation:
         bundle = compute_affinity(batch, hyps, AffinityProviderParams())
         tensor = bundle.tensor
         rng = np.random.default_rng(5)
-        xs = [rng.uniform(size=d) for d in tensor.shape]
-        lhs = power_iteration_forward(tensor, 1, x0=xs).contraction_history[0]
-        dense = pairwise_objective(pairwise_tensor(tensor), xs)
-        rhs = assignment_objective(dense_values(batch, hyps, tensor.values),
-                                   [x.reshape(2, 2) for x in xs])
-        assert abs(lhs - rhs) <= 1e-12
-        assert abs(lhs - dense) <= 1e-12
+        state = power_iteration_forward(tensor, 2)
+        for n, iterate in enumerate(dense_history(state)[0][:2]):
+            xs = np.split(iterate, tensor.offsets[1:-1])
+            lhs = state.contraction_history[n]
+            dense = pairwise_objective(pairwise_tensor(tensor), xs)
+            rhs = assignment_objective(
+                dense_values(batch, hyps, tensor.values),
+                [x.reshape(2, 2) for x in xs])
+            assert abs(lhs - rhs) <= 1e-12
+            assert abs(lhs - dense) <= 1e-12
         assert_sparse_equals_dense(tensor, 10, rng)
-        assert_sparse_equals_dense(tensor, 3, rng, x0=xs)
+        assert_sparse_equals_dense(tensor, 3, rng)
 
     def test_full_training_step_gradient_on_four_frames(self):
         batch = self.build()
@@ -119,7 +126,7 @@ class TestFourFrameAssociation:
             p = AffinityProviderParams.from_vector(vec)
             b = compute_affinity(batch, hyps, p)
             s = power_iteration_forward(b.tensor, 3)
-            n = l1_normalize_forward(s.matrices(), 2)
+            n = l1_normalize_forward(s.log_pairs(), 2)
             return bce_loss(n.matrices(), target)[0]
 
         bundle = compute_affinity(batch, hyps, params)
@@ -159,7 +166,8 @@ class TestSparseSupportGradients:
         def loss(v):
             s = power_iteration_forward(
                 HypothesisTensor(tensor.entries, v, tensor.sizes), 3)
-            return sum(float(wk @ xk) for wk, xk in zip(w, s.x))
+            return sum(float(wk @ m.ravel())
+                       for wk, m in zip(w, last_matrices(s)))
 
         numeric = finite_diff_grad(loss, tensor.values)
         assert np.all(np.abs(analytic - numeric)

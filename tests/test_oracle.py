@@ -121,7 +121,7 @@ class TestFiniteDiff:
         def loss(v):
             s = power_iteration_forward(
                 HypothesisTensor(tensor.entries, v, tensor.sizes), 3)
-            n = l1_normalize_forward(s.matrices(), 2)
+            n = l1_normalize_forward(s.log_pairs(), 2)
             return bce_loss(n.matrices(), target)[0]
 
         state = power_iteration_forward(tensor, 3)

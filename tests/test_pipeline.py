@@ -92,7 +92,7 @@ class TestResolveVirtuals:
         virt = value[0, 0, 1]                # (real, anchor, virtual)
         assert real > virt
         state = power_iteration_forward(bundle.tensor, config.power_iterations)
-        norm = l1_normalize_forward(state.matrices(), config.norm_pairs,
+        norm = l1_normalize_forward(state.log_pairs(), config.norm_pairs,
                                     virtual=True)
         binary = discretize(norm.matrices(), virtual=True)
         assert binary[1][0, 0] == 1.0        # anchor prefers the real candidate
@@ -113,10 +113,9 @@ class TestResolveVirtuals:
         assert resolve_virtuals(batch, AffinityProviderParams()) == {}
 
     def test_virtual_window_of_other_order_rejected(self):
-        batch = tracking_batch([[cand(f, 50.0, 50.0)] for f in range(4)])
         with pytest.raises(ContractError, match=r"^a window with virtual "
                            r"slots must have K = 2, got 3$"):
-            resolve_virtuals(batch, AffinityProviderParams())
+            tracking_batch([[cand(f, 50.0, 50.0)] for f in range(4)])
 
     def test_random_windows_match_the_scalar_search(self):
         # the grid search restated per anchor: prior at the extrapolation,
@@ -692,7 +691,7 @@ class TestAlphaMonotonicity:
                                           virtual_scale=alpha,
                                           resolved_virtuals=resolved)
                 state = power_iteration_forward(bundle.tensor, 10)
-                norm = l1_normalize_forward(state.matrices(), 10,
+                norm = l1_normalize_forward(state.log_pairs(), 10,
                                             virtual=True)
                 binary = discretize(norm.matrices(), virtual=True)
                 virtual_col = batch.sizes[2] - 1

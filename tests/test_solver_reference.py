@@ -2,14 +2,15 @@
 ``solver_reference.py`` bit for bit: log iterates, log slices, contraction
 constants and value gradient of the power iteration, and the stages,
 normalized matrices, exemptions and input-log gradient of the l1
-normalization, on the power iteration's own log matrices and on dense
-matrices, including lines long enough for numpy to sum them pairwise."""
+normalization, on the power iteration's own log matrices and on the logs
+of dense matrices, including lines long enough for numpy to sum them
+pairwise."""
 
 import numpy as np
 import pytest
 
 import solver_reference as ref
-from dense_reference import random_solver_instance
+from dense_reference import last_matrices, log_matrices, random_solver_instance
 from mdatrack import pipeline
 from mdatrack.affinity import AffinityProviderParams, ConnectionGateConfig
 from mdatrack.evalio import ScenarioSpec, generate_scenario
@@ -33,15 +34,15 @@ def stacked(arrays):
     return np.concatenate([np.empty(0)] + [np.ravel(a) for a in arrays])
 
 
-def assert_power_matches(tensor, iterations, rng, x0=None):
-    state = power_iteration_forward(tensor, iterations, x0=x0)
-    expected = ref.power_iteration_forward(tensor, iterations, x0=x0)
+def assert_power_matches(tensor, iterations, rng):
+    state = power_iteration_forward(tensor, iterations)
+    expected = ref.power_iteration_forward(tensor, iterations)
     assert state.contraction_history == expected.contraction_history
     assert_equal_lists(state.log_iterates,
                        [stacked(y) for y in expected.iterate_history])
     assert_equal_lists(state.log_slices,
                        [stacked(s) for s in expected.slice_history])
-    assert_equal_lists(state.matrices(), expected.matrices())
+    assert_equal_lists(last_matrices(state), expected.matrices())
 
     d_log = rng.normal(size=len(tensor.support))
     d_values = power_iteration_backward(state, d_log)
@@ -84,7 +85,8 @@ def assert_power_norm_matches(power, pairs, rng, virtual=False, first=0):
 
 
 def assert_dense_norm_matches(matrices, pairs, rng, virtual=False):
-    state = l1_normalize_forward(matrices, pairs, virtual=virtual)
+    state = l1_normalize_forward(log_matrices(matrices), pairs,
+                                 virtual=virtual)
     expected = ref.l1_normalize_dense(matrices, pairs, virtual)
     assert_norm_matches(state, expected, pairs, rng)
 
@@ -109,13 +111,10 @@ def test_random_tensors(K, seed):
     rng = np.random.default_rng(1000 * K + seed)
     tensor = random_tensor(rng, K)
     iterations = int(rng.integers(1, 6))
-    x0 = ([rng.uniform(0.1, 1.0, size=d) for d in tensor.shape]
-          if seed % 2 else None)
-    state = assert_power_matches(tensor, iterations, rng, x0=x0)
+    state = assert_power_matches(tensor, iterations, rng)
     pairs = int(rng.integers(0, 4))
-    if x0 is None:
-        assert_power_norm_matches(state, pairs, rng, first=seed % K)
-    assert_dense_norm_matches(state.matrices(), pairs, rng)
+    assert_power_norm_matches(state, pairs, rng, first=seed % K)
+    assert_dense_norm_matches(last_matrices(state), pairs, rng)
 
 
 @pytest.mark.parametrize("seed", range(50))
@@ -206,7 +205,7 @@ def test_huge_entries_normalize_without_overflow():
     # row 0 sums past the largest float, but its log sum is finite: the
     # row steps scale it like any other row
     matrix = np.array([[1e308, 1e308], [1.0, 1.0]])
-    out = l1_normalize_forward([matrix], 2).matrices()[0]
+    out = l1_normalize_forward(log_matrices([matrix]), 2).matrices()[0]
     assert np.all(np.isfinite(out))
     np.testing.assert_allclose(out.sum(axis=0), 1.0, rtol=1e-12)
     # nor does the backward pass, which never forms the sum
@@ -214,12 +213,14 @@ def test_huge_entries_normalize_without_overflow():
 
 
 def test_extreme_initial_vector_stays_finite():
-    # in linear form pair 1's slice overflows from this start; as logs every
-    # iterate stays finite on the support and each pair's vector sums to one
+    # the first iteration leaves entries near 1e-300, the start of the
+    # second, whose slice at pair 0's entry (1, 1) is 1e-300 * 1e-300: in
+    # linear form it underflows to zero; as logs every iterate stays finite
+    # on the support and each pair's vector sums to one
     tensor = HypothesisTensor(np.array([[0, 0, 0], [0, 0, 1], [1, 1, 0]]),
-                              np.array([1e10, 1.0, 1.0]), (2, 2, 2))
-    x0 = [np.array([1e300, 1e-300, 1e-300, 1e-300]), np.full(4, 1e-300)]
-    state = assert_power_matches(tensor, 1, np.random.default_rng(0), x0=x0)
+                              np.array([1.0, 1e-300, 1e-300]), (2, 2, 2))
+    state = assert_power_matches(tensor, 3, np.random.default_rng(0))
+    assert 1e-300 * np.exp(state.log_iterates[1]).min() == 0.0
     assert np.all(np.isfinite(state.log_iterates[-1]))
-    for vector in state.x:
-        assert vector.sum() == pytest.approx(1.0, rel=1e-12)
+    for matrix in last_matrices(state):
+        assert matrix.sum() == pytest.approx(1.0, rel=1e-12)

@@ -311,7 +311,7 @@ class TestWindowReuse:
         assert first.params == AffinityProviderParams()
         assert np.array_equal(first.tensor.values, values)
         assert later.params == OFF_DEFAULT
-        assert later.tensor.index is first.tensor.index
+        assert later.tensor.order is first.tensor.order
 
 
 class TestArguments:
