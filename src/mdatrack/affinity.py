@@ -30,6 +30,7 @@ backward pass uses.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
+from functools import cached_property
 from pathlib import Path
 
 import numpy as np
@@ -66,15 +67,19 @@ class ConnectionGateConfig:
             raise ContractError("relaxation_factor must exceed 1 and be finite")
         if self.max_relaxations < 0:
             raise ContractError("max_relaxations must be >= 0")
-        try:
-            widest = (self.base_distance_factor
-                      * self.relaxation_factor ** self.max_relaxations)
-        except OverflowError:
-            widest = np.inf
-        if not widest < np.inf:
+        if not self.widest_distance_factor < np.inf:
             raise ContractError(
                 "base_distance_factor * relaxation_factor ** max_relaxations "
                 "must be finite")
+
+    @cached_property
+    def widest_distance_factor(self) -> float:
+        """The last relaxed level's distance factor; inf past the floats."""
+        try:
+            return (self.base_distance_factor
+                    * self.relaxation_factor ** self.max_relaxations)
+        except OverflowError:
+            return np.inf
 
 
 @dataclass(frozen=True)
@@ -187,10 +192,11 @@ def _pair_mask(prev: FrameArrays, nxt: FrameArrays,
 def _relax(mask: np.ndarray, size_ok: np.ndarray, dist: np.ndarray,
            reach: np.ndarray, gate: ConnectionGateConfig) -> None:
     """Give each row of ``mask`` without a partner every partner of the
-    first relaxed level that has any, in place.  The levels are built one
-    at a time and stop once no row still without a partner has a
-    size-compatible candidate, the only ones a level can add."""
-    rows = ~mask.any(axis=1) & size_ok.any(axis=1)
+    first relaxed level that has any, in place.  Only rows that the widest
+    level reaches take part, and the levels are built one at a time until
+    every such row has its partners."""
+    widest = size_ok & (dist <= gate.widest_distance_factor * reach)
+    rows = ~mask.any(axis=1) & widest.any(axis=1)
     for r in range(1, gate.max_relaxations + 1):
         if not rows.any():
             return

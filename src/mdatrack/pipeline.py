@@ -1,16 +1,14 @@
-"""Online tracking loop: sliding association windows, per-anchor virtual
-candidate resolution, the solver chain, and target management.
+"""Online tracking loop: sliding association windows, virtual candidates
+at the motion prediction, the solver chain, and target management.
 
 Tracking works on K=2 windows with two overlapping frames.  The window
 length is set by the virtual-candidate and target-management scheme below,
 which is written for one anchor frame between two neighbours; the solver
 takes any K, at memory linear in the hypothesis count.  Each window is
 built with virtual slots: one virtual row ends every frame.  The two
-adjacent-frame virtuals are resolved per anchor to the location
-maximizing a search score built from the anchor's motion prediction and
-appearance-weighted attraction to nearby detections.  The anchor-frame
-virtual has no geometry: no hypothesis passes through it, so a window
-without a real anchor has no hypotheses.
+adjacent-frame virtuals of each anchor sit at its constant-velocity
+prediction.  The anchor-frame virtual has no geometry: no hypothesis
+passes through it, so a window without a real anchor has no hypotheses.
 
 Target management follows the assignment of each real anchor in the
 anchor-to-last-frame pair: untracked anchors with good boxes start
@@ -23,7 +21,9 @@ coast budget is exhausted, exit it.
 The caller's detections are read-only.  A track continued on its predicted
 box carries that box onto the window's last frame as a candidate of the
 track state, so the next two windows can anchor on it; the state drops it
-once no window can read it.
+once no window can read it.  A track whose prediction is carried onto a
+window's anchor frame first re-acquires a free detection there at IoU >=
+``t_dif``.
 """
 
 from __future__ import annotations
@@ -144,6 +144,14 @@ class TrackRecord:
     descriptor: np.ndarray = field(default_factory=lambda: np.zeros(1))
     score: float = 1.0
 
+    def take(self, frame: int, detection: Candidate) -> None:
+        """Continue on ``detection``: its box, appearance and score."""
+        self.boxes[frame] = detection.box
+        self.status = ACTIVE
+        self.frames_coasting = 0
+        self.descriptor = detection.appearance.copy()
+        self.score = detection.score
+
 
 @dataclass
 class TrackState:
@@ -163,68 +171,55 @@ class TrackState:
 
 
 def resolve_virtuals(batch: AssociationBatch,
-                     params: AffinityProviderParams,
-                     anchor_velocities: dict[int, tuple[float, float]] | None = None,
+                     anchor_velocities: dict[int, tuple[float, float]],
                      ) -> dict[int, np.ndarray]:
-    """Fix the adjacent-frame virtual centers, one location per anchor.
+    """Place the adjacent-frame virtuals at each anchor's motion prediction.
 
-    For each real anchor the virtual in frame position ``pos`` resolves to
-    the argmax of a local search score around the anchor's constant-velocity
-    extrapolation: a sum of Gaussians over spots, the extrapolated point
-    with weight 1 and each real detection of that frame weighted by its
-    appearance similarity to the anchor (``batch.similarities``), for every
-    anchor as one batched matmul at memory O(anchors x spots x 17).  The
-    grid spans one box diagonal at a step of diagonal / 8 and is scanned
-    row-major; ties resolve to the first maximum.  Returns {frame position:
-    (I_anchor, 2) resolved centers}, one row per anchor slot, NaN for the
-    virtual anchor slot; a window without virtual slots has none.
-    """
+    The virtual a real anchor continues in frame position ``pos`` sits at
+    the anchor's constant-velocity extrapolation, its center plus velocity
+    times the frame gap, with zero velocity for an anchor missing from
+    ``anchor_velocities``.  Returns {frame position: (I_anchor, 2) centers},
+    one row per anchor slot, NaN for the virtual anchor slot; a window
+    without virtual slots has none."""
     if not batch.virtual:
         return {}
-    anchor_velocities = anchor_velocities or {}
     anchors = batch.arrays[1]
-    real = len(anchors.is_virtual) - 1          # every anchor but the virtual
-    denom = 2.0 * params.position_scale * params.position_scale
+    # the virtual anchor slot's center, and so its row, is NaN
     velocity = np.array([anchor_velocities.get(slot, (0.0, 0.0))
-                         for slot in range(real)], dtype=float).reshape(-1, 2)
-    origin = anchors.centers[:-1]
-    offsets = np.arange(-8, 9) * (anchors.diagonals[:-1] / 8.0)[:, None]
-    before, after = batch.similarities
-    resolved: dict[int, np.ndarray] = {}
+                         for slot in range(len(anchors.centers))], dtype=float)
+    frames = batch.frames
+    return {pos: anchors.centers + velocity * (frames[pos] - frames[1])
+            for pos in (0, 2)}
 
-    # each real anchor's similarity to each detection of the frame
-    for pos, similarity in ((0, before[:-1, :-1].T), (2, after[:-1, :-1])):
-        dt = batch.frames[pos] - batch.frames[1]
-        px = origin[:, 0] + velocity[:, 0] * dt
-        py = origin[:, 1] + velocity[:, 1] * dt
-        grid_x = px[:, None] + offsets            # (anchors, 17) columns
-        grid_y = py[:, None] + offsets            # (anchors, 17) rows
 
-        # (anchors, spots): the extrapolated point, then the detections
-        spots = batch.arrays[pos].centers[:-1]
-        weights = np.ones((real, len(spots) + 1))
-        weights[:, 1:] = similarity
-        spot = np.empty((real, len(spots) + 1, 2))
-        spot[:, 0, 0], spot[:, 0, 1], spot[:, 1:] = px, py, spots
-        # exp(-(dx² + dy²) / denom) = exp(-dx² / denom) * exp(-dy² / denom),
-        # so the score at (row r, column c) is sum_s w_s * gy_s[r] * gx_s[c]:
-        # one batched matmul per block of anchors.  A block's float arrays
-        # stay near 32 KiB: glibc malloc maps larger ones from the system,
-        # or trims them back to it, and faults their pages in on every call
-        best = np.empty(real, dtype=np.intp)
-        block = max(1, 32768 // (8 * 17 * (len(spots) + 1)))
-        for a in range(0, real, block):
-            b = slice(a, a + block)
-            gx = np.exp((grid_x[b, None, :] - spot[b, :, 0, None]) ** 2 / -denom)
-            gy = np.exp((grid_y[b, None, :] - spot[b, :, 1, None]) ** 2 / -denom)
-            gy *= weights[b, :, None]
-            scores = np.matmul(gy.transpose(0, 2, 1), gx)  # (anchors, rows, columns)
-            best[b] = np.argmax(scores.reshape(-1, 17 * 17), axis=1)
-        row, col = np.divmod(best, 17)
-        each = np.arange(real)
-        resolved[pos] = centers = np.full((real + 1, 2), np.nan)  # NaN: virtual
-        centers[:-1, 0], centers[:-1, 1] = grid_x[each, col], grid_y[each, row]
-    return resolved
+def _reacquire(detections: Sequence[Candidate], frame: int, t_dif: float,
+               state: TrackState) -> None:
+    """Continue each track whose prediction is carried onto ``frame``, in
+    carried order, on the free detection there that overlaps the prediction
+    best, at IoU >= ``t_dif``.  Free means that no track owns or took it.
+    The prediction leaves the frame, and later carried slots move down."""
+    carried = state.carried.get(frame)
+    if not carried or not detections:
+        return
+    n = len(detections)
+    overlap = box_iou(np.array([c.box for c in carried])[:, None],
+                      np.array([d.box for d in detections]))
+    # every head is on this frame: the last window set them on its last one
+    heads = {key: track for key, track in state.heads.items() if key[1] < n}
+    overlap[:, [slot for _, slot in heads]] = 0.0   # owned: 0 takes none
+    kept: list[Candidate] = []
+    for k, prediction in enumerate(carried):
+        track = state.heads[(frame, n + k)]
+        best = int(overlap[k].argmax())
+        if overlap[k, best] > 0.0 and overlap[k, best] >= t_dif:
+            overlap[:, best] = 0.0
+            track.take(frame, detections[best])
+            heads[(frame, best)] = track
+        else:
+            heads[(frame, n + len(kept))] = track
+            kept.append(prediction)
+    state.heads = heads
+    state.carried[frame] = kept
 
 
 def track_batch(detection_frames: list[list[Candidate]],
@@ -244,6 +239,7 @@ def track_batch(detection_frames: list[list[Candidate]],
         raise ContractError("tracking windows must span exactly three frames")
     f0, f1, f2 = window
 
+    _reacquire(detection_frames[f1], f1, config.t_dif, state)
     window_cands = tuple((*detection_frames[f], *state.carried.get(f, ()))
                          for f in window)
     # later windows start at f1 or after: drop what only this one reads
@@ -254,13 +250,12 @@ def track_batch(detection_frames: list[list[Candidate]],
     real = len(anchor_list)
 
     velocities: dict[int, tuple[float, float]] = {}
-    for slot, anchor in enumerate(anchor_list):
-        track = state.heads.get((f1, slot))
-        prev_box = None if track is None else track.boxes.get(f0)
-        if prev_box is not None:
-            (cx, cy), (px, py) = anchor.center, box_center(prev_box)
+    for (_, slot), track in state.heads.items():     # every head is on f1
+        if f0 in track.boxes:
+            (cx, cy), (px, py) = (anchor_list[slot].center,
+                                  box_center(track.boxes[f0]))
             velocities[slot] = (cx - px, cy - py)
-    resolved = resolve_virtuals(batch, params, velocities)
+    resolved = resolve_virtuals(batch, velocities)
     hypotheses = generate_hypotheses(batch, gate)
     bundle = (compute_affinity(batch, hypotheses, params,
                                virtual_scale=config.alpha,
@@ -337,10 +332,7 @@ def track_batch(detection_frames: list[list[Candidate]],
             track.status = ACTIVE
             if not (slot in partner_quality
                     and partner_quality[slot] < QUALITY_THRESHOLD):
-                track.boxes[f2] = partner.box
-                track.frames_coasting = 0
-                track.descriptor = partner.appearance.copy()
-                track.score = partner.score
+                track.take(f2, partner)
                 new_heads[(f2, next_slot)] = track
                 continue
             # the detection disagrees with the prediction and looks bad:

@@ -4,8 +4,8 @@ Candidates are Python objects at the program's edges (detections in,
 tracks out).  Inside one window the front end works on arrays: each frame
 of an :class:`AssociationBatch` becomes one :class:`FrameArrays`, built
 once per window and shared by the gate, the hypothesis generator, virtual
-resolution and the affinity provider, and so are its descriptor
-similarity tables.  Every index in those arrays is 0-based: a hypothesis is
+resolution and the affinity provider; the provider alone reads its
+descriptor similarity tables.  Every index in those arrays is 0-based: a hypothesis is
 a row of 0-based candidate indices, one per frame, and the flat index of
 the pair (i_prev, i_next) is ``i_prev * I_next + i_next``.
 """

@@ -278,6 +278,22 @@ class TestGenerateHypotheses:
         assert factor.powers == 0
         assert not mask.any()
 
+    def test_no_level_is_built_for_lines_beyond_the_widest_level(self):
+        # frame 1's candidate has frame 0's size but lies 10 diagonals away,
+        # past the widest of 100 000 levels at factor 1.0000001 (about 1.01
+        # diagonals): no level can partner either line, so none is built
+        far = 100.0 + 10.0 * math.hypot(20.0, 20.0)
+        frames = [[cand(0, 100.0, 100.0)], [cand(1, far, 100.0)],
+                  [cand(2, far, 100.0)]]
+        arrays = make_batch(frames).arrays
+        factor = CountingFactor(1.0000001)
+        gate = ConnectionGateConfig(relaxation_factor=factor,
+                                    max_relaxations=100_000)
+        factor.powers = 0
+        mask = affinity._pair_mask(arrays[0], arrays[1], gate)
+        assert factor.powers == 0
+        assert not mask.any()
+
     def test_levels_stop_once_every_line_has_a_partner(self):
         # frame 1's candidate is 2.5 diagonals away: the second relaxed
         # level finds it for the row, and the column then has its partner

@@ -1,7 +1,6 @@
 """Online tracking loop: virtual resolution, target management, sequences."""
 
 import inspect
-import math
 
 import numpy as np
 import pytest
@@ -16,10 +15,13 @@ from mdatrack.affinity import (
 from mdatrack.evalio import ScenarioSpec, clear_mot, generate_scenario
 from mdatrack.errors import ContractError
 from mdatrack.pipeline import (
+    ACTIVE,
+    COASTING,
     EXITED,
     ConfidenceQuality,
     GroundTruthQuality,
     PipelineConfig,
+    TrackRecord,
     TrackState,
     resolve_virtuals,
     run_sequence,
@@ -55,7 +57,7 @@ class TestResolveVirtuals:
         batch = tracking_batch([[cand(0, 100.0, 100.0)],
                                 [cand(1, 100.0, 100.0)],
                                 []])
-        resolved = resolve_virtuals(batch, AffinityProviderParams())
+        resolved = resolve_virtuals(batch, {})
         assert resolved[2][0].tolist() == [100.0, 100.0]
         assert resolved[0][0].tolist() == [100.0, 100.0]
 
@@ -63,13 +65,9 @@ class TestResolveVirtuals:
         batch = tracking_batch([[cand(0, 90.0, 100.0)],
                                 [cand(1, 100.0, 100.0)],
                                 []])
-        resolved = resolve_virtuals(batch, AffinityProviderParams(),
-                                    anchor_velocities={0: (10.0, 0.0)})
-        cx, cy = resolved[2][0]
-        step = math.hypot(24.0, 24.0) / 8.0
-        assert math.hypot(cx - 110.0, cy - 100.0) <= step + 1e-9
-        bx, by = resolved[0][0]
-        assert math.hypot(bx - 90.0, by - 100.0) <= step + 1e-9
+        resolved = resolve_virtuals(batch, {0: (10.0, 0.0)})
+        assert resolved[2][0].tolist() == [110.0, 100.0]
+        assert resolved[0][0].tolist() == [90.0, 100.0]
 
     def test_real_candidate_at_extrapolation_beats_scaled_virtual(self):
         # a real candidate sitting exactly at the prediction with a matching
@@ -81,8 +79,7 @@ class TestResolveVirtuals:
         batch = tracking_batch(per_frame)
         params = AffinityProviderParams()
         config = PipelineConfig()
-        resolved = resolve_virtuals(batch, params,
-                                    anchor_velocities={0: (10.0, 0.0)})
+        resolved = resolve_virtuals(batch, {0: (10.0, 0.0)})
         hyps = generate_hypotheses(batch, ConnectionGateConfig())
         bundle = compute_affinity(batch, hyps, params,
                                   virtual_scale=config.alpha,
@@ -101,7 +98,7 @@ class TestResolveVirtuals:
         batch = tracking_batch([[cand(0, 50.0, 50.0)],
                                 [cand(1, 50.0, 50.0)],
                                 []])
-        resolved = resolve_virtuals(batch, AffinityProviderParams())
+        resolved = resolve_virtuals(batch, {})
         for centers in resolved.values():   # rows: real anchor, virtual slot
             assert np.isfinite(centers[0]).all()
             assert np.isnan(centers[1]).all()
@@ -110,59 +107,17 @@ class TestResolveVirtuals:
         frames = [[cand(f, 50.0, 50.0)] for f in range(3)]
         batch = AssociationBatch(frames=(0, 1, 2),
                                  candidates=tuple(map(tuple, frames)))
-        assert resolve_virtuals(batch, AffinityProviderParams()) == {}
+        assert resolve_virtuals(batch, {}) == {}
 
     def test_virtual_window_of_other_order_rejected(self):
         with pytest.raises(ContractError, match=r"^a window with virtual "
                            r"slots must have K = 2, got 3$"):
             tracking_batch([[cand(f, 50.0, 50.0)] for f in range(4)])
 
-    def test_random_windows_match_the_scalar_search(self):
-        # the grid search restated per anchor: prior at the extrapolation,
-        # plus similarity-weighted Gaussians at the detections, first argmax
-        rng = np.random.default_rng(61)
-        params = AffinityProviderParams(position_scale=20.0)
-        for _ in range(30):
-            per_frame = [[cand(f, *rng.uniform(50, 150, 2),
-                               w=rng.uniform(15, 30), h=rng.uniform(15, 30),
-                               appearance=rng.normal(size=8))
-                          for _ in range(int(rng.integers(1, 5)))]
-                         for f in range(3)]
-            batch = tracking_batch(per_frame)
-            velocities = {slot: tuple(rng.uniform(-5, 5, 2))
-                          for slot in range(len(per_frame[1]))
-                          if rng.uniform() < 0.6}
-            resolved = resolve_virtuals(batch, params, velocities)
-            assert sorted(resolved) == [0, 2]
-            for slot, anchor in enumerate(per_frame[1]):
-                vx, vy = velocities.get(slot, (0.0, 0.0))
-                step = math.hypot(anchor.box[2], anchor.box[3]) / 8.0
-                for pos in (0, 2):
-                    px = anchor.center[0] + vx * (pos - 1)
-                    py = anchor.center[1] + vy * (pos - 1)
-                    spots = [(px, py, 1.0)] + [
-                        (c.center[0], c.center[1],
-                         max(0.0, float(np.dot(anchor.appearance, c.appearance))
-                             / (np.linalg.norm(anchor.appearance)
-                                * np.linalg.norm(c.appearance))) ** 2)
-                        for c in per_frame[pos]]
-                    best, best_xy = -1.0, None
-                    for r in range(-8, 9):
-                        for q in range(-8, 9):
-                            x, y = px + q * step, py + r * step
-                            score = sum(
-                                w * math.exp(-((x - cx) ** 2 + (y - cy) ** 2)
-                                             / (2 * 20.0 ** 2))
-                                for cx, cy, w in spots)
-                            if score > best:
-                                best, best_xy = score, (x, y)
-                    np.testing.assert_allclose(resolved[pos][slot], best_xy,
-                                               rtol=0, atol=1e-9)
-
 
 class TestSharedSimilarities:
-    """A tracking window builds its descriptor similarities once; virtual
-    resolution and the affinity provider both read them."""
+    """A tracking window builds its descriptor similarities once, and the
+    affinity provider reads them."""
 
     def test_each_window_builds_its_tables_once(self, monkeypatch):
         scenario = generate_scenario(ScenarioSpec(
@@ -193,29 +148,22 @@ class TestSharedSimilarities:
                      GroundTruthQuality(scenario.gt_tracks))
         assert len(built) == 6                  # one build per window
 
-    def test_resolution_and_affinity_read_the_tables(self):
-        # detections that look like their anchor pull its virtual towards
-        # them; with every similarity set to 0 they pull nothing, and the
-        # provider's appearance edges are exactly the set value
+    def test_affinity_reads_the_tables(self):
+        # with every similarity set to 0, the provider's appearance edges
+        # are exactly the set value
         rng = np.random.default_rng(3)
         app = rng.normal(size=8)
         per_frame = [[cand(f, 100.0 + 6 * f, 100.0, appearance=app),
                       cand(f, 95.0, 112.0 - 3 * f, appearance=app)]
                      for f in range(3)]
-        params = AffinityProviderParams()
-        velocities = {0: (6.0, 0.0)}
-        honest = resolve_virtuals(tracking_batch(per_frame), params, velocities)
         batch = tracking_batch(per_frame)
         vars(batch)["similarities"] = tuple(
             np.zeros(shape) for shape in zip(batch.sizes, batch.sizes[1:]))
-        resolved = resolve_virtuals(batch, params, velocities)
-        assert not np.array_equal(resolved[2], honest[2], equal_nan=True)
-        # on each anchor's extrapolation (anchor 0 sits at x = 106)
-        assert resolved[2][:2].tolist() == [[112.0, 100.0], [95.0, 109.0]]
-        assert resolved[0][:2].tolist() == [[100.0, 100.0], [95.0, 109.0]]
         hyps = generate_hypotheses(batch, ConnectionGateConfig())
-        bundle = compute_affinity(batch, hyps, params, virtual_scale=0.8,
-                                  resolved_virtuals=resolved)
+        bundle = compute_affinity(batch, hyps, AffinityProviderParams(),
+                                  virtual_scale=0.8,
+                                  resolved_virtuals=resolve_virtuals(
+                                      batch, {0: (6.0, 0.0)}))
         assert np.all(bundle.appearance_edges == 0.0)
 
 
@@ -520,6 +468,113 @@ class TestTrackBatch:
         assert max(lost[0].boxes) <= 8 + 3 + 1
 
 
+class TestReacquisition:
+    """A track whose prediction is carried onto a window's anchor frame
+    takes the free detection there that overlaps the prediction best, at
+    IoU >= t_dif."""
+
+    @staticmethod
+    def window_on_frame_three(config):
+        # one target moving +10 px per frame and missed on frame 3: the
+        # first two windows coast its track onto x = 130 there.  A detection
+        # 2 px past the prediction is then put on frame 3, ahead of the
+        # carried prediction, as a window leaves its state when it sends the
+        # track to its virtual beside a detection
+        frames = [[cand(f, 100.0 + 10.0 * f, 100.0)] for f in range(5)]
+        frames[3] = []
+        args = (ConnectionGateConfig(), AffinityProviderParams(), config,
+                ConfidenceQuality())
+        state = TrackState()
+        for window in ([0, 1, 2], [1, 2, 3]):
+            track_batch(frames, window, *args, state)
+        (track,) = state.targets
+        (prediction,) = state.carried[3]
+        assert state.heads == {(3, 0): track}
+        assert track.status == COASTING and prediction.center == (130.0, 100.0)
+        frames[3] = [cand(3, 132.0, 100.0)]
+        state.heads = {(3, 1): track}
+        batches = []
+
+        def recording(batch, gate):
+            batches.append(batch.candidates)
+            return generate_hypotheses(batch, gate)
+
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(pipeline, "generate_hypotheses", recording)
+            track_batch(frames, [2, 3, 4], *args, state)
+        return frames, state, track, prediction, batches[0]
+
+    def test_free_detection_on_the_prediction_continues_the_track(self):
+        frames, state, track, prediction, window = self.window_on_frame_three(
+            PipelineConfig())
+        assert state.targets == [track]         # none born on the detection
+        assert track.boxes[3] == frames[3][0].box
+        assert track.boxes[4] == frames[4][0].box
+        assert (track.status, track.frames_coasting) == (ACTIVE, 0)
+        assert window == tuple(map(tuple, frames[2:]))
+        assert state.carried[3] == []
+
+    @pytest.mark.parametrize("above", [False, True])
+    def test_threshold_is_t_dif(self, above):
+        # the detection overlaps the prediction at IoU 22/26
+        iou = float(box_iou((118.0, 88.0, 24.0, 24.0),
+                            (120.0, 88.0, 24.0, 24.0)))
+        assert iou == 22.0 / 26.0
+        t_dif = float(np.nextafter(iou, 1.0)) if above else iou
+        frames, state, track, prediction, window = self.window_on_frame_three(
+            PipelineConfig(t_dif=t_dif))
+        if above:                               # the window is unchanged
+            assert window == (tuple(frames[2]), (*frames[3], prediction),
+                              tuple(frames[4]))
+            assert track.boxes[3] == prediction.box
+        else:
+            assert window == tuple(map(tuple, frames[2:]))
+            assert track.boxes[3] == frames[3][0].box
+
+    def test_owned_detection_is_never_taken(self):
+        owner = TrackRecord(id=1)
+        coasting = TrackRecord(id=2, status=COASTING, frames_coasting=1)
+        prediction = cand(2, 121.0, 100.0)
+        state = TrackState(targets=[owner, coasting],
+                           heads={(2, 0): owner, (2, 1): coasting},
+                           carried={2: [prediction]})
+        pipeline._reacquire([cand(2, 120.0, 100.0)], 2, 0.5, state)
+        assert {key: t.id for key, t in state.heads.items()} == {
+            (2, 0): 1, (2, 1): 2}
+        assert state.carried == {2: [prediction]}
+        assert (coasting.status, coasting.boxes) == (COASTING, {})
+
+    def test_detection_off_the_prediction_is_not_taken_at_zero_t_dif(self):
+        coasting = TrackRecord(id=1, status=COASTING, frames_coasting=1)
+        prediction = cand(2, 121.0, 100.0)
+        state = TrackState(targets=[coasting], heads={(2, 1): coasting},
+                           carried={2: [prediction]})
+        pipeline._reacquire([cand(2, 300.0, 100.0)], 2, 0.0, state)
+        assert state.heads == {(2, 1): coasting}
+        assert state.carried == {2: [prediction]}
+
+    def test_each_detection_is_taken_once_and_later_slots_move_down(self):
+        # both predictions overlap the one detection: the first carried
+        # takes it, and the second keeps its prediction, now at slot 1
+        first = TrackRecord(id=1, status=COASTING, frames_coasting=2)
+        second = TrackRecord(id=2, status=COASTING, frames_coasting=1)
+        near, nearer = cand(2, 123.0, 100.0), cand(2, 121.0, 100.0)
+        detection = cand(2, 120.0, 100.0, appearance=np.full(8, 2.0),
+                         score=0.7)
+        state = TrackState(targets=[first, second],
+                           heads={(2, 1): first, (2, 2): second},
+                           carried={2: [near, nearer]})
+        pipeline._reacquire([detection], 2, 0.5, state)
+        assert {key: t.id for key, t in state.heads.items()} == {
+            (2, 0): 1, (2, 1): 2}
+        assert state.carried == {2: [nearer]}
+        assert first.boxes == {2: detection.box}
+        assert (first.status, first.frames_coasting, first.score) == (
+            ACTIVE, 0, 0.7)
+        assert first.descriptor.tolist() == [2.0] * 8
+        assert (second.status, second.boxes) == (COASTING, {})
+
+
 class TestRunSequence:
     def test_three_frames_single_window(self):
         spec = ScenarioSpec(frame_count=3, target_count=2, seed=1)
@@ -684,7 +739,7 @@ class TestAlphaMonotonicity:
             params = AffinityProviderParams()
             gate = ConnectionGateConfig()
             hyps = generate_hypotheses(batch, gate)
-            resolved = resolve_virtuals(batch, params)
+            resolved = resolve_virtuals(batch, {})
 
             def anchor_assignments(alpha):
                 bundle = compute_affinity(batch, hyps, params,

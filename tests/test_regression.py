@@ -36,9 +36,8 @@ def test_baseline_scene_tracks_are_unchanged():
 
 def test_long_noisy_scene_tracks_are_unchanged():
     # 10 targets over 300 frames, seed 4: long enough for coasting tracks to
-    # carry predictions across many windows.  This pins the known
-    # duplicate-birth loop (ROADMAP item 4) as it stands; the change that
-    # mends it re-records these figures and logs why in CHANGES.md.
+    # carry predictions across many windows, where a duplicate birth beside
+    # a coasting track would repeat.
     scenario = generate_scenario(ScenarioSpec(
         frame_count=300, target_count=10, seed=4, **NOISE))
     tracks = run_sequence(scenario.detection_frames, ConnectionGateConfig(),
@@ -46,12 +45,12 @@ def test_long_noisy_scene_tracks_are_unchanged():
                           GroundTruthQuality(scenario.gt_tracks))
     report = clear_mot(scenario.gt_tracks, {t.id: t.boxes for t in tracks})
     assert (len(tracks), report.id_switches,
-            report.false_positives) == (80, 10, 816)
-    assert report.mota == 0.723
+            report.false_positives) == (11, 0, 14)
+    assert report.mota == 0.9936666666666667
     digest = repr(tuple((t.id, t.status, tuple(sorted(t.boxes.items())))
                         for t in tracks))
     assert hashlib.sha256(digest.encode()).hexdigest() == (
-        "8692d29f7177256de90f4eeac0ec96188ce63fafca685c8edd739302ef29de54")
+        "d7ed85013296d5c5781859cccf6e5e992126d2fb6b76900ed5b2d3b17b6b2612")
 
 
 def test_training_run_parameters_are_unchanged():

@@ -1,5 +1,6 @@
-"""The separable virtual-candidate search picks exactly the grid point the
-per-detection sum picks, on a real crowd run and on edge-case windows."""
+"""Virtual candidates sit exactly where the per-anchor restatement of the
+constant-velocity placement puts them, on a real crowd run and on
+edge-case windows."""
 
 import numpy as np
 import pytest
@@ -12,9 +13,9 @@ from mdatrack.types import AssociationBatch, Candidate
 from virtual_reference import resolve_virtuals_reference
 
 
-def assert_same_centers(batch, params, velocities):
-    got = resolve_virtuals(batch, params, velocities)
-    want = resolve_virtuals_reference(batch, params, velocities)
+def assert_same_centers(batch, velocities):
+    got = resolve_virtuals(batch, velocities)
+    want = resolve_virtuals_reference(batch, velocities)
     assert sorted(got) == sorted(want)
     for pos in want:
         # exact equality; NaN marks the virtual anchor slot in both
@@ -31,9 +32,9 @@ def crowd_calls():
     calls = []
     resolve = pipeline.resolve_virtuals
 
-    def record(batch, params, velocities=None):
-        calls.append((batch, params, dict(velocities or {})))
-        return resolve(batch, params, velocities)
+    def record(batch, velocities):
+        calls.append((batch, dict(velocities)))
+        return resolve(batch, velocities)
 
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(pipeline, "resolve_virtuals", record)
@@ -46,10 +47,10 @@ def crowd_calls():
 
 def test_crowd_run_resolves_the_same_centers(crowd_calls):
     assert len(crowd_calls) == 28
-    assert max(len(b.candidates[1]) for b, _, _ in crowd_calls) > 40
-    assert any(v for _, _, v in crowd_calls)      # moving anchors too
-    for batch, params, velocities in crowd_calls:
-        assert_same_centers(batch, params, velocities)
+    assert max(len(b.candidates[1]) for b, _ in crowd_calls) > 40
+    assert any(v for _, v in crowd_calls)          # moving anchors too
+    for batch, velocities in crowd_calls:
+        assert_same_centers(batch, velocities)
 
 
 def cand(frame, cx, cy, w, h, appearance):
@@ -73,21 +74,19 @@ def random_window(rng, counts, appearance):
 @pytest.mark.parametrize("seed", range(20))
 def test_random_windows_resolve_the_same_centers(seed):
     rng = np.random.default_rng(seed)
-    params = AffinityProviderParams(position_scale=rng.uniform(5.0, 40.0))
     counts = rng.integers(0, 6, 3)
     counts[1] = max(counts[1], 1)
     per_frame = random_window(rng, counts, lambda f: rng.normal(size=8))
     velocities = {slot: tuple(rng.uniform(-8, 8, 2))
                   for slot in range(counts[1]) if rng.uniform() < 0.6}
-    assert_same_centers(window(per_frame), params, velocities)
+    assert_same_centers(window(per_frame), velocities)
 
 
 def test_frame_without_detections_resolves_on_the_prior():
     rng = np.random.default_rng(1)
     per_frame = random_window(rng, (3, 4, 0), lambda f: rng.normal(size=8))
     velocities = {0: (4.0, -2.0), 2: (-3.0, 1.5)}
-    got = assert_same_centers(window(per_frame), AffinityProviderParams(),
-                              velocities)
+    got = assert_same_centers(window(per_frame), velocities)
     for slot, anchor in enumerate(per_frame[1]):
         vx, vy = velocities.get(slot, (0.0, 0.0))
         assert tuple(got[2][slot]) == (anchor.center[0] + vx,
@@ -95,14 +94,14 @@ def test_frame_without_detections_resolves_on_the_prior():
 
 
 def test_opposite_descriptors_resolve_on_the_extrapolation():
-    # every similarity is 0, so the detections add nothing to the prior
+    # detections that look nothing like their anchor leave it on its
+    # extrapolation, as every other detection does
     rng = np.random.default_rng(2)
     appearance = rng.normal(size=8)
     per_frame = random_window(
         rng, (4, 5, 4), lambda f: -appearance if f != 1 else appearance)
     velocities = {slot: tuple(rng.uniform(-5, 5, 2)) for slot in range(5)}
-    got = assert_same_centers(window(per_frame), AffinityProviderParams(),
-                              velocities)
+    got = assert_same_centers(window(per_frame), velocities)
     for slot, anchor in enumerate(per_frame[1]):
         vx, vy = velocities[slot]
         for pos, dt in ((0, -1.0), (2, 1.0)):
@@ -110,19 +109,9 @@ def test_opposite_descriptors_resolve_on_the_extrapolation():
                                              anchor.center[1] + vy * dt)
 
 
-def test_zero_descriptors_weigh_detections_at_one_half():
-    rng = np.random.default_rng(3)
-    params = AffinityProviderParams(position_scale=20.0)
-    for _ in range(10):
-        per_frame = random_window(rng, (3, 3, 3), lambda f: np.zeros(8))
-        velocities = {slot: tuple(rng.uniform(-5, 5, 2)) for slot in range(3)}
-        assert_same_centers(window(per_frame), params, velocities)
-
-
 def test_single_anchor():
     rng = np.random.default_rng(4)
-    params = AffinityProviderParams(position_scale=15.0)
     for _ in range(10):
         per_frame = random_window(rng, (4, 1, 4), lambda f: rng.normal(size=8))
-        assert_same_centers(window(per_frame), params,
+        assert_same_centers(window(per_frame),
                             {0: tuple(rng.uniform(-5, 5, 2))})
