@@ -38,7 +38,12 @@ import numpy as np
 from . import kvtext
 from .errors import ContractError, InputValidationError
 from .solver import HypothesisTensor
-from .types import AssociationBatch, FrameArrays
+from .types import (
+    AssociationBatch,
+    FrameArrays,
+    _clipped_square,
+    descriptor_similarity,
+)
 
 
 @dataclass(frozen=True)
@@ -271,12 +276,15 @@ def compute_affinity(batch: AssociationBatch,
 
     ``hypotheses`` is the (H, K+1) index array of :func:`generate_hypotheses`;
     it becomes the entries of the returned bundle's ``tensor``.
-    ``resolved_virtuals`` maps a frame position to the (I_anchor, 2)
-    centers its virtual resolves to, one row per anchor slot; it is
-    required whenever a hypothesis contains an adjacent-frame virtual, which
-    then takes the center of its anchor's row and the anchor's box size;
-    appearance edges are read from ``batch.similarities``.  A hypothesis
-    through the anchor-frame virtual, which has no geometry, is rejected.
+    A real edge scores the descriptor similarity of its two members; each
+    pair's table of them is one matrix product.  A virtual member stands in
+    for its hypothesis' anchor: it takes the anchor's center as resolved,
+    the anchor's box size, and on its edge to the anchor the anchor's
+    similarity to itself.  ``resolved_virtuals`` maps a frame position to
+    the (I_anchor, 2) centers its virtual resolves to, one row per anchor
+    slot; it is required whenever a hypothesis contains an adjacent-frame
+    virtual.  A hypothesis through the anchor-frame virtual, which has no
+    geometry, is rejected.
     Each virtual member of a hypothesis scales its affinity by
     ``virtual_scale``.
 
@@ -304,7 +312,18 @@ def compute_affinity(batch: AssociationBatch,
         raise ContractError(f"hypothesis {hyps[through[0]].tolist()} passes "
                             "through the anchor-frame virtual slot")
 
-    virtual_count = np.zeros(len(hyps), dtype=np.intp)
+    n = len(hyps)
+    app_edges = np.empty((n, K))
+    for e, (a, b) in enumerate(zip(arrays, arrays[1:])):
+        table = _clipped_square(a.descriptors @ b.descriptors.T,
+                                a.norms[:, None], b.norms[None, :])
+        app_edges[:, e] = table[hyps[:, e], hyps[:, e + 1]]
+    # what a virtual member scores beside its anchor, once per window
+    itself = (descriptor_similarity(anchors.descriptors, anchors.norms,
+                                    anchors.descriptors, anchors.norms)
+              if batch.virtual else None)
+
+    virtual_count = np.zeros(n, dtype=np.intp)
     centers, box_sizes = [], []
     for pos, fa in enumerate(arrays):
         idx = hyps[:, pos]
@@ -312,24 +331,23 @@ def compute_affinity(batch: AssociationBatch,
         virtual_count += virtual
         center, size = fa.centers[idx], fa.boxes[idx, 2:]
         if virtual.any():
-            table = (resolved_virtuals or {}).get(pos)
+            resolved = (resolved_virtuals or {}).get(pos)
             who = owner[virtual]
-            if (table is None or len(table) != len(anchors.is_virtual)
-                    or np.isnan(table[who]).any()):
+            if (resolved is None or len(resolved) != len(anchors.is_virtual)
+                    or np.isnan(resolved[who]).any()):
                 raise ContractError(
                     f"no resolved virtual at frame position {pos} for anchor "
                     f"slots {sorted(set(who.tolist()))}")
-            center[virtual] = table[who]
+            center[virtual] = resolved[who]
             size[virtual] = anchors.boxes[who, 2:]
+            edge = pos if pos < anchor_pos else pos - 1   # beside the anchor
+            app_edges[virtual, edge] = itself[who]
         centers.append(center)
         box_sizes.append(size)
 
-    n = len(hyps)
-    app_edges = np.empty((n, K))
     sq_dists = np.empty((n, K))
     size_sims = np.empty((n, K))
-    for e, table in enumerate(batch.similarities):
-        app_edges[:, e] = table[hyps[:, e], hyps[:, e + 1]]
+    for e in range(K):
         step = centers[e + 1] - centers[e]
         sq_dists[:, e] = step[:, 0] ** 2 + step[:, 1] ** 2
         (wa, ha), (wb, hb) = box_sizes[e].T, box_sizes[e + 1].T

@@ -157,15 +157,16 @@ class TrackRecord:
 class TrackState:
     """Live targets plus what links one window to the next.
 
-    ``heads`` maps (frame index, slot in that frame's window candidates) to
-    the track owning that candidate.  ``carried`` maps a frame to the
+    ``heads`` maps the candidate each live track ends on, a detection or a
+    carried prediction, to that track; candidates hash by identity, so two
+    with equal fields are two heads.  ``carried`` maps a frame to the
     predicted boxes carried onto it, as candidates; in a window they follow
-    the frame's detections and precede its virtual slot.  Ids run
-    1, 2, ... in creation order.
+    the frame's detections and precede its virtual slot.  Ids run 1, 2, ...
+    in creation order.
     """
 
     targets: list[TrackRecord] = field(default_factory=list)
-    heads: dict[tuple[int, int], TrackRecord] = field(default_factory=dict)
+    heads: dict[Candidate, TrackRecord] = field(default_factory=dict)
     carried: dict[int, list[Candidate]] = field(default_factory=dict)
     skipped_windows: int = 0
 
@@ -201,24 +202,20 @@ def _reacquire(detections: Sequence[Candidate], frame: int, t_dif: float,
     carried = state.carried.get(frame)
     if not carried or not detections:
         return
-    n = len(detections)
     overlap = box_iou(np.array([c.box for c in carried])[:, None],
                       np.array([d.box for d in detections]))
-    # every head is on this frame: the last window set them on its last one
-    heads = {key: track for key, track in state.heads.items() if key[1] < n}
-    overlap[:, [slot for _, slot in heads]] = 0.0   # owned: 0 takes none
+    # owned: 0 takes none
+    overlap[:, [d in state.heads for d in detections]] = 0.0
     kept: list[Candidate] = []
     for k, prediction in enumerate(carried):
-        track = state.heads[(frame, n + k)]
         best = int(overlap[k].argmax())
         if overlap[k, best] > 0.0 and overlap[k, best] >= t_dif:
             overlap[:, best] = 0.0
+            track = state.heads.pop(prediction)
             track.take(frame, detections[best])
-            heads[(frame, best)] = track
+            state.heads[detections[best]] = track
         else:
-            heads[(frame, n + len(kept))] = track
             kept.append(prediction)
-    state.heads = heads
     state.carried[frame] = kept
 
 
@@ -233,7 +230,8 @@ def track_batch(detection_frames: list[list[Candidate]],
 
     ``detection_frames`` holds the per-frame detections and is only read;
     the predictions of continued tracks are carried in ``state``.  Windows
-    with no hypothesis or no affinity mass are skipped and counted.
+    with no hypothesis or no affinity mass are skipped and counted, and the
+    tracks they would continue exit.
     """
     if len(window) != 3:
         raise ContractError("tracking windows must span exactly three frames")
@@ -248,12 +246,13 @@ def track_batch(detection_frames: list[list[Candidate]],
                              virtual=True)
     anchor_list = window_cands[1]
     real = len(anchor_list)
+    # the track each anchor continues, None for an untracked one
+    tracks = [state.heads.get(anchor) for anchor in anchor_list]
 
     velocities: dict[int, tuple[float, float]] = {}
-    for (_, slot), track in state.heads.items():     # every head is on f1
-        if f0 in track.boxes:
-            (cx, cy), (px, py) = (anchor_list[slot].center,
-                                  box_center(track.boxes[f0]))
+    for slot, (anchor, track) in enumerate(zip(anchor_list, tracks)):
+        if track is not None and f0 in track.boxes:
+            (cx, cy), (px, py) = anchor.center, box_center(track.boxes[f0])
             velocities[slot] = (cx - px, cy - py)
     resolved = resolve_virtuals(batch, velocities)
     hypotheses = generate_hypotheses(batch, gate)
@@ -262,6 +261,10 @@ def track_batch(detection_frames: list[list[Candidate]],
                                resolved_virtuals=resolved)
               if len(hypotheses) else None)
     if bundle is None or bundle.tensor.values.max() <= 0.0:
+        # no later window anchors on f1, so no head can continue
+        for track in state.heads.values():
+            track.status = EXITED
+        state.heads = {}
         state.skipped_windows += 1
         return state
 
@@ -287,7 +290,7 @@ def track_batch(detection_frames: list[list[Candidate]],
     in_frame = box_visible_fraction(predictions, config.frame_box)
     # box quality only where it is read: untracked anchors, and the real
     # partners that disagree with their anchor's prediction
-    untracked = [slot for slot in range(real) if (f1, slot) not in state.heads]
+    untracked = [slot for slot, track in enumerate(tracks) if track is None]
     doubtful = np.flatnonzero((next_slots != virtual_next_slot)
                               & (agreement < config.t_dif)).tolist()
     anchor_quality = dict(zip(untracked, quality.evaluate(
@@ -295,25 +298,17 @@ def track_batch(detection_frames: list[list[Candidate]],
     partner_quality = dict(zip(doubtful, quality.evaluate(
         [window_cands[2][next_slots[slot]] for slot in doubtful])
         if doubtful else ()))
-    new_heads: dict[tuple[int, int], TrackRecord] = {}
-    # slots of newly carried predictions start at f2's virtual slot, past
-    # every real partner's slot
+    new_heads: dict[Candidate, TrackRecord] = {}
     carried_next = state.carried.setdefault(f2, [])
-    first_carried_slot = len(detection_frames[f2])
 
-    for slot, (prediction, next_slot) in enumerate(
-            zip(map(tuple, predictions.tolist()), next_slots.tolist())):
-        anchor = anchor_list[slot]
-        track = state.heads.get((f1, slot))
+    for slot, (anchor, track, prediction, next_slot) in enumerate(zip(
+            anchor_list, tracks, map(tuple, predictions.tolist()),
+            next_slots.tolist())):
         if track is None:
             if anchor_quality[slot] <= QUALITY_THRESHOLD:
                 continue
-            track = TrackRecord(
-                id=len(state.targets) + 1,
-                boxes={f1: anchor.box},
-                descriptor=anchor.appearance.copy(),
-                score=anchor.score,
-            )
+            track = TrackRecord(id=len(state.targets) + 1)
+            track.take(f1, anchor)
             state.targets.append(track)
             # frame 0 is never an anchor: backfill a track's partner there
             if f0 == 0:
@@ -325,15 +320,15 @@ def track_batch(detection_frames: list[list[Candidate]],
                 f"exited track {track.id} referenced by an anchor")
 
         if next_slot != virtual_next_slot:
-            if (f2, next_slot) in new_heads:
+            partner = window_cands[2][next_slot]
+            if partner in new_heads:
                 raise InternalInvariantError(
                     f"candidate {next_slot} on frame {f2} claimed twice")
-            partner = window_cands[2][next_slot]
             track.status = ACTIVE
             if not (slot in partner_quality
                     and partner_quality[slot] < QUALITY_THRESHOLD):
                 track.take(f2, partner)
-                new_heads[(f2, next_slot)] = track
+                new_heads[partner] = track
                 continue
             # the detection disagrees with the prediction and looks bad:
             # keep the predicted box, reuse the stored appearance
@@ -347,10 +342,11 @@ def track_batch(detection_frames: list[list[Candidate]],
                 continue
             track.status = COASTING
         track.boxes[f2] = prediction
-        new_heads[(f2, first_carried_slot + len(carried_next))] = track
-        carried_next.append(Candidate(
+        carried = Candidate(
             frame_index=f2, center=box_center(prediction), box=prediction,
-            score=track.score, appearance=track.descriptor.copy()))
+            score=track.score, appearance=track.descriptor.copy())
+        new_heads[carried] = track
+        carried_next.append(carried)
 
     state.heads = new_heads
     return state

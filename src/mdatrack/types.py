@@ -4,10 +4,11 @@ Candidates are Python objects at the program's edges (detections in,
 tracks out).  Inside one window the front end works on arrays: each frame
 of an :class:`AssociationBatch` becomes one :class:`FrameArrays`, built
 once per window and shared by the gate, the hypothesis generator, virtual
-resolution and the affinity provider; the provider alone reads its
-descriptor similarity tables.  Every index in those arrays is 0-based: a hypothesis is
-a row of 0-based candidate indices, one per frame, and the flat index of
-the pair (i_prev, i_next) is ``i_prev * I_next + i_next``.
+resolution and the affinity provider.  A virtual slot's row is a
+placeholder: what a virtual member of a hypothesis stands for is the
+affinity provider's rule.  Every index in those arrays is 0-based: a
+hypothesis is a row of 0-based candidate indices, one per frame, and the
+flat index of the pair (i_prev, i_next) is ``i_prev * I_next + i_next``.
 """
 
 from __future__ import annotations
@@ -115,7 +116,12 @@ class Candidate:
     def __post_init__(self):
         if self.frame_index < 0:
             raise RangeError(f"frame_index must be >= 0, got {self.frame_index}")
-        if self.box[2] <= 0 or self.box[3] <= 0:
+        for name, value in (("center", self.center), ("box", self.box)):
+            if not all(map(math.isfinite, value)):
+                raise InputValidationError(
+                    f"candidate {name} must be finite, got {value}")
+        # written so that NaN fails it
+        if not (self.box[2] > 0 and self.box[3] > 0):
             raise InputValidationError(
                 f"candidate box must have positive size, got {self.box}")
 
@@ -183,30 +189,12 @@ def _clipped_square(dots: np.ndarray, norm_a: np.ndarray,
     return np.where(neutral, 0.5, np.maximum(cos, 0.0) ** 2)
 
 
-def _window_similarities(arrays: tuple[FrameArrays, ...], anchor: int,
-                         virtual: bool) -> tuple[np.ndarray, ...]:
-    """One (I_e, I_{e+1}) descriptor similarity table per pair of
-    consecutive frames.  A virtual slot next to the anchor frame stands in
-    for the anchor it continues: against that frame it scores each
-    anchor's similarity to itself.  Each table's dot products are one
-    matrix product."""
-    tables = tuple(
-        _clipped_square(a.descriptors @ b.descriptors.T, a.norms[:, None],
-                        b.norms[None, :])
-        for a, b in zip(arrays, arrays[1:]))
-    if virtual:
-        own = arrays[anchor]
-        tables[anchor - 1][-1] = tables[anchor][:, -1] = descriptor_similarity(
-            own.descriptors, own.norms, own.descriptors, own.norms)
-    return tables
-
-
 @dataclass(frozen=True)
 class AssociationBatch:
     """A window of K+1 frames processed as one solver instance.  With
     ``virtual`` (tracking) every frame ends in a virtual slot, counted by
-    ``sizes``, ``arrays`` and ``similarities``; such a window has K = 2,
-    one anchor frame between its two neighbours."""
+    ``sizes`` and ``arrays``; such a window has K = 2, one anchor frame
+    between its two neighbours."""
 
     frames: tuple[int, ...]
     candidates: tuple[tuple[Candidate, ...], ...]
@@ -244,12 +232,6 @@ class AssociationBatch:
         """The window's frames as arrays, built on first use and shared by
         the gate, hypothesis generation, virtual resolution and affinity."""
         return _window_arrays(self.candidates, self.virtual)
-
-    @cached_property
-    def similarities(self) -> tuple[np.ndarray, ...]:
-        """Similarity tables, built on first use like ``arrays``."""
-        return _window_similarities(self.arrays, self.anchor_position,
-                                    self.virtual)
 
 
 # ---------------------------------------------------------------------------

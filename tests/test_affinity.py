@@ -464,6 +464,65 @@ class TestComputeAffinity:
         outside[_pair_flat_indices(hyps, batch.sizes)] = False
         assert np.all(dense[outside] == 0.0)
 
+    def test_real_edges_are_member_similarities(self):
+        # each real edge scores the descriptor similarity of its two
+        # members, with or without virtual slots
+        rng = np.random.default_rng(5)
+        per_frame = [[cand(f, 100.0 + 3.0 * i, 100.0 + 2.0 * f,
+                           appearance=rng.normal(size=6)) for i in range(n)]
+                     for f, n in enumerate((3, 2, 4))]
+
+        def similarity(a, b):
+            return float(descriptor_similarity(
+                a.appearance, np.linalg.norm(a.appearance),
+                b.appearance, np.linalg.norm(b.appearance)))
+
+        for virtual in (False, True):
+            batch = make_batch(per_frame, virtual)
+            hyps = generate_hypotheses(batch, ConnectionGateConfig())
+            bundle = compute_affinity(
+                batch, hyps, AffinityProviderParams(),
+                resolved_virtuals=pipeline.resolve_virtuals(batch, {}))
+            frames = slots(per_frame, virtual)
+            got, expected = [], []
+            for row, edges in zip(hyps.tolist(), bundle.appearance_edges):
+                members = [frames[pos][i] for pos, i in enumerate(row)]
+                for e, (a, b) in enumerate(zip(members, members[1:])):
+                    if a is not None and b is not None:
+                        got.append(edges[e])
+                        expected.append(similarity(a, b))
+            # every real tuple is a hypothesis: 3 * 2 * 4 of them, 2 edges each
+            assert len(got) >= 2 * 24
+            np.testing.assert_allclose(got, expected, rtol=1e-14, atol=0)
+
+    def test_virtual_edges_are_owner_self_similarity(self):
+        # a virtual member stands in for its hypothesis' anchor: on its edge
+        # to the anchor it scores the anchor's similarity to itself, 0.5
+        # for a zero descriptor
+        rng = np.random.default_rng(6)
+        own = rng.normal(size=6)
+        per_frame = [[cand(f, 100.0, 100.0, appearance=rng.normal(size=6)),
+                      cand(f, 140.0, 100.0, appearance=rng.normal(size=6))]
+                     for f in range(3)]
+        per_frame[1] = [cand(1, 100.0, 100.0, appearance=own),
+                        cand(1, 140.0, 100.0, appearance=np.zeros(6))]
+        batch = make_batch(per_frame, virtual=True)
+        hyps = generate_hypotheses(batch, ConnectionGateConfig())
+        bundle = compute_affinity(
+            batch, hyps, AffinityProviderParams(), virtual_scale=0.8,
+            resolved_virtuals=pipeline.resolve_virtuals(batch, {}))
+        norm = np.linalg.norm(own)
+        itself = [float(descriptor_similarity(own, norm, own, norm)), 0.5]
+        assert itself[0] > 0.99
+        virtual_edges = [(edges[e], itself[row[1]])
+                         for row, edges in zip(hyps.tolist(),
+                                               bundle.appearance_edges)
+                         for e, pos in ((0, 0), (1, 2)) if row[pos] == 2]
+        # per anchor: (v, a, real), (v, a, v) and (real, a, v)
+        assert len(virtual_edges) == 2 * 4
+        got, expected = zip(*virtual_edges)
+        np.testing.assert_allclose(got, expected, rtol=1e-14, atol=0)
+
     def test_tensor_holds_the_hypotheses(self):
         # the provider hands the solver its tensor: the generated tuples,
         # the window's frame sizes and one value per hypothesis

@@ -5,7 +5,7 @@ import inspect
 import numpy as np
 import pytest
 
-from mdatrack import pipeline, solver, training, types
+from mdatrack import affinity, pipeline, solver, training
 from mdatrack.affinity import (
     AffinityProviderParams,
     ConnectionGateConfig,
@@ -113,58 +113,6 @@ class TestResolveVirtuals:
         with pytest.raises(ContractError, match=r"^a window with virtual "
                            r"slots must have K = 2, got 3$"):
             tracking_batch([[cand(f, 50.0, 50.0)] for f in range(4)])
-
-
-class TestSharedSimilarities:
-    """A tracking window builds its descriptor similarities once, and the
-    affinity provider reads them."""
-
-    def test_each_window_builds_its_tables_once(self, monkeypatch):
-        scenario = generate_scenario(ScenarioSpec(
-            frame_count=8, target_count=10, seed=0, noise_sigma=1.0,
-            miss_probability=0.1, false_positive_rate=0.2))
-        built, building = [], []
-        build = types._window_similarities
-        similarity = types.descriptor_similarity
-
-        def counted(*args):
-            built.append(args)
-            building.append(True)
-            try:
-                return build(*args)
-            finally:
-                building.pop()
-
-        def only_in_the_window_build(*args):
-            if not building:
-                raise AssertionError("similarity computed outside the window")
-            return similarity(*args)
-
-        monkeypatch.setattr(types, "_window_similarities", counted)
-        monkeypatch.setattr(types, "descriptor_similarity",
-                            only_in_the_window_build)
-        run_sequence(scenario.detection_frames, ConnectionGateConfig(),
-                     AffinityProviderParams(), PipelineConfig(),
-                     GroundTruthQuality(scenario.gt_tracks))
-        assert len(built) == 6                  # one build per window
-
-    def test_affinity_reads_the_tables(self):
-        # with every similarity set to 0, the provider's appearance edges
-        # are exactly the set value
-        rng = np.random.default_rng(3)
-        app = rng.normal(size=8)
-        per_frame = [[cand(f, 100.0 + 6 * f, 100.0, appearance=app),
-                      cand(f, 95.0, 112.0 - 3 * f, appearance=app)]
-                     for f in range(3)]
-        batch = tracking_batch(per_frame)
-        vars(batch)["similarities"] = tuple(
-            np.zeros(shape) for shape in zip(batch.sizes, batch.sizes[1:]))
-        hyps = generate_hypotheses(batch, ConnectionGateConfig())
-        bundle = compute_affinity(batch, hyps, AffinityProviderParams(),
-                                  virtual_scale=0.8,
-                                  resolved_virtuals=resolve_virtuals(
-                                      batch, {0: (6.0, 0.0)}))
-        assert np.all(bundle.appearance_edges == 0.0)
 
 
 class TestPipelineConfig:
@@ -451,6 +399,71 @@ class TestTrackBatch:
         assert state.skipped_windows == skipped
         assert [sorted(t.boxes) for t in state.targets] == spans
 
+    def test_skipped_window_ends_the_live_tracks(self):
+        # two targets moving +10 px per frame under a position scale of
+        # 0.001 px: only the first window, whose virtuals sit on its
+        # anchors, has affinity mass.  The skipped window [1, 2, 3] ends
+        # both tracks on frame 2, and the next window reads none of their
+        # heads as its own anchors
+        frames = [[cand(f, 100.0 + 10.0 * f, 100.0),
+                   cand(f, 300.0 + 10.0 * f, 200.0, appearance=-np.ones(8))]
+                  for f in range(5)]
+        state = TrackState()
+        for window in batch_windows(len(frames)):
+            track_batch(frames, window, ConnectionGateConfig(),
+                        AffinityProviderParams(0.0, 0.001, 0.0, 1.0, 0.0),
+                        PipelineConfig(), ConfidenceQuality(), state)
+        assert state.skipped_windows == 1
+        assert [(t.id, t.status, sorted(t.boxes)) for t in state.targets[:2]] \
+            == [(1, EXITED, [0, 1, 2]), (2, EXITED, [0, 1, 2])]
+        # every live track ends on the last frame, on a head of the state
+        live = [t for t in state.targets if t.status != EXITED]
+        assert live and all(4 in t.boxes for t in live)
+        assert sorted(t.id for t in state.heads.values()) == [
+            t.id for t in live]
+
+    def test_candidates_with_equal_fields_are_distinct_heads(self):
+        # two targets on one box: each detection heads its own track
+        frames = [[cand(f, 100.0 + 10.0 * f, 100.0) for _ in range(2)]
+                  for f in range(5)]
+        state = TrackState()
+        for window in batch_windows(len(frames)):
+            track_batch(frames, window, ConnectionGateConfig(),
+                        AffinityProviderParams(), PipelineConfig(),
+                        ConfidenceQuality(), state)
+            assert len(state.heads) == 2
+        assert [sorted(t.boxes) for t in state.targets] == [
+            [0, 1, 2, 3, 4]] * 2
+        assert sorted(map(id, state.heads)) == sorted(map(id, frames[4]))
+
+    def test_each_window_scores_its_similarities_once(self, monkeypatch):
+        # the affinity provider builds one descriptor similarity table per
+        # frame pair, and scores the anchors' self-similarities, which its
+        # virtual members take, once
+        scenario = generate_scenario(ScenarioSpec(
+            frame_count=8, target_count=10, seed=0, noise_sigma=1.0,
+            miss_probability=0.1, false_positive_rate=0.2))
+        calls = {"_clipped_square": 0, "descriptor_similarity": 0}
+
+        def counted(name):
+            function = getattr(affinity, name)
+
+            def counting(*args):
+                calls[name] += 1
+                return function(*args)
+            return counting
+
+        for name in calls:
+            monkeypatch.setattr(affinity, name, counted(name))
+        state = TrackState()
+        for window in batch_windows(len(scenario.detection_frames)):
+            track_batch(scenario.detection_frames, window,
+                        ConnectionGateConfig(), AffinityProviderParams(),
+                        PipelineConfig(),
+                        GroundTruthQuality(scenario.gt_tracks), state)
+        assert state.skipped_windows == 0
+        assert calls == {"_clipped_square": 2 * 6, "descriptor_similarity": 6}
+
     def test_coast_budget_exhaustion_exits(self):
         spec = ScenarioSpec(frame_count=20, target_count=2, seed=9)
         scenario = generate_scenario(spec)
@@ -477,9 +490,8 @@ class TestReacquisition:
     def window_on_frame_three(config):
         # one target moving +10 px per frame and missed on frame 3: the
         # first two windows coast its track onto x = 130 there.  A detection
-        # 2 px past the prediction is then put on frame 3, ahead of the
-        # carried prediction, as a window leaves its state when it sends the
-        # track to its virtual beside a detection
+        # 2 px past the prediction is then put on frame 3, as a window leaves
+        # its state when it sends the track to its virtual beside a detection
         frames = [[cand(f, 100.0 + 10.0 * f, 100.0)] for f in range(5)]
         frames[3] = []
         args = (ConnectionGateConfig(), AffinityProviderParams(), config,
@@ -489,10 +501,9 @@ class TestReacquisition:
             track_batch(frames, window, *args, state)
         (track,) = state.targets
         (prediction,) = state.carried[3]
-        assert state.heads == {(3, 0): track}
+        assert state.heads == {prediction: track}
         assert track.status == COASTING and prediction.center == (130.0, 100.0)
         frames[3] = [cand(3, 132.0, 100.0)]
-        state.heads = {(3, 1): track}
         batches = []
 
         def recording(batch, gate):
@@ -508,6 +519,7 @@ class TestReacquisition:
         frames, state, track, prediction, window = self.window_on_frame_three(
             PipelineConfig())
         assert state.targets == [track]         # none born on the detection
+        assert state.heads == {frames[4][0]: track}
         assert track.boxes[3] == frames[3][0].box
         assert track.boxes[4] == frames[4][0].box
         assert (track.status, track.frames_coasting) == (ACTIVE, 0)
@@ -534,39 +546,38 @@ class TestReacquisition:
     def test_owned_detection_is_never_taken(self):
         owner = TrackRecord(id=1)
         coasting = TrackRecord(id=2, status=COASTING, frames_coasting=1)
-        prediction = cand(2, 121.0, 100.0)
+        detection, prediction = cand(2, 120.0, 100.0), cand(2, 121.0, 100.0)
         state = TrackState(targets=[owner, coasting],
-                           heads={(2, 0): owner, (2, 1): coasting},
+                           heads={detection: owner, prediction: coasting},
                            carried={2: [prediction]})
-        pipeline._reacquire([cand(2, 120.0, 100.0)], 2, 0.5, state)
-        assert {key: t.id for key, t in state.heads.items()} == {
-            (2, 0): 1, (2, 1): 2}
+        pipeline._reacquire([detection], 2, 0.5, state)
+        assert state.heads == {detection: owner, prediction: coasting}
         assert state.carried == {2: [prediction]}
         assert (coasting.status, coasting.boxes) == (COASTING, {})
 
     def test_detection_off_the_prediction_is_not_taken_at_zero_t_dif(self):
         coasting = TrackRecord(id=1, status=COASTING, frames_coasting=1)
         prediction = cand(2, 121.0, 100.0)
-        state = TrackState(targets=[coasting], heads={(2, 1): coasting},
+        state = TrackState(targets=[coasting], heads={prediction: coasting},
                            carried={2: [prediction]})
         pipeline._reacquire([cand(2, 300.0, 100.0)], 2, 0.0, state)
-        assert state.heads == {(2, 1): coasting}
+        assert state.heads == {prediction: coasting}
         assert state.carried == {2: [prediction]}
 
     def test_each_detection_is_taken_once_and_later_slots_move_down(self):
         # both predictions overlap the one detection: the first carried
-        # takes it, and the second keeps its prediction, now at slot 1
+        # takes it, and the second keeps its prediction, now the frame's
+        # first carried slot, right after the detection
         first = TrackRecord(id=1, status=COASTING, frames_coasting=2)
         second = TrackRecord(id=2, status=COASTING, frames_coasting=1)
         near, nearer = cand(2, 123.0, 100.0), cand(2, 121.0, 100.0)
         detection = cand(2, 120.0, 100.0, appearance=np.full(8, 2.0),
                          score=0.7)
         state = TrackState(targets=[first, second],
-                           heads={(2, 1): first, (2, 2): second},
+                           heads={near: first, nearer: second},
                            carried={2: [near, nearer]})
         pipeline._reacquire([detection], 2, 0.5, state)
-        assert {key: t.id for key, t in state.heads.items()} == {
-            (2, 0): 1, (2, 1): 2}
+        assert state.heads == {detection: first, nearer: second}
         assert state.carried == {2: [nearer]}
         assert first.boxes == {2: detection.box}
         assert (first.status, first.frames_coasting, first.score) == (

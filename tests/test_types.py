@@ -11,7 +11,6 @@ from mdatrack.types import (
     batch_windows,
     box_iou,
     box_visible_fraction,
-    descriptor_similarity,
 )
 
 import box_reference
@@ -180,6 +179,16 @@ class TestCandidate:
         with pytest.raises(InputValidationError):
             make_candidate(box=(0.0, 0.0, 20.0, -1.0))
 
+    @pytest.mark.parametrize("field, value", [
+        ("center", (float("nan"), 10.0)),
+        ("box", (0.0, 0.0, float("nan"), 20.0)),
+        ("center", (10.0, float("inf"))),
+    ])
+    def test_non_finite_center_or_box_is_rejected(self, field, value):
+        with pytest.raises(InputValidationError,
+                           match=rf"^candidate {field} must be finite"):
+            make_candidate(**{field: value})
+
 
 class TestAssociationBatch:
     def test_anchor_is_middle_frame(self):
@@ -235,37 +244,6 @@ class TestAssociationBatch:
             assert fa.boxes[-1].tolist() == [0.0, 0.0, 1.0, 1.0]
             assert fa.descriptors[-1].tolist() == [0.0] * 24
             assert fa.norms[-1] == 0.0
-
-    def test_similarity_tables_pair_consecutive_frames(self):
-        rng = np.random.default_rng(5)
-        cands = tuple(tuple(make_candidate(frame=f, appearance=rng.normal(size=6))
-                            for _ in range(n))
-                      for f, n in enumerate((3, 2, 4)))
-
-        def similarity(prev, nxt):
-            return [[float(descriptor_similarity(
-                a.appearance, np.linalg.norm(a.appearance),
-                b.appearance, np.linalg.norm(b.appearance))) for b in nxt]
-                for a in prev]
-
-        for virtual in (False, True):
-            batch = AssociationBatch(frames=(0, 1, 2), candidates=cands,
-                                     virtual=virtual)
-            before, after = batch.similarities
-            assert batch.similarities is batch.similarities
-            assert before.shape == batch.sizes[:2]
-            assert after.shape == batch.sizes[1:]
-            np.testing.assert_allclose(before[:3, :2],
-                                       similarity(cands[0], cands[1]),
-                                       rtol=1e-14, atol=0)
-            np.testing.assert_allclose(after[:2, :4],
-                                       similarity(cands[1], cands[2]),
-                                       rtol=1e-14, atol=0)
-        # a virtual slot next to the anchor frame scores each anchor's
-        # similarity to itself
-        itself = np.diag(similarity(cands[1], cands[1]))
-        np.testing.assert_allclose(before[-1, :2], itself, rtol=1e-14, atol=0)
-        np.testing.assert_allclose(after[:2, -1], itself, rtol=1e-14, atol=0)
 
     def test_descriptor_lengths_must_agree(self):
         cands = ((make_candidate(appearance=np.ones(8)),),
